@@ -31,6 +31,10 @@ Run measure(std::int64_t check_period_ms, bool watchdog_armed) {
   validator::CentralNodeConfig config;
   config.with_fmf = false;
   config.watchdog.check_period = sim::Duration::millis(check_period_ms);
+  // The HW-watchdog self-supervision is serviced by the watchdog's main
+  // function: a disarmed service would let it expire and reset the ECU,
+  // so the baseline disarms both.
+  config.with_self_supervision = watchdog_armed;
   validator::CentralNode node(engine, config);
   os::ResponseTimeObserver observer(node.kernel());
   observer.watch_only(node.safespeed_task());

@@ -59,6 +59,12 @@ class DtcStore {
 
   [[nodiscard]] const DtcEntry* entry(const DtcKey& key) const;
   [[nodiscard]] std::vector<DtcEntry> entries() const;
+  /// Visits every entry in key order (the order of entries()) without
+  /// copying the store.
+  template <typename Visitor>
+  void for_each(Visitor&& visit) const {
+    for (const auto& [_, entry] : entries_) visit(entry);
+  }
   [[nodiscard]] std::size_t count() const { return entries_.size(); }
   [[nodiscard]] std::size_t active_count() const;
   [[nodiscard]] std::size_t max_entries() const { return max_entries_; }

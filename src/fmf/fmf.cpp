@@ -1,5 +1,7 @@
 #include "fmf/fmf.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "profile/profiler.hpp"
@@ -25,6 +27,63 @@ void emit_fmf_event(telemetry::EventKind kind, sim::SimTime now,
   event.application = app;
   event.detail = std::move(detail);
   telemetry::emit(std::move(event));
+}
+
+/// Eviction ladder (lowest priority first): the freeze frames of passive
+/// DTCs, then passive DTCs, then the freeze frames of active DTCs, then
+/// active DTCs — each oldest `last_seen` first, lowest index on ties —
+/// then the oldest reset causes down to the newest one. The newest reset
+/// cause and the transgression records are never dropped: they explain
+/// why the ECU is in the state it is in. Walks the ladder on exact byte
+/// sizes until the image fits `nvm` (or the ladder runs out), applies the
+/// victims in one pass and returns the number of evictions.
+std::uint32_t evict_to_fit(NvmImage& image, const NvmStore& nvm) {
+  std::size_t size = serialized_size(image);
+  if (nvm.fits(size)) return 0;
+  std::vector<std::size_t> order(image.dtcs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&image](std::size_t a, std::size_t b) {
+                     return image.dtcs[a].last_seen < image.dtcs[b].last_seen;
+                   });
+  std::vector<bool> dropped(image.dtcs.size(), false);
+  std::size_t trimmed = 0;  // reset causes dropped from the front
+  std::uint32_t evictions = 0;
+  const auto evict = [&](std::size_t bytes) {
+    size -= bytes;
+    ++evictions;
+    return nvm.fits(size);
+  };
+  [&] {
+    for (const bool active : {false, true}) {
+      for (const std::size_t i : order) {
+        std::optional<FreezeFrame>& frame = image.dtcs[i].freeze_frame;
+        if (image.dtcs[i].active != active || !frame) continue;
+        const std::size_t bytes = serialized_size(*frame);
+        frame.reset();
+        if (evict(bytes)) return;
+      }
+      for (const std::size_t i : order) {
+        if (image.dtcs[i].active != active) continue;
+        dropped[i] = true;
+        if (evict(serialized_size(image.dtcs[i]))) return;
+      }
+    }
+    while (image.reset_history.size() - trimmed > 1) {
+      if (evict(serialized_size(image.reset_history[trimmed++]))) return;
+    }
+  }();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < image.dtcs.size(); ++i) {
+    if (dropped[i]) continue;
+    if (kept != i) image.dtcs[kept] = std::move(image.dtcs[i]);
+    ++kept;
+  }
+  image.dtcs.resize(kept);
+  image.reset_history.erase(
+      image.reset_history.begin(),
+      image.reset_history.begin() + static_cast<std::ptrdiff_t>(trimmed));
+  return evictions;
 }
 
 }  // namespace
@@ -457,84 +516,31 @@ void FaultManagementFramework::persist() {
   image.storm_latched = storm_latched_;
   image.reset_history = reset_history_;
   if (dtc_store_ != nullptr) {
-    for (const DtcEntry& entry : dtc_store_->entries()) {
-      image.dtcs.push_back(PersistedDtc{entry.key, entry.occurrences,
-                                        entry.first_seen, entry.last_seen,
-                                        entry.active, entry.freeze_frame});
-    }
+    image.dtcs.reserve(dtc_store_->count());
+    dtc_store_->for_each(
+        [&image](const DtcEntry& entry) { image.dtcs.push_back(entry); });
   }
   if (transgression_snapshot_) {
     image.transgressions = transgression_snapshot_();
   }
   if (power_mode_snapshot_) image.power_mode = power_mode_snapshot_();
-  std::uint32_t overflows_seen = nvm_->overflows();
-  while (!nvm_->commit(image)) {
-    const bool capacity = nvm_->overflows() > overflows_seen;
-    overflows_seen = nvm_->overflows();
-    if (!capacity) {
-      // Wear-out or transient write fault: nothing to evict will help.
-      ++nvm_write_failures_;
-      EASIS_LOG(util::LogLevel::kError, kLog)
-          << "NVM commit failed: write error (flash wear or fault)";
-      return;
-    }
-    // Flash full: degrade gracefully, lowest-priority entry first.
-    if (!evict_one(image)) {
-      EASIS_LOG(util::LogLevel::kError, kLog)
-          << "NVM commit failed: image exceeds bank capacity even after "
-          << "evicting all expendable fault-memory entries";
-      return;
-    }
-    ++nvm_evictions_;
+  // Flash full: degrade gracefully, lowest-priority entry first. Each
+  // eviction stands for one commit the store would have refused.
+  const std::uint32_t evicted = evict_to_fit(image, *nvm_);
+  nvm_evictions_ += evicted;
+  nvm_->count_overflows(evicted);
+  const std::uint32_t overflows_seen = nvm_->overflows();
+  if (nvm_->commit(image)) return;
+  if (nvm_->overflows() > overflows_seen) {
+    EASIS_LOG(util::LogLevel::kError, kLog)
+        << "NVM commit failed: image exceeds bank capacity even after "
+        << "evicting all expendable fault-memory entries";
+    return;
   }
-}
-
-bool FaultManagementFramework::evict_one(NvmImage& image) {
-  // Eviction ladder (lowest priority first). The reset-cause chain's
-  // newest entry and the transgression records are never dropped: they
-  // explain why the ECU is in the state it is in.
-  auto oldest_dtc = [&image](bool active) -> std::size_t {
-    std::size_t best = image.dtcs.size();
-    for (std::size_t i = 0; i < image.dtcs.size(); ++i) {
-      if (image.dtcs[i].active != active) continue;
-      if (best == image.dtcs.size() ||
-          image.dtcs[i].last_seen < image.dtcs[best].last_seen) {
-        best = i;
-      }
-    }
-    return best;
-  };
-  for (const bool active : {false, true}) {
-    // First the freeze frames of this class (cheap, keeps the DTC), then
-    // whole entries.
-    std::size_t best = image.dtcs.size();
-    for (std::size_t i = 0; i < image.dtcs.size(); ++i) {
-      if (image.dtcs[i].active != active || !image.dtcs[i].freeze_frame) {
-        continue;
-      }
-      if (best == image.dtcs.size() ||
-          image.dtcs[i].last_seen < image.dtcs[best].last_seen) {
-        best = i;
-      }
-    }
-    if (best < image.dtcs.size()) {
-      image.dtcs[best].freeze_frame.reset();
-      return true;
-    }
-    const std::size_t victim = oldest_dtc(active);
-    if (victim < image.dtcs.size()) {
-      image.dtcs.erase(image.dtcs.begin() +
-                       static_cast<std::ptrdiff_t>(victim));
-      return true;
-    }
-  }
-  // Last resort: trim the reset history down to the newest entry — the
-  // reset-cause chain must keep at least the most recent decision.
-  if (image.reset_history.size() > 1) {
-    image.reset_history.erase(image.reset_history.begin());
-    return true;
-  }
-  return false;
+  // Wear-out or transient write fault: nothing to evict will help.
+  ++nvm_write_failures_;
+  EASIS_LOG(util::LogLevel::kError, kLog)
+      << "NVM commit failed: write error (flash wear or fault)";
 }
 
 void FaultManagementFramework::boot_from_nvm(sim::SimTime now) {
@@ -545,16 +551,7 @@ void FaultManagementFramework::boot_from_nvm(sim::SimTime now) {
     if (image.reset_count > ecu_resets_) ecu_resets_ = image.reset_count;
     reset_history_ = image.reset_history;
     if (!reset_history_.empty()) last_reset_cause_ = reset_history_.back();
-    if (dtc_store_ != nullptr) {
-      std::vector<DtcEntry> entries;
-      entries.reserve(image.dtcs.size());
-      for (const PersistedDtc& dtc : image.dtcs) {
-        entries.push_back(DtcEntry{dtc.key, dtc.occurrences, dtc.first_seen,
-                                   dtc.last_seen, dtc.active,
-                                   dtc.freeze_frame});
-      }
-      dtc_store_->restore(entries);
-    }
+    if (dtc_store_ != nullptr) dtc_store_->restore(image.dtcs);
     if (transgression_restore_ && !image.transgressions.empty()) {
       transgression_restore_(image.transgressions);
     }

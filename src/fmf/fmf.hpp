@@ -139,8 +139,12 @@ class FaultManagementFramework {
   /// before every performed reset). When the image no longer fits the
   /// bank (flash full), fault memory degrades gracefully: entries are
   /// evicted lowest-priority-first (oldest passive DTC freeze frames,
-  /// then oldest passive DTCs, then active ones) until the commit fits —
-  /// the reset-cause chain and transgression records are never dropped.
+  /// then oldest passive DTCs, then active ones, then the oldest reset
+  /// causes) until the image fits — the newest reset cause and the
+  /// transgression records are never dropped. The victims are chosen in
+  /// one pass over exact byte sizes and the image is committed once; each
+  /// eviction counts as one NVM overflow, as if the oversize image had
+  /// been offered before it.
   void persist();
 
   /// Connects the supervised-process transgression records to fault
@@ -269,7 +273,6 @@ class FaultManagementFramework {
   void restart_application(ApplicationId app, sim::SimTime now);
   void terminate_application(ApplicationId app, sim::SimTime now);
   void clear_monitoring_state(ApplicationId app, sim::SimTime now);
-  bool evict_one(NvmImage& image);
   void latch_storm(const ResetCause& cause, sim::SimTime now);
   void record_reset_cause(ResetCause cause);
   [[nodiscard]] std::uint32_t recent_resets(sim::SimTime now) const;

@@ -15,8 +15,23 @@ namespace {
 constexpr std::uint32_t kMagic = 0x455A4E56;  // "EZNV"
 constexpr std::size_t kHeaderBytes = 13;
 
+// Field widths of the serialised records (see serialize_image).
+constexpr std::size_t kStrBytes = 2;  // u16 length prefix
+constexpr std::size_t kCountBytes = 2;
+constexpr std::size_t kImageFixedBytes = 4 + 1;  // reset_count, storm
+constexpr std::size_t kResetCauseFixedBytes = 1 + 4 + 4 + 1 + 8;
+constexpr std::size_t kDtcFixedBytes = 4 + 1 + 4 + 8 + 8 + 1 + 1;
+constexpr std::size_t kFreezeFrameFixedBytes = 8 + kCountBytes;
+constexpr std::size_t kSignalFixedBytes = 8;
+constexpr std::size_t kTransgressionFixedBytes = 4 + 8 + 8;
+
+std::size_t str_size(const std::string& s) { return kStrBytes + s.size(); }
+
+/// Appends to a caller-owned buffer, so a commit reuses its capacity.
 class Writer {
  public:
+  explicit Writer(std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
+
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u16(std::uint16_t v) {
     u8(static_cast<std::uint8_t>(v));
@@ -40,12 +55,9 @@ class Writer {
     u16(static_cast<std::uint16_t>(s.size()));
     bytes_.insert(bytes_.end(), s.begin(), s.end());
   }
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
-    return bytes_;
-  }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  std::vector<std::uint8_t>& bytes_;
 };
 
 class Reader {
@@ -249,16 +261,55 @@ BankView inspect(const std::vector<std::uint8_t>& bank,
 
 }  // namespace
 
+std::size_t serialized_size(const FreezeFrame& frame) {
+  std::size_t bytes = kFreezeFrameFixedBytes;
+  for (const auto& signal : frame.signals) {
+    bytes += str_size(signal.first) + kSignalFixedBytes;
+  }
+  return bytes;
+}
+
+std::size_t serialized_size(const PersistedDtc& dtc) {
+  return kDtcFixedBytes +
+         (dtc.freeze_frame ? serialized_size(*dtc.freeze_frame) : 0);
+}
+
+std::size_t serialized_size(const ResetCause& cause) {
+  return kResetCauseFixedBytes + str_size(cause.detail);
+}
+
+std::size_t serialized_size(const NvmImage& image) {
+  std::size_t bytes = kImageFixedBytes + 3 * kCountBytes +
+                      str_size(image.power_mode);
+  for (const ResetCause& cause : image.reset_history) {
+    bytes += serialized_size(cause);
+  }
+  for (const PersistedDtc& dtc : image.dtcs) bytes += serialized_size(dtc);
+  for (const wdg::TransgressionRecord& record : image.transgressions) {
+    bytes += kTransgressionFixedBytes + str_size(record.section);
+  }
+  return bytes;
+}
+
+std::vector<std::uint8_t> serialize(const NvmImage& image) {
+  std::vector<std::uint8_t> bytes;
+  Writer w(bytes);
+  serialize_image(image, w);
+  return bytes;
+}
+
 NvmStore::NvmStore(std::size_t bank_capacity) : capacity_(bank_capacity) {
   banks_[0].assign(capacity_, 0);
   banks_[1].assign(capacity_, 0);
 }
 
+bool NvmStore::fits(std::size_t payload_bytes) const {
+  return kHeaderBytes + payload_bytes <= capacity_;
+}
+
 bool NvmStore::commit(const NvmImage& image) {
-  Writer w;
-  serialize_image(image, w);
-  const std::vector<std::uint8_t>& payload = w.bytes();
-  if (kHeaderBytes + payload.size() > capacity_) {
+  const std::size_t payload_len = serialized_size(image);
+  if (!fits(payload_len)) {
     ++overflows_;
     return false;
   }
@@ -272,17 +323,27 @@ bool NvmStore::commit(const NvmImage& image) {
     ++write_errors_;
     return false;
   }
+  payload_.clear();
+  Writer w(payload_);
+  serialize_image(image, w);
   std::vector<std::uint8_t>& bank = banks_[target];
-  bank.assign(capacity_, 0);
   write_u32_at(bank, 0, kMagic);
   write_u32_at(bank, 4, ++sequence_);
-  write_u32_at(bank, 8, static_cast<std::uint32_t>(payload.size()));
-  std::memcpy(bank.data() + kHeaderBytes, payload.data(), payload.size());
-  bank[12] = bank_crc(bank, payload.size());
+  write_u32_at(bank, 8, static_cast<std::uint32_t>(payload_len));
+  std::memcpy(bank.data() + kHeaderBytes, payload_.data(), payload_len);
+  // Every byte past the image reads zero, as after a full erase; only
+  // bytes an earlier write (or an injected corruption) touched need it.
+  const std::size_t used = kHeaderBytes + payload_len;
+  if (dirty_[target] > used) {
+    std::fill(bank.begin() + static_cast<std::ptrdiff_t>(used),
+              bank.begin() + static_cast<std::ptrdiff_t>(dirty_[target]), 0);
+  }
+  dirty_[target] = used;
+  bank[12] = bank_crc(bank, payload_len);
   active_ = target;  // flip only after the full write
   ++commits_;
   ++erase_cycles_[target];
-  last_image_bytes_ = payload.size();
+  last_image_bytes_ = payload_len;
   return true;
 }
 
@@ -323,6 +384,7 @@ NvmStore::LoadResult NvmStore::load() const {
 void NvmStore::erase() {
   banks_[0].assign(capacity_, 0);
   banks_[1].assign(capacity_, 0);
+  dirty_[0] = dirty_[1] = 0;
   active_ = 0;
   sequence_ = 0;
   last_image_bytes_ = 0;
@@ -353,6 +415,7 @@ double NvmStore::fill_level() const {
 
 void NvmStore::corrupt_bit(std::size_t bit_index) {
   std::vector<std::uint8_t>& bank = banks_[active_];
+  dirty_[active_] = capacity_;
   const std::size_t byte = (bit_index / 8) % bank.size();
   bank[byte] ^= static_cast<std::uint8_t>(1u << (bit_index % 8));
 }
@@ -360,6 +423,7 @@ void NvmStore::corrupt_bit(std::size_t bit_index) {
 void NvmStore::corrupt_byte(std::size_t bank, std::size_t offset,
                             std::uint8_t mask) {
   std::vector<std::uint8_t>& b = banks_[bank % 2];
+  dirty_[bank % 2] = capacity_;
   b[offset % b.size()] ^= mask;
 }
 

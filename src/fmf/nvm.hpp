@@ -72,16 +72,9 @@ struct ResetCause {
   std::string detail;
 };
 
-/// A persisted DTC entry (mirror of DtcEntry without the live signal-bus
-/// dependency; freeze frames travel with it).
-struct PersistedDtc {
-  DtcKey key;
-  std::uint32_t occurrences = 0;
-  sim::SimTime first_seen;
-  sim::SimTime last_seen;
-  bool active = true;
-  std::optional<FreezeFrame> freeze_frame;
-};
+/// A persisted DTC entry is the live entry itself: it carries no signal-bus
+/// dependency, and its freeze frame travels with it.
+using PersistedDtc = DtcEntry;
 
 /// The logical content of the NVM block.
 struct NvmImage {
@@ -107,6 +100,18 @@ struct NvmImage {
 /// Reset events retained in the history ring.
 inline constexpr std::size_t kResetHistoryDepth = 16;
 
+/// Exact serialised sizes in bytes, in closed form over the fixed field
+/// widths plus 2 + length per string; serialized_size(image) equals
+/// serialize(image).size(). The part overloads let a caller price an
+/// eviction without re-serialising: a DTC's size includes its freeze frame.
+[[nodiscard]] std::size_t serialized_size(const FreezeFrame& frame);
+[[nodiscard]] std::size_t serialized_size(const PersistedDtc& dtc);
+[[nodiscard]] std::size_t serialized_size(const ResetCause& cause);
+[[nodiscard]] std::size_t serialized_size(const NvmImage& image);
+
+/// The payload bytes a commit writes for `image` (bank header excluded).
+[[nodiscard]] std::vector<std::uint8_t> serialize(const NvmImage& image);
+
 class NvmStore {
  public:
   struct LoadResult {
@@ -120,10 +125,17 @@ class NvmStore {
 
   /// Serialises `image` into the inactive bank and flips the active bank.
   /// Returns false (and leaves the store untouched) if the image does not
-  /// fit the bank capacity (counted as an overflow), if the target bank
-  /// has worn out its erase-cycle budget, or if an injected write fault
-  /// is pending (both counted as write errors).
+  /// fit the bank capacity (counted as an overflow, decided by its size
+  /// alone), if the target bank has worn out its erase-cycle budget, or if
+  /// an injected write fault is pending (both counted as write errors).
   bool commit(const NvmImage& image);
+
+  /// True if a payload of `payload_bytes` fits one bank with its header.
+  [[nodiscard]] bool fits(std::size_t payload_bytes) const;
+  /// Counts `count` oversize images as overflows without offering them:
+  /// a caller that sizes its image before committing reports the commits
+  /// it pre-empted, so overflows() reads as if each had been attempted.
+  void count_overflows(std::uint32_t count) { overflows_ += count; }
 
   /// Validates both banks and deserialises the newest valid image.
   [[nodiscard]] LoadResult load() const;
@@ -165,10 +177,20 @@ class NvmStore {
   [[nodiscard]] std::size_t last_image_bytes() const {
     return last_image_bytes_;
   }
+  /// Raw content of one bank (header, payload and zeroed tail).
+  [[nodiscard]] const std::vector<std::uint8_t>& bank_bytes(
+      std::size_t bank) const {
+    return banks_[bank % 2];
+  }
 
  private:
   std::size_t capacity_;
   std::vector<std::uint8_t> banks_[2];
+  /// Per bank: bytes from the start that may be non-zero. A commit zeroes
+  /// only the stale tail past its own image instead of the whole bank.
+  std::size_t dirty_[2] = {0, 0};
+  /// Serialisation buffer, reused across commits.
+  std::vector<std::uint8_t> payload_;
   std::size_t active_ = 0;
   std::uint32_t sequence_ = 0;
   std::uint32_t commits_ = 0;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <exception>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -202,7 +203,11 @@ void worker_main(const std::shared_ptr<CampaignState>& state,
       // Completed (or errored) runs carry their full event log; a
       // quarantined run's late log is discarded with its result.
       std::lock_guard<std::mutex> lock(self->telemetry_mutex);
-      result.events = std::move(self->event_log);
+      // Results live until the end-of-campaign reduction, so each gets an
+      // exact-size copy instead of the log's push_back slack; the log
+      // keeps its capacity for the worker's next run.
+      result.events.assign(std::make_move_iterator(self->event_log.begin()),
+                           std::make_move_iterator(self->event_log.end()));
       self->event_log.clear();
       if (result.flight_note.empty()) result.flight_note = self->flight_note;
     }

@@ -12,6 +12,7 @@ EventId Engine::schedule_at(SimTime at, Action action, EventPriority priority) {
     throw std::invalid_argument("Engine::schedule_at: time in the past");
   }
   const EventId id = next_id_++;
+  settled_.push_back(false);
   queue_.push(Event{at, static_cast<int>(priority), id, std::move(action)});
   return id;
 }
@@ -25,23 +26,36 @@ EventId Engine::schedule_in(Duration delay, Action action,
 }
 
 bool Engine::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return false;
-  // Lazy cancellation: remember the id; skip it when popped.
-  return cancelled_.insert(id).second;
+  if (id == 0 || id >= next_id_ || settled_[id - 1]) return false;
+  // Lazy cancellation: settle the id now; skip its event when popped.
+  settled_[id - 1] = true;
+  ++cancelled_queued_;
+  return true;
+}
+
+bool Engine::drop_cancelled_top() {
+  if (!settled_[queue_.top().id - 1]) return false;
+  queue_.pop();
+  --cancelled_queued_;
+  return true;
+}
+
+void Engine::fire_top() {
+  // Move the action out instead of copying it: Later reads only at,
+  // priority and id, which the move leaves intact for the pop.
+  Event ev = std::move(const_cast<Event&>(queue_.top()));
+  queue_.pop();
+  settled_[ev.id - 1] = true;
+  now_ = ev.at;
+  ++fired_;
+  EASIS_PROFILE_COUNT("sim.events_fired", 1);
+  ev.action();
 }
 
 bool Engine::fire_next() {
   while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
-    if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    now_ = ev.at;
-    ++fired_;
-    EASIS_PROFILE_COUNT("sim.events_fired", 1);
-    ev.action();
+    if (drop_cancelled_top()) continue;
+    fire_top();
     return true;
   }
   return false;
@@ -53,13 +67,9 @@ void Engine::run_until(SimTime until) {
   EASIS_PROFILE_SPAN("sim.run_until");
   while (!queue_.empty()) {
     // Peek past cancelled events without firing.
-    if (cancelled_.contains(queue_.top().id)) {
-      cancelled_.erase(queue_.top().id);
-      queue_.pop();
-      continue;
-    }
+    if (drop_cancelled_top()) continue;
     if (queue_.top().at > until) break;
-    fire_next();
+    fire_top();
   }
   if (now_ < until) now_ = until;
 }
@@ -70,7 +80,7 @@ void Engine::run_all() {
 }
 
 std::size_t Engine::pending_events() const {
-  return queue_.size() - cancelled_.size();
+  return queue_.size() - cancelled_queued_;
 }
 
 }  // namespace easis::sim

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -46,7 +45,8 @@ class Engine {
   EventId schedule_in(Duration delay, Action action,
                       EventPriority priority = EventPriority::kDefault);
 
-  /// Cancels a pending event. Returns false if already fired or cancelled.
+  /// Cancels a pending event. Returns false (and changes nothing) if the
+  /// id is unknown, already fired or already cancelled.
   bool cancel(EventId id);
 
   /// Runs the next event. Returns false if the queue is empty.
@@ -80,12 +80,20 @@ class Engine {
   };
 
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> cancelled_;
+  /// Per id (index id - 1): fired or cancelled. Ids are sequential, so a
+  /// dense bit per scheduled event holds the state without hashing.
+  std::vector<bool> settled_;
+  /// Cancelled events still sitting in the queue (skipped when popped).
+  std::size_t cancelled_queued_ = 0;
   SimTime now_;
   EventId next_id_ = 1;
   std::uint64_t fired_ = 0;
 
   bool fire_next();
+  /// Pops and runs the queue head, which must not be cancelled.
+  void fire_top();
+  /// Pops the queue head if it was cancelled; true if it did.
+  bool drop_cancelled_top();
 };
 
 }  // namespace easis::sim

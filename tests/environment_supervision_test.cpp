@@ -24,6 +24,7 @@
 #include "rte/signal_bus.hpp"
 #include "sim/engine.hpp"
 #include "sim/thermal.hpp"
+#include "util/random.hpp"
 #include "wdg/env_monitor.hpp"
 #include "wdg/process_supervisor.hpp"
 #include "wdg/watchdog.hpp"
@@ -580,6 +581,301 @@ TEST_F(FmfNvmPressureTest, PersistCountsWriteFailuresWithoutEvicting) {
   EXPECT_EQ(nvm.commits(), 0u);
   fmf.persist();
   EXPECT_EQ(nvm.commits(), 1u);
+}
+
+// --- one-pass eviction ladder vs the per-entry reference ---------------------
+
+// The flash-full ladder as persist() used to run it: drop one entry, offer
+// the image again, repeat. Kept verbatim as the reference that the one-pass
+// ladder must reproduce byte for byte and counter for counter.
+bool reference_evict_one(fmf::NvmImage& image) {
+  auto oldest_dtc = [&image](bool active) -> std::size_t {
+    std::size_t best = image.dtcs.size();
+    for (std::size_t i = 0; i < image.dtcs.size(); ++i) {
+      if (image.dtcs[i].active != active) continue;
+      if (best == image.dtcs.size() ||
+          image.dtcs[i].last_seen < image.dtcs[best].last_seen) {
+        best = i;
+      }
+    }
+    return best;
+  };
+  for (const bool active : {false, true}) {
+    std::size_t best = image.dtcs.size();
+    for (std::size_t i = 0; i < image.dtcs.size(); ++i) {
+      if (image.dtcs[i].active != active || !image.dtcs[i].freeze_frame) {
+        continue;
+      }
+      if (best == image.dtcs.size() ||
+          image.dtcs[i].last_seen < image.dtcs[best].last_seen) {
+        best = i;
+      }
+    }
+    if (best < image.dtcs.size()) {
+      image.dtcs[best].freeze_frame.reset();
+      return true;
+    }
+    const std::size_t victim = oldest_dtc(active);
+    if (victim < image.dtcs.size()) {
+      image.dtcs.erase(image.dtcs.begin() +
+                       static_cast<std::ptrdiff_t>(victim));
+      return true;
+    }
+  }
+  if (image.reset_history.size() > 1) {
+    image.reset_history.erase(image.reset_history.begin());
+    return true;
+  }
+  return false;
+}
+
+struct ReferenceCounters {
+  std::uint32_t evictions = 0;
+  std::uint32_t write_failures = 0;
+};
+
+void reference_persist(fmf::NvmImage image, fmf::NvmStore& nvm,
+                       ReferenceCounters& counters) {
+  std::uint32_t overflows_seen = nvm.overflows();
+  while (!nvm.commit(image)) {
+    const bool capacity = nvm.overflows() > overflows_seen;
+    overflows_seen = nvm.overflows();
+    if (!capacity) {
+      ++counters.write_failures;
+      return;
+    }
+    if (!reference_evict_one(image)) return;
+    ++counters.evictions;
+  }
+}
+
+// Drives the FMF's persist() and the reference with the same fault memory
+// into two equally sized stores and compares everything they expose.
+class FmfEvictionLadderTest : public ::testing::Test {
+ protected:
+  sim::Engine engine;
+  os::Kernel kernel{engine};
+  rte::Rte rte{kernel};
+  wdg::SoftwareWatchdog wd{esu_config()};
+  rte::SignalBus signals;
+  fmf::DtcStore dtcs{signals, {"env.ecu.temp_c", "vehicle.speed_kmh"}};
+  fmf::FaultManagementFramework fmf{rte, wd, [] {}, fmf::FmfConfig{}};
+  std::vector<wdg::TransgressionRecord> records;
+  fmf::NvmStore unbounded{1u << 20};
+  std::optional<fmf::NvmStore> fast;
+  std::optional<fmf::NvmStore> reference;
+  ReferenceCounters counters;  // the reference's evictions and failures
+  ReferenceCounters fmf_counters;  // the FMF's, over the same persists
+
+  void SetUp() override {
+    fmf.attach();
+    fmf.attach_dtc_store(&dtcs);
+    fmf.attach_transgression_store(
+        [this] { return records; },
+        [](const std::vector<wdg::TransgressionRecord>&) {});
+    signals.publish("env.ecu.temp_c", 96.5, SimTime(500));
+  }
+
+  void use_capacity(std::size_t capacity) {
+    fast.emplace(capacity);
+    reference.emplace(capacity);
+    counters = ReferenceCounters{};
+    fmf_counters = ReferenceCounters{};
+  }
+
+  /// Seeds the FMF's reset history and DTC store through a boot.
+  void boot_with(const fmf::NvmImage& image) {
+    ASSERT_TRUE(unbounded.commit(image));
+    fmf.attach_nvm(&unbounded);
+    fmf.boot_from_nvm(SimTime(0));
+  }
+
+  void record(std::uint32_t app, wdg::ErrorType type, std::int64_t at_us) {
+    wdg::ErrorReport report;
+    report.application = ApplicationId(app);
+    report.type = type;
+    report.time = SimTime(at_us);
+    dtcs.record(report);
+  }
+
+  void inject_write_faults(std::uint32_t count) {
+    fast->inject_write_faults(count);
+    reference->inject_write_faults(count);
+  }
+
+  /// The image persist() builds, taken from a commit that never overflows.
+  fmf::NvmImage current_image() {
+    fmf.attach_nvm(&unbounded);
+    fmf.persist();
+    return *unbounded.load().image;
+  }
+
+  void persist_both() {
+    reference_persist(current_image(), *reference, counters);
+    const std::uint32_t evictions = fmf.nvm_evictions();
+    const std::uint32_t failures = fmf.nvm_write_failures();
+    fmf.attach_nvm(&*fast);
+    fmf.persist();
+    fmf_counters.evictions += fmf.nvm_evictions() - evictions;
+    fmf_counters.write_failures += fmf.nvm_write_failures() - failures;
+    expect_same_store();
+  }
+
+  void expect_same_store() {
+    EXPECT_EQ(fmf_counters.evictions, counters.evictions);
+    EXPECT_EQ(fmf_counters.write_failures, counters.write_failures);
+    EXPECT_EQ(fast->overflows(), reference->overflows());
+    EXPECT_EQ(fast->write_errors(), reference->write_errors());
+    EXPECT_EQ(fast->commits(), reference->commits());
+    EXPECT_EQ(fast->last_image_bytes(), reference->last_image_bytes());
+    EXPECT_EQ(fast->active_bank(), reference->active_bank());
+    EXPECT_EQ(fast->bank_bytes(0), reference->bank_bytes(0));
+    EXPECT_EQ(fast->bank_bytes(1), reference->bank_bytes(1));
+    const auto mine = fast->load();
+    const auto theirs = reference->load();
+    ASSERT_EQ(mine.image.has_value(), theirs.image.has_value());
+    if (mine.image) {
+      EXPECT_EQ(fmf::serialize(*mine.image), fmf::serialize(*theirs.image));
+    }
+  }
+};
+
+fmf::ResetCause history_entry(int i, std::size_t detail_len) {
+  fmf::ResetCause cause;
+  cause.source = fmf::ResetSource::kEcuFaulty;
+  cause.error = wdg::ErrorType::kAliveness;
+  cause.time = SimTime(i * 1'000);
+  cause.detail = std::string(detail_len, static_cast<char>('a' + i % 26));
+  return cause;
+}
+
+TEST_F(FmfEvictionLadderTest, MixedActiveAndPassiveFloodMatchesReference) {
+  for (std::size_t capacity = 160; capacity <= 2'400; capacity += 61) {
+    SCOPED_TRACE(capacity);
+    dtcs.clear();
+    use_capacity(capacity);
+    for (std::uint32_t i = 0; i < 24; ++i) {
+      record(i, i % 2 ? wdg::ErrorType::kThermal : wdg::ErrorType::kDeadline,
+             (i * 7919) % 50'000);
+      if (i % 3 == 0) {
+        dtcs.set_passive({ApplicationId(i), i % 2 ? wdg::ErrorType::kThermal
+                                                  : wdg::ErrorType::kDeadline});
+      }
+    }
+    persist_both();
+    // The flood goes on: new entries and repeats arrive between commits.
+    for (std::uint32_t i = 20; i < 30; ++i) {
+      record(i, wdg::ErrorType::kFilesystem, 60'000 + i);
+    }
+    persist_both();
+  }
+}
+
+TEST_F(FmfEvictionLadderTest, LastSeenTiesBreakLikeTheReference) {
+  for (std::size_t capacity = 120; capacity <= 1'400; capacity += 23) {
+    SCOPED_TRACE(capacity);
+    dtcs.clear();
+    use_capacity(capacity);
+    for (std::uint32_t i = 0; i < 18; ++i) {
+      record(17 - i, wdg::ErrorType::kThermal, 5'000 * (i % 3));
+      if (i % 2 == 0) {
+        dtcs.set_passive({ApplicationId(17 - i), wdg::ErrorType::kThermal});
+      }
+    }
+    persist_both();
+  }
+}
+
+TEST_F(FmfEvictionLadderTest, PendingWriteFaultsOnAnOversizeImage) {
+  fmf::NvmImage seed;
+  for (int i = 0; i < 6; ++i) {
+    seed.reset_history.push_back(history_entry(i, 12));
+  }
+  boot_with(seed);
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    record(i, wdg::ErrorType::kThermal, 1'000 * i);
+  }
+  use_capacity(420);
+  inject_write_faults(2);
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE(round);
+    record(40 + static_cast<std::uint32_t>(round), wdg::ErrorType::kFilesystem,
+           90'000 + round);
+    persist_both();
+  }
+  EXPECT_EQ(counters.write_failures, 2u);
+  EXPECT_GT(counters.evictions, 0u);
+}
+
+TEST_F(FmfEvictionLadderTest, ImageThatCannotFitAfterFullEviction) {
+  fmf::NvmImage seed;
+  for (int i = 0; i < 16; ++i) {
+    seed.reset_history.push_back(history_entry(i, 30));
+  }
+  boot_with(seed);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    record(i, wdg::ErrorType::kDeadline, 1'000 * i);
+  }
+  // Transgression records are never evicted: these alone overflow the bank.
+  wdg::TransgressionRecord transgression;
+  transgression.section = std::string(300, 's');
+  records = {transgression};
+  use_capacity(256);
+  persist_both();
+  persist_both();
+  EXPECT_EQ(fast->commits(), 0u);
+  // Every expendable entry went, and each persist offered one more image
+  // than it evicted entries: 8 freeze frames + 8 DTCs + 15 reset causes.
+  EXPECT_EQ(counters.evictions, 2u * 31u);
+  EXPECT_EQ(fast->overflows(), 2u * 32u);
+}
+
+TEST_F(FmfEvictionLadderTest, SeededFloodsMatchReference) {
+  util::Rng rng(0x5EED);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE(trial);
+    fmf::NvmImage seed;
+    const auto history = rng.uniform_int(0, 16);
+    for (int i = 0; i < history; ++i) {
+      seed.reset_history.push_back(
+          history_entry(i, static_cast<std::size_t>(rng.uniform_int(0, 60))));
+    }
+    const auto count = rng.uniform_int(0, 40);
+    for (std::int64_t i = 0; i < count; ++i) {
+      fmf::PersistedDtc dtc;
+      dtc.key.application = ApplicationId(static_cast<std::uint32_t>(i));
+      dtc.key.type = wdg::ErrorType::kThermal;
+      dtc.occurrences = 1;
+      dtc.last_seen = SimTime(1'000 * rng.uniform_int(0, 5));  // many ties
+      dtc.active = rng.bernoulli(0.5);
+      if (rng.bernoulli(0.7)) {
+        fmf::FreezeFrame frame;
+        const auto signals_in_frame = rng.uniform_int(0, 4);
+        for (std::int64_t s = 0; s < signals_in_frame; ++s) {
+          frame.signals.emplace_back(
+              std::string(static_cast<std::size_t>(rng.uniform_int(1, 24)),
+                          'n'),
+              rng.uniform(-10.0, 10.0));
+        }
+        dtc.freeze_frame = std::move(frame);
+      }
+      seed.dtcs.push_back(std::move(dtc));
+    }
+    boot_with(seed);
+    records.clear();
+    if (rng.bernoulli(0.3)) {
+      wdg::TransgressionRecord transgression;
+      transgression.section = "section";
+      records.push_back(transgression);
+    }
+    use_capacity(static_cast<std::size_t>(rng.uniform_int(40, 3'000)));
+    for (int round = 0; round < 3; ++round) {
+      if (rng.bernoulli(0.3)) inject_write_faults(1);
+      record(100 + static_cast<std::uint32_t>(round),
+             wdg::ErrorType::kFilesystem, 10'000 + round);
+      persist_both();
+    }
+  }
 }
 
 // --- supervised-process client API -------------------------------------------

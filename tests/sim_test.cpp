@@ -102,6 +102,37 @@ TEST(Engine, CancelUnknownIdFails) {
   EXPECT_FALSE(engine.cancel(999));
 }
 
+TEST(Engine, CancelAfterFiringFailsAndKeepsTheCount) {
+  Engine engine;
+  const EventId fired = engine.schedule_at(SimTime(10), [] {});
+  engine.run_until(SimTime(10));
+  EXPECT_FALSE(engine.cancel(fired));
+  EXPECT_EQ(engine.pending_events(), 0u);
+  // A later event still fires, and cancelling twice fails the second time.
+  bool later_fired = false;
+  engine.schedule_at(SimTime(30), [&] { later_fired = true; });
+  const EventId twice = engine.schedule_at(SimTime(20), [] {});
+  EXPECT_EQ(engine.pending_events(), 2u);
+  EXPECT_TRUE(engine.cancel(twice));
+  EXPECT_FALSE(engine.cancel(twice));
+  EXPECT_EQ(engine.pending_events(), 1u);
+  engine.run_all();
+  EXPECT_TRUE(later_fired);
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_EQ(engine.events_fired(), 2u);
+}
+
+TEST(Engine, EventCannotCancelItselfWhileFiring) {
+  Engine engine;
+  EventId self = 0;
+  bool cancelled = true;
+  self = engine.schedule_at(SimTime(5),
+                            [&] { cancelled = engine.cancel(self); });
+  engine.run_all();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(engine.pending_events(), 0u);
+}
+
 TEST(Engine, RunUntilAdvancesClockEvenWithoutEvents) {
   Engine engine;
   engine.run_until(SimTime(500));
