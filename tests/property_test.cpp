@@ -2,6 +2,8 @@
 // parameter sweeps, using parameterized gtest suites.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -55,8 +57,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineDeterminism,
 
 // --- kernel schedulability property --------------------------------------------------
 
+// gtest prints a parameter without PrintTo as its object bytes, and ctest
+// names each instance after that print, so parameter structs leave no
+// padding: uninitialised padding bytes would rename the tests run to run.
 struct TaskSetParam {
-  int tasks;
+  std::int64_t tasks;
   std::uint64_t seed;
 };
 
@@ -237,6 +242,7 @@ struct SliderParam {
   double factor;
   bool expect_aliveness;
   bool expect_arrival;
+  std::array<std::uint8_t, 6> zero_fill{};  // see TaskSetParam
 };
 
 class SliderSweep : public ::testing::TestWithParam<SliderParam> {};
@@ -282,7 +288,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- watchdog soundness & completeness on random platforms -----------------------
 
 struct PlatformParam {
-  int tasks;
+  std::int64_t tasks;  // see TaskSetParam
   std::uint64_t seed;
 };
 
@@ -299,7 +305,7 @@ class RandomPlatform : public ::testing::TestWithParam<PlatformParam> {
 
   /// Builds a random healthy platform: `tasks` periodic tasks with 1..3
   /// runnables each, monitors derived from the actual periods.
-  Built build(Engine& engine, util::Rng& rng, int tasks) {
+  Built build(Engine& engine, util::Rng& rng, std::int64_t tasks) {
     Built b;
     b.kernel = std::make_unique<os::Kernel>(engine);
     b.rte = std::make_unique<rte::Rte>(*b.kernel);
