@@ -222,13 +222,7 @@ int main(int argc, char** argv) {
     report.write_coverage_csv(csv);
   }
   std::cout << "\nraw results written to " << cli.csv << '\n';
-  if (!cli.timing_csv.empty()) {
-    std::ofstream timing(cli.timing_csv);
-    report.write_timing_csv(timing, runner.config(), outcome);
-  }
-  cli.write_artifacts(report, outcome, std::cout);
-  std::cout << "campaign wall clock: " << outcome.wall_seconds << " s ("
-            << outcome.runs_per_second() << " runs/s)\n";
+  cli.write_artifacts(report, runner.config(), outcome, std::cout);
 
   // Shape check: the software watchdog must dominate the baselines on
   // runnable-level faults and never miss a fault class entirely.

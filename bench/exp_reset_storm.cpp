@@ -200,11 +200,7 @@ int main(int argc, char** argv) {
     report.write_rows_csv(
         csv, "policy,resets,availability,limp_home,storm_latched,detect_ms");
   }
-  if (!cli.timing_csv.empty()) {
-    std::ofstream timing(cli.timing_csv);
-    report.write_timing_csv(timing, runner.config(), outcome);
-  }
-  cli.write_artifacts(report, outcome, std::cout);
+  cli.write_artifacts(report, runner.config(), outcome, std::cout);
 
   const Outcome& naive = outcomes[0];
   const Outcome& storm = outcomes[1 * cli.runs];

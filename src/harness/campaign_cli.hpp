@@ -75,26 +75,37 @@ class CampaignCli {
     return config;
   }
 
-  /// The prefix flight-recorder dumps are written under: --flight-prefix
-  /// when given, else the result CSV path with a trailing ".csv" stripped.
-  [[nodiscard]] std::string flight_prefix() const {
-    if (!telemetry.flight_prefix.empty()) return telemetry.flight_prefix;
-    std::string prefix = csv;
-    if (prefix.size() > 4 && prefix.rfind(".csv") == prefix.size() - 4) {
-      prefix.resize(prefix.size() - 4);
+  /// The result CSV path with a trailing ".csv" stripped: the prefix of
+  /// the per-run rows file (<stem>.runs.csv) and the flight dumps.
+  [[nodiscard]] std::string stem() const {
+    if (csv.size() > 4 && csv.ends_with(".csv")) {
+      return csv.substr(0, csv.size() - 4);
     }
-    return prefix;
+    return csv;
   }
 
-  /// Writes the telemetry artifacts the flags requested: the event log
+  /// The prefix flight-recorder dumps are written under: --flight-prefix
+  /// when given, else stem().
+  [[nodiscard]] std::string flight_prefix() const {
+    return telemetry.flight_prefix.empty() ? stem() : telemetry.flight_prefix;
+  }
+
+  /// Writes the artifacts the flags requested: the timing CSV
+  /// (--timing-csv, for the campaign's `config`), the event log
   /// (--events-out), the metrics export (--metrics-out; ".csv" suffix
   /// selects CSV, else Prometheus text), the profiling exports
   /// (--trace-out / --profile-csv / --profile-shape), and — always — one
   /// flight dump per failed/misdetecting/quarantined run. The outcome
-  /// supplies the trace epoch. Progress notes go to `log`.
+  /// supplies the trace epoch. Progress notes and the campaign wall clock
+  /// go to `log`.
   void write_artifacts(const CampaignReport& report,
+                       const CampaignConfig& config,
                        const CampaignOutcome& outcome,
                        std::ostream& log) const {
+    if (!timing_csv.empty()) {
+      std::ofstream out(timing_csv);
+      report.write_timing_csv(out, config, outcome);
+    }
     if (!telemetry.events_out.empty()) {
       std::ofstream out(telemetry.events_out);
       report.write_event_log(out);
@@ -129,6 +140,8 @@ class CampaignCli {
       log << dumps << " flight-recorder dump(s): " << flight_prefix()
           << ".run<index>.flight.txt\n";
     }
+    log << "campaign wall clock: " << outcome.wall_seconds << " s ("
+        << outcome.runs_per_second() << " runs/s)\n";
   }
 
  private:
