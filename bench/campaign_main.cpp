@@ -13,7 +13,6 @@
 // derive_seed(--seed, run_index), and every CSV and telemetry export is
 // byte-identical for any --jobs value (the *_jobs_determinism_* gates).
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -56,10 +55,10 @@ struct CampaignFamily {
 /// Every fault class caught by every listed detector in every run.
 bool all_caught(const harness::CampaignReport& report,
                 const std::vector<std::string>& classes,
-                std::initializer_list<const char*> detectors) {
+                const std::vector<std::string>& detectors) {
   bool ok = true;
   for (const auto& fault_class : classes) {
-    for (const char* detector : detectors) {
+    for (const auto& detector : detectors) {
       ok &= report.coverage().coverage(fault_class, detector) > 0.99;
     }
   }
@@ -109,8 +108,7 @@ bool environment_shape(const harness::CampaignReport& report,
   out << "ladder trace: "
       << (ladder_walked ? "full ladder observed" : "MISSING") << '\n';
   return all_caught(report, bench::environment_fault_classes(),
-                    {"env_report", "fault_memory", "treatment",
-                     "diag_readout"}) &&
+                    bench::kEnvironmentDetectors) &&
          ladder_walked;
 }
 
@@ -150,7 +148,7 @@ constexpr CampaignFamily kFamilies[] = {
      "-> explicit NRC or tester timeout",
      [](const harness::CampaignReport& report, std::ostream&) {
        return all_caught(report, bench::diag_fault_classes(),
-                         {"diag_readout"});
+                         bench::kDiagDetectors);
      }},
     // Creeping resource exhaustion (leaks, descriptors, queue floods, CPU
     // load) through the whole chain: RSU report, task rolled to faulty,
@@ -170,8 +168,7 @@ constexpr CampaignFamily kFamilies[] = {
      "shedding",
      [](const harness::CampaignReport& report, std::ostream&) {
        return all_caught(report, bench::resource_fault_classes(),
-                         {"rsu_report", "task_state", "treatment",
-                          "diag_readout"});
+                         bench::kResourceDetectors);
      }},
     // Thermal, sensor, NVM and process-deadline faults: ESU/PSU report,
     // DTC in fault memory, the class's treatment, DTC read back.
@@ -207,8 +204,7 @@ constexpr CampaignFamily kFamilies[] = {
      "deep-sleep silence",
      [](const harness::CampaignReport& report, std::ostream&) {
        return all_caught(report, bench::mode_fault_classes(),
-                         {"mode_report", "fault_memory", "treatment",
-                          "diag_readout"});
+                         bench::kModeDetectors);
      }},
 };
 

@@ -1,18 +1,15 @@
 #include "campaign_scenarios.hpp"
 
-#include <functional>
 #include <optional>
-#include <stdexcept>
 
-#include "bus/can.hpp"
 #include "diag/protocol.hpp"
-#include "diag/tester.hpp"
 #include "inject/campaign.hpp"
 #include "inject/diag_faults.hpp"
 #include "inject/faults.hpp"
 #include "inject/injector.hpp"
 #include "inject/network_faults.hpp"
 #include "profile/profiler.hpp"
+#include "scenario_kit.hpp"
 #include "sim/engine.hpp"
 #include "util/random.hpp"
 #include "validator/central_node.hpp"
@@ -25,61 +22,45 @@ namespace easis::bench {
 
 namespace {
 
-constexpr std::int64_t kInjectAtUs = 2'000'000;
+/// One network fault class: its injection, parameterized by the run's RNG.
+struct NetworkFaultClass {
+  const char* name;
+  inject::Injection (*inject)(validator::VehicleNetwork&, util::Rng&,
+                              sim::SimTime);
+};
 
-using MakeInjection = std::function<inject::Injection(
-    validator::VehicleNetwork&, util::Rng&, sim::SimTime)>;
-
-MakeInjection injection_factory(const std::string& fault_class) {
-  if (fault_class == "frame_corruption") {
-    return [](validator::VehicleNetwork& network, util::Rng& rng,
-              sim::SimTime at) {
-      return inject::make_frame_corruption(network.can_fault_link(),
-                                           rng.uniform(0.5, 1.0), at,
-                                           sim::Duration::zero());
-    };
-  }
-  if (fault_class == "loss_burst") {
-    return [](validator::VehicleNetwork& network, util::Rng& rng,
-              sim::SimTime at) {
-      return inject::make_loss_burst(
-          network.can_fault_link(),
-          static_cast<std::uint64_t>(rng.uniform_int(5, 40)), at);
-    };
-  }
-  if (fault_class == "babbling_idiot") {
-    return [](validator::VehicleNetwork& network, util::Rng& rng,
-              sim::SimTime at) {
-      return inject::make_babbling_idiot(
-          network.babbler(), at,
-          sim::Duration::millis(rng.uniform_int(500, 2000)));
-    };
-  }
-  if (fault_class == "network_partition") {
-    return [](validator::VehicleNetwork& network, util::Rng& rng,
-              sim::SimTime at) {
-      return inject::make_network_partition(
-          network.can_fault_link(), at,
-          sim::Duration::millis(rng.uniform_int(300, 1500)));
-    };
-  }
-  if (fault_class == "gateway_stall") {
-    return [](validator::VehicleNetwork& network, util::Rng& rng,
-              sim::SimTime at) {
-      return inject::make_gateway_stall(
-          network.gateway(), at,
-          sim::Duration::millis(rng.uniform_int(300, 1500)));
-    };
-  }
-  throw std::invalid_argument("unknown network fault class: " + fault_class);
-}
+constexpr NetworkFaultClass kNetworkClasses[] = {
+    {"frame_corruption", [](auto& network, auto& rng, sim::SimTime at) {
+       return inject::make_frame_corruption(network.can_fault_link(),
+                                            rng.uniform(0.5, 1.0), at,
+                                            sim::Duration::zero());
+     }},
+    {"loss_burst", [](auto& network, auto& rng, sim::SimTime at) {
+       return inject::make_loss_burst(
+           network.can_fault_link(),
+           static_cast<std::uint64_t>(rng.uniform_int(5, 40)), at);
+     }},
+    {"babbling_idiot", [](auto& network, auto& rng, sim::SimTime at) {
+       return inject::make_babbling_idiot(
+           network.babbler(), at,
+           sim::Duration::millis(rng.uniform_int(500, 2000)));
+     }},
+    {"network_partition", [](auto& network, auto& rng, sim::SimTime at) {
+       return inject::make_network_partition(
+           network.can_fault_link(), at,
+           sim::Duration::millis(rng.uniform_int(300, 1500)));
+     }},
+    {"gateway_stall", [](auto& network, auto& rng, sim::SimTime at) {
+       return inject::make_gateway_stall(
+           network.gateway(), at,
+           sim::Duration::millis(rng.uniform_int(300, 1500)));
+     }},
+};
 
 }  // namespace
 
 const std::vector<std::string>& network_fault_classes() {
-  static const std::vector<std::string> kClasses = {
-      "frame_corruption", "loss_burst", "babbling_idiot", "network_partition",
-      "gateway_stall"};
+  static const auto kClasses = class_names(kNetworkClasses);
   return kClasses;
 }
 
@@ -87,7 +68,8 @@ harness::RunResult run_network_fault(const std::string& fault_class,
                                      std::uint64_t seed,
                                      std::int64_t run_until_us) {
   EASIS_PROFILE_SPAN_BEGIN(setup, "run.setup");
-  const MakeInjection make = injection_factory(fault_class);
+  const NetworkFaultClass& row =
+      find_class(kNetworkClasses, fault_class, "network");
 
   sim::Engine engine;
   validator::CentralNodeConfig config;
@@ -110,11 +92,7 @@ harness::RunResult run_network_fault(const std::string& fault_class,
   ch.timeout = sim::Duration::millis(150);
   cmu.add_channel(ch, engine.now());
 
-  inject::DetectionRecorder recorder;
-  recorder.add_detector("e2e_check");
-  recorder.add_detector("cmu_report");
-  recorder.add_detector("signal_qualifier");
-  recorder.add_detector("node_supervisor");
+  inject::DetectionRecorder recorder(kNetworkDetectors);
 
   network.set_max_speed_check_listener(
       [&](bus::E2EStatus status, sim::SimTime now) {
@@ -143,29 +121,20 @@ harness::RunResult run_network_fault(const std::string& fault_class,
 
   // Steady traffic: a max-speed command every 50 ms, the CMU's timeout
   // cycle every 50 ms, and a 10 ms sampler of SafeSpeed's qualifier.
-  std::function<void()> command_loop = [&] {
-    network.command_max_speed(120.0);
-    engine.schedule_in(sim::Duration::millis(50), command_loop);
-  };
-  std::function<void()> cmu_loop = [&] {
-    cmu.cycle(engine.now());
-    engine.schedule_in(sim::Duration::millis(50), cmu_loop);
-  };
-  std::function<void()> qualifier_loop = [&] {
+  engine.every(sim::Duration::millis(50),
+               [&] { network.command_max_speed(120.0); });
+  engine.every(sim::Duration::millis(50), [&] { cmu.cycle(engine.now()); });
+  engine.every(sim::Duration::millis(10), [&] {
     if (node.safespeed().max_speed_qualifier() !=
         rte::SignalQualifier::kValid) {
       recorder.record("signal_qualifier", engine.now());
     }
-    engine.schedule_in(sim::Duration::millis(10), qualifier_loop);
-  };
-  engine.schedule_in(sim::Duration::millis(50), command_loop);
-  engine.schedule_in(sim::Duration::millis(50), cmu_loop);
-  engine.schedule_in(sim::Duration::millis(10), qualifier_loop);
+  });
 
   util::Rng rng(seed);
   const sim::SimTime inject_at(kInjectAtUs);
   inject::ErrorInjector injector(engine);
-  injector.add(make(network, rng, inject_at));
+  injector.add(row.inject(network, rng, inject_at));
   injector.arm();
   recorder.mark_injection(inject_at);
 
@@ -183,11 +152,7 @@ harness::RunResult run_network_fault(const std::string& fault_class,
   harness::RunResult result;
   {
     EASIS_PROFILE_SPAN("run.verdict");
-    for (const auto& detector : recorder.detectors()) {
-      result.coverage.add_result(fault_class, detector,
-                                 recorder.detected(detector),
-                                 recorder.latency(detector));
-    }
+    result.coverage.add_run(fault_class, recorder);
   }
   return result;
 }
@@ -230,29 +195,88 @@ RunnableId diag_target_runnable(validator::CentralNode& node, int target) {
   }
 }
 
-wdg::ErrorType expected_error_type(const std::string& fault_class) {
-  if (fault_class == "arrival_rate") return wdg::ErrorType::kArrivalRate;
-  if (fault_class == "program_flow") return wdg::ErrorType::kProgramFlow;
-  return wdg::ErrorType::kAliveness;
+constexpr std::int64_t kDiagReadoutAtUs = 3'000'000;
+
+/// One diagnostic readout class: the computation fault under diagnosis,
+/// the DTC it must read out as, and the diag-layer attack on the readout
+/// (if any) with the verdict that attack must degrade into.
+///
+/// Each computation class uses the injection that manifests *uniquely* as
+/// its error type: a dropped or repeated runnable also breaks the
+/// program-flow graph, and whichever monitor fires first owns the DTC,
+/// which is misclassification, not diagnosis. The three diag-layer
+/// classes attack the readout of an aliveness fault's memory instead, so
+/// every run has a fault to read out.
+struct DiagFaultClass {
+  const char* name;
+  wdg::ErrorType expected_type;
+  const char* expected_verdict;
+  inject::Injection (*fault)(validator::CentralNode&, util::Rng&,
+                             int target, sim::SimTime at,
+                             sim::Duration duration);
+  /// nullptr for the computation classes.
+  inject::Injection (*attack)(Workshop&, util::Rng&, sim::SimTime at);
+};
+
+// The runnable keeps executing, only its heartbeat glue is suppressed.
+// The target must be the *last* runnable of the job: the PFC clears its
+// context at the task boundary, so a missing tail indication is invisible
+// to it and the aliveness monitor alone owns the DTC.
+inject::Injection aliveness_fault(validator::CentralNode& node, util::Rng&,
+                                  int, sim::SimTime at,
+                                  sim::Duration duration) {
+  return inject::make_heartbeat_suppression(
+      node.rte(), node.safespeed().speed_process(), at, duration);
 }
 
-std::string expected_verdict(const std::string& fault_class) {
-  if (fault_class == "diag_request_corruption") {
-    return "flagged_negative_response";
-  }
-  if (fault_class == "diag_response_drop" ||
-      fault_class == "diag_reset_blackout") {
-    return "readout_timeout";
-  }
-  return "correct_dtc";
-}
+constexpr DiagFaultClass kDiagClasses[] = {
+    {"aliveness", wdg::ErrorType::kAliveness, "correct_dtc", aliveness_fault,
+     nullptr},
+    // Excessive dispatch: the task runs 3-6x too fast; every job still
+    // executes its correct sequence, so only the arrival counters trip.
+    {"arrival_rate", wdg::ErrorType::kArrivalRate, "correct_dtc",
+     [](auto& node, auto& rng, int, auto at, auto duration) {
+       return inject::make_period_scale(
+           node.kernel(), node.safespeed_alarm(),
+           node.safespeed_period_ticks(),
+           1.0 / static_cast<double>(rng.uniform_int(3, 6)), at, duration);
+     },
+     nullptr},
+    {"program_flow", wdg::ErrorType::kProgramFlow, "correct_dtc",
+     [](auto& node, auto&, int target, auto at, auto duration) {
+       return inject::make_invalid_branch(
+           node.rte(), node.safespeed_task(),
+           diag_target_runnable(node, target),
+           diag_target_runnable(node, target + 2), at, duration);
+     },
+     nullptr},
+    {"diag_request_corruption", wdg::ErrorType::kAliveness,
+     "flagged_negative_response", aliveness_fault,
+     [](auto& workshop, auto& rng, auto at) {
+       return inject::make_diag_request_corruption(
+           workshop.tester, at,
+           sim::Duration::millis(rng.uniform_int(300, 600)));
+     }},
+    {"diag_response_drop", wdg::ErrorType::kAliveness, "readout_timeout",
+     aliveness_fault,
+     [](auto& workshop, auto& rng, auto at) {
+       return inject::make_diag_response_drop(
+           workshop.server, at,
+           sim::Duration::millis(rng.uniform_int(300, 600)));
+     }},
+    {"diag_reset_blackout", wdg::ErrorType::kAliveness, "readout_timeout",
+     aliveness_fault,
+     [](auto& workshop, auto& rng, auto at) {
+       return inject::make_diag_blackout(
+           workshop.server, at,
+           sim::Duration::millis(rng.uniform_int(60, 200)));
+     }},
+};
 
 }  // namespace
 
 const std::vector<std::string>& diag_fault_classes() {
-  static const std::vector<std::string> kClasses = {
-      "aliveness",        "arrival_rate",       "program_flow",
-      "diag_request_corruption", "diag_response_drop", "diag_reset_blackout"};
+  static const auto kClasses = class_names(kDiagClasses);
   return kClasses;
 }
 
@@ -266,6 +290,7 @@ const std::string& diag_readout_csv_header() {
 harness::RunResult run_diag_readout(const std::string& fault_class,
                                     std::uint64_t seed) {
   EASIS_PROFILE_SPAN_BEGIN(setup, "run.setup");
+  const DiagFaultClass& row = find_class(kDiagClasses, fault_class, "diag");
   util::Rng rng(seed);
 
   sim::Engine engine;
@@ -273,78 +298,35 @@ harness::RunResult run_diag_readout(const std::string& fault_class,
   config.dtc_capacity = 8;
   config.reboot_delay = sim::Duration::millis(50);
   validator::CentralNode node(engine, config);
+  Workshop workshop(engine, node);
 
-  // The diagnostic CAN: the node's UDS-lite server plus a workshop tester.
-  bus::CanBus diag_can(engine);
-  diag::DiagServer& server = node.attach_diag(diag_can);
-  diag::DiagTesterConfig tester_config;
-  tester_config.name = "workshop";
-  diag::DiagTester tester(engine, diag_can, tester_config);
-
-  // The computation fault under diagnosis. Each class uses the injection
-  // that manifests *uniquely* as its error type — a dropped or repeated
-  // runnable also breaks the program-flow graph, and whichever monitor
-  // fires first owns the DTC, which is misclassification, not diagnosis.
-  // The three diag-layer classes attack the readout of an aliveness
-  // fault's memory instead, so every run has a fault to read out.
   const int target = static_cast<int>(rng.uniform_int(0, 2));
   const sim::SimTime inject_at(1'000'000);
   const sim::Duration fault_duration =
       sim::Duration::millis(rng.uniform_int(200, 800));
 
   inject::ErrorInjector injector(engine);
-  if (fault_class == "arrival_rate") {
-    // Excessive dispatch: the task runs 3-6x too fast; every job still
-    // executes its correct sequence, so only the arrival counters trip.
-    injector.add(inject::make_period_scale(
-        node.kernel(), node.safespeed_alarm(), node.safespeed_period_ticks(),
-        1.0 / static_cast<double>(rng.uniform_int(3, 6)), inject_at,
-        fault_duration));
-  } else if (fault_class == "program_flow") {
-    injector.add(inject::make_invalid_branch(
-        node.rte(), node.safespeed_task(), diag_target_runnable(node, target),
-        diag_target_runnable(node, target + 2), inject_at, fault_duration));
-  } else {
-    // "aliveness" itself and the companion fault of the diag-layer
-    // classes: the runnable keeps executing, only its heartbeat glue is
-    // suppressed. The target must be the *last* runnable of the job —
-    // the PFC clears its context at the task boundary, so a missing tail
-    // indication is invisible to it and the aliveness monitor alone
-    // owns the DTC.
-    injector.add(inject::make_heartbeat_suppression(
-        node.rte(), node.safespeed().speed_process(), inject_at,
-        fault_duration));
-  }
-
-  constexpr std::int64_t kReadoutAtUs = 3'000'000;
-  if (fault_class == "diag_request_corruption") {
-    injector.add(inject::make_diag_request_corruption(
-        tester, sim::SimTime(kReadoutAtUs - 10'000),
-        sim::Duration::millis(rng.uniform_int(300, 600))));
-  } else if (fault_class == "diag_response_drop") {
-    injector.add(inject::make_diag_response_drop(
-        server, sim::SimTime(kReadoutAtUs - 10'000),
-        sim::Duration::millis(rng.uniform_int(300, 600))));
-  } else if (fault_class == "diag_reset_blackout") {
-    injector.add(inject::make_diag_blackout(
-        server, sim::SimTime(kReadoutAtUs - 10'000),
-        sim::Duration::millis(rng.uniform_int(60, 200))));
+  injector.add(row.fault(node, rng, target, inject_at, fault_duration));
+  if (row.attack != nullptr) {
+    injector.add(
+        row.attack(workshop, rng, sim::SimTime(kDiagReadoutAtUs - 10'000)));
   }
   injector.arm();
 
   // Post-run diagnostic readout: session open, DTC count, DTC list, and
   // the freeze frame of the expected DTC when the list advertises one.
   ReadoutTranscript transcript;
-  const wdg::ErrorType expected_type = expected_error_type(fault_class);
+  const wdg::ErrorType expected_type = row.expected_type;
   const std::uint16_t expected_app = static_cast<std::uint16_t>(
       node.safespeed().application().value());
+  diag::DiagTester& tester = workshop.tester;
   auto finish_one = [&] {
     if (--transcript.pending == 0) {
       transcript.done = true;
       transcript.completed = engine.now();
     }
   };
-  engine.schedule_at(sim::SimTime(kReadoutAtUs), [&] {
+  engine.schedule_at(sim::SimTime(kDiagReadoutAtUs), [&] {
     transcript.pending = 3;
     tester.tester_present([&](const std::optional<diag::Response>& response) {
       note_response(transcript, response);
@@ -413,29 +395,23 @@ harness::RunResult run_diag_readout(const std::string& fault_class,
   } else if (!transcript.list) {
     verdict = "readout_undecodable";
   } else {
-    bool matched = false;
-    for (const auto& record : transcript.list->records) {
-      if (record.type == expected_type && record.application == expected_app) {
-        matched = true;
-        break;
-      }
-    }
-    if (matched) {
+    if (find_dtc(*transcript.list, expected_type, expected_app) != nullptr) {
       verdict = "correct_dtc";
     } else {
       verdict = transcript.list->records.empty() ? "missing_dtc" : "wrong_dtc";
     }
   }
 
-  const std::string expected = expected_verdict(fault_class);
+  const std::string expected = row.expected_verdict;
   const bool accurate = verdict == expected;
 
   harness::RunResult result;
   std::optional<sim::Duration> latency;
   if (transcript.done) {
-    latency = transcript.completed - sim::SimTime(kReadoutAtUs);
+    latency = transcript.completed - sim::SimTime(kDiagReadoutAtUs);
   }
-  result.coverage.add_result(fault_class, "diag_readout", accurate, latency);
+  result.coverage.add_result(fault_class, kDiagDetectors.front(), accurate,
+                             latency);
   result.rows.push_back(
       {fault_class, expected, verdict,
        transcript.count ? std::to_string(transcript.count->total) : "",

@@ -20,6 +20,11 @@ namespace easis::bench {
 /// The five network fault classes, in campaign order.
 [[nodiscard]] const std::vector<std::string>& network_fault_classes();
 
+/// Each family's detector list (this one and the k*Detectors below): a
+/// run's recorder declares them, the campaign's shape check reads them.
+inline const std::vector<std::string> kNetworkDetectors = {
+    "e2e_check", "cmu_report", "signal_qualifier", "node_supervisor"};
+
 /// Executes one randomized network-fault injection run: builds a fresh
 /// vehicle-network world, injects `fault_class` at t=2s parameterized by
 /// an RNG seeded with `seed`, simulates until `run_until_us`, and returns
@@ -32,6 +37,8 @@ namespace easis::bench {
 /// computation classes whose stored DTC the post-run readout must match,
 /// and three diag-layer classes that must degrade into an explicit flag.
 [[nodiscard]] const std::vector<std::string>& diag_fault_classes();
+
+inline const std::vector<std::string> kDiagDetectors = {"diag_readout"};
 
 /// Executes one diagnostic-readout run: builds a central node with fault
 /// memory plus a UDS-lite server and workshop tester on a diagnostic CAN,
@@ -51,6 +58,9 @@ namespace easis::bench {
 /// exhaustion, a queue flood, and two CPU-load classes (instant hog,
 /// creeping load).
 [[nodiscard]] const std::vector<std::string>& resource_fault_classes();
+
+inline const std::vector<std::string> kResourceDetectors = {
+    "rsu_report", "task_state", "treatment", "diag_readout"};
 
 /// Executes one resource-exhaustion run: builds a central node whose
 /// kernel budgets, handle pool and bounded lane queue are supervised by
@@ -76,6 +86,9 @@ namespace easis::bench {
 /// wear-out) and the supervised-process deadline-transgression class.
 [[nodiscard]] const std::vector<std::string>& environment_fault_classes();
 
+inline const std::vector<std::string> kEnvironmentDetectors = {
+    "env_report", "fault_memory", "treatment", "diag_readout"};
+
 /// Executes one environmental run: builds a central node whose thermal
 /// model and NVM fault memory are supervised by the Environment
 /// Supervision Unit (plus one instrumented process section), injects
@@ -98,6 +111,9 @@ namespace easis::bench {
 /// wake-storm overrun, heartbeat-during-silence (rogue wake interrupt),
 /// mode-transition hang and flash-write overrun.
 [[nodiscard]] const std::vector<std::string>& mode_fault_classes();
+
+inline const std::vector<std::string> kModeDetectors = {
+    "mode_report", "fault_memory", "treatment", "diag_readout"};
 
 /// The "railmon_duty" policy: the campaign's per-mode overlay set (run /
 /// idle / sleep / wakeburst / flashwrite) plus a rate-bounded journal

@@ -19,20 +19,16 @@
 #include "campaign_scenarios.hpp"
 
 #include <cmath>
-#include <functional>
-#include <memory>
 #include <optional>
-#include <stdexcept>
 
-#include "bus/can.hpp"
 #include "diag/protocol.hpp"
-#include "diag/tester.hpp"
 #include "fmf/fmf.hpp"
 #include "fmf/nvm.hpp"
 #include "inject/campaign.hpp"
 #include "inject/environment_faults.hpp"
 #include "inject/injector.hpp"
 #include "inject/resource_faults.hpp"
+#include "scenario_kit.hpp"
 #include "sim/engine.hpp"
 #include "util/random.hpp"
 #include "validator/central_node.hpp"
@@ -43,9 +39,6 @@ namespace easis::bench {
 
 namespace {
 
-constexpr std::int64_t kInjectAtUs = 2'000'000;
-constexpr std::int64_t kReadoutAtUs = 6'000'000;
-constexpr std::int64_t kRunUntilUs = 8'000'000;
 /// Small journal for the fill class: a few flooded DTCs with freeze
 /// frames cross the watermark and overflow the bank.
 constexpr std::size_t kSmallNvmCapacity = 1536;
@@ -53,44 +46,137 @@ constexpr std::size_t kSmallNvmCapacity = 1536;
 /// nominal 400 us control cost, far below the hogged cost.
 constexpr std::int64_t kSectionDeadlineUs = 1'500;
 
-wdg::ErrorType expected_environment_error(const std::string& fault_class) {
-  if (fault_class == "flash_fill" || fault_class == "nvm_write_errors" ||
-      fault_class == "flash_wear") {
-    return wdg::ErrorType::kFilesystem;
-  }
-  if (fault_class == "deadline_transgression") {
-    return wdg::ErrorType::kDeadline;
-  }
-  return wdg::ErrorType::kThermal;
+/// One environmental class: the error it must raise, the supervised
+/// channel that raises it, the identifier read back with its DTC, its
+/// treatment predicate, its injection parameterized by the run's RNG, and
+/// the fault-memory journal size it needs.
+struct EnvironmentFaultClass {
+  const char* name;
+  wdg::ErrorType expected_type;
+  const char* channel;
+  std::uint16_t did;
+  /// Polled every 10 ms; `memo` is run-local state the predicate may keep.
+  bool (*treated)(validator::CentralNode&, std::optional<std::uint32_t>& memo);
+  inject::Injection (*inject)(sim::Engine&, validator::CentralNode&,
+                              util::Rng&, sim::SimTime);
+  /// 0 keeps the node's default capacity.
+  std::size_t nvm_capacity = 0;
+};
+
+ApplicationId light_app_of(validator::CentralNode& node) {
+  return node.light_control()->application();
 }
 
-std::string supervised_channel_of(const std::string& fault_class) {
-  if (fault_class == "flash_fill" || fault_class == "nvm_write_errors" ||
-      fault_class == "flash_wear") {
-    return "faultmem";
-  }
-  if (fault_class == "deadline_transgression") return "safespeed.cc";
-  return "ecu";
+/// FMF degradation via the TSI, or the precautionary derate parking:
+/// whichever lands first, the QM application is off the bus.
+bool light_control_shed(validator::CentralNode& node,
+                        std::optional<std::uint32_t>&) {
+  return node.fault_management()->is_degraded(light_app_of(node)) ||
+         !node.rte().application_enabled(light_app_of(node));
 }
 
-std::uint16_t class_did(const std::string& fault_class) {
-  if (fault_class == "thermal_ramp") return diag::kDidTemperature;
-  if (fault_class == "flash_fill") return diag::kDidFlashFill;
-  if (fault_class == "nvm_write_errors") return diag::kDidFlashFill;
-  if (fault_class == "flash_wear") return diag::kDidFlashWear;
-  if (fault_class == "deadline_transgression") {
-    return diag::kDidTransgressions;
-  }
-  return diag::kDidDerateStage;  // runaway and both sensor classes
-}
+constexpr EnvironmentFaultClass kEnvironmentClasses[] = {
+    // Ambient into the derate band (junction = ambient + 8 C idle rise
+    // stays below the 105 C shutdown boundary); held past the readout.
+    // The derate stage of the ladder parks the QM applications.
+    {"thermal_ramp", wdg::ErrorType::kThermal, "ecu", diag::kDidTemperature,
+     [](auto& node, auto&) {
+       return !node.rte().application_enabled(light_app_of(node));
+     },
+     [](auto& engine, auto& node, auto& rng, auto at) {
+       return inject::make_thermal_ramp(
+           engine, node.thermal_model(), rng.uniform(85.0, 93.0), 4.0,
+           sim::Duration::millis(50), at,
+           sim::Duration::millis(rng.uniform_int(4200, 4800)));
+     }},
+    // Ambient past the shutdown boundary: the ladder must walk
+    // warn -> derate -> shutdown and latch the persistent safe state.
+    {"thermal_runaway", wdg::ErrorType::kThermal, "ecu",
+     diag::kDidDerateStage,
+     [](auto& node, auto&) { return node.in_safe_state(); },
+     [](auto& engine, auto& node, auto& rng, auto at) {
+       return inject::make_thermal_ramp(
+           engine, node.thermal_model(), rng.uniform(115.0, 125.0), 6.0,
+           sim::Duration::millis(40), at, sim::Duration::millis(5000));
+     }},
+    {"sensor_stuck", wdg::ErrorType::kThermal, "ecu", diag::kDidDerateStage,
+     light_control_shed,
+     [](auto&, auto& node, auto& rng, auto at) {
+       return inject::make_sensor_stuck(
+           node.thermal_model(), at,
+           sim::Duration::millis(rng.uniform_int(2500, 3500)));
+     }},
+    {"sensor_implausible", wdg::ErrorType::kThermal, "ecu",
+     diag::kDidDerateStage, light_control_shed,
+     [](auto&, auto& node, auto& rng, auto at) {
+       return inject::make_sensor_offset(
+           node.thermal_model(), rng.uniform(140.0, 160.0), at,
+           sim::Duration::millis(rng.uniform_int(2500, 3500)));
+     }},
+    // Evict-by-priority: the fault memory degrades gracefully instead of
+    // losing the commit.
+    {"flash_fill", wdg::ErrorType::kFilesystem, "faultmem",
+     diag::kDidFlashFill,
+     [](auto& node, auto&) {
+       return node.fault_management()->nvm_evictions() > 0;
+     },
+     [](auto& engine, auto& node, auto& rng, auto at) {
+       return inject::make_dtc_flood(
+           engine, *node.fault_management(), /*first_app=*/600,
+           static_cast<std::uint32_t>(rng.uniform_int(2, 4)),
+           sim::Duration::millis(100), at,
+           sim::Duration::millis(rng.uniform_int(2500, 3500)));
+     },
+     kSmallNvmCapacity},
+    // Recovery: commits resume once the transient burst is exhausted.
+    {"nvm_write_errors", wdg::ErrorType::kFilesystem, "faultmem",
+     diag::kDidFlashFill,
+     [](auto& node, auto& commits_at_error) {
+       if (node.nvm()->write_errors() == 0) return false;
+       if (!commits_at_error) {
+         commits_at_error = node.nvm()->commits();
+         return false;
+       }
+       return node.nvm()->commits() > *commits_at_error;
+     },
+     [](auto&, auto& node, auto& rng, auto at) {
+       return inject::make_nvm_write_fault_burst(
+           *node.nvm(), static_cast<std::uint32_t>(rng.uniform_int(6, 11)),
+           at);
+     }},
+    // The erase budget is drawn before the storm's duration.
+    {"flash_wear", wdg::ErrorType::kFilesystem, "faultmem",
+     diag::kDidFlashWear,
+     [](auto& node, auto&) {
+       return node.fault_management()->is_degraded(light_app_of(node));
+     },
+     [](auto& engine, auto& node, auto& rng, auto at) {
+       node.nvm()->set_erase_budget(
+           static_cast<std::uint32_t>(rng.uniform_int(48, 60)));
+       return inject::make_commit_storm(
+           engine, *node.fault_management(), sim::Duration::millis(20), at,
+           sim::Duration::millis(rng.uniform_int(2500, 3500)));
+     }},
+    // The hogged control runnable (400 us -> 3.2..4.8 ms) blows the
+    // 1.5 ms section deadline every period but still fits the 10 ms task;
+    // the FMF restarts SafeSpeed.
+    {"deadline_transgression", wdg::ErrorType::kDeadline, "safespeed.cc",
+     diag::kDidTransgressions,
+     [](auto& node, auto&) {
+       return node.rte().restart_count(node.safespeed().application()) > 0;
+     },
+     [](auto&, auto& node, auto& rng, auto at) {
+       return inject::make_cpu_hog(
+           node.rte(), node.safespeed().safe_cc_process(),
+           rng.uniform(8.0, 12.0), at,
+           sim::Duration::millis(rng.uniform_int(1000, 1500)));
+     }},
+};
 
 }  // namespace
 
 const std::vector<std::string>& environment_fault_classes() {
-  static const std::vector<std::string> kClasses = {
-      "thermal_ramp", "thermal_runaway", "sensor_stuck",
-      "sensor_implausible", "flash_fill", "nvm_write_errors",
-      "flash_wear", "deadline_transgression"};
+  static const auto kClasses = class_names(kEnvironmentClasses);
   return kClasses;
 }
 
@@ -105,6 +191,8 @@ const std::string& environment_fault_csv_header() {
 harness::RunResult run_environment_fault(const std::string& fault_class,
                                          std::uint64_t seed,
                                          const harness::RunContext* ctx) {
+  const EnvironmentFaultClass& row =
+      find_class(kEnvironmentClasses, fault_class, "environment");
   util::Rng rng(seed);
 
   sim::Engine engine;
@@ -116,7 +204,7 @@ harness::RunResult run_environment_fault(const std::string& fault_class,
   config.thermal_limits.warn_c = 60.0;
   config.thermal_limits.derate_c = 80.0;
   config.thermal_limits.shutdown_c = 105.0;
-  if (fault_class == "flash_fill") config.nvm_capacity = kSmallNvmCapacity;
+  if (row.nvm_capacity != 0) config.nvm_capacity = row.nvm_capacity;
   // Environment DTC freeze frames carry the ESU's bus signals next to the
   // vehicle state: the post-mortem shows how hot/full the node was.
   config.extra_frame_signals = {"env.ecu.temp_c", "env.ecu.stage",
@@ -143,42 +231,14 @@ harness::RunResult run_environment_fault(const std::string& fault_class,
   const RunnableId fs_id{2101};
 
   fmf::FaultManagementFramework* fmf = node.fault_management();
-  if (fault_class == "flash_wear") {
-    node.nvm()->set_erase_budget(
-        static_cast<std::uint32_t>(rng.uniform_int(48, 60)));
-  }
 
   // --- treatments -------------------------------------------------------------
-  // Environmental faults are accounted to the QM light-control
-  // application; its policy degrades it (load shedding) instead of
-  // restarting — restarting an app does not cool a die or heal flash.
-  fmf::ApplicationPolicy degrade;
-  degrade.on_faulty = fmf::TreatmentAction::kDegrade;
-  fmf->set_application_policy(light_app, degrade);
-  fmf->set_degraded_mode(
-      light_app,
-      [&node, light_app] {
-        for (RunnableId runnable :
-             node.rte().runnables_of_application(light_app)) {
-          if (node.watchdog().heartbeat_unit().monitors(runnable)) {
-            node.watchdog().set_activation_status(runnable, false);
-          }
-        }
-        node.rte().set_application_enabled(light_app, false);
-      },
-      [&node, light_app] {
-        node.rte().set_application_enabled(light_app, true);
-      });
+  shed_light_control_on_fault(node);
 
   // --- detectors --------------------------------------------------------------
-  inject::DetectionRecorder recorder;
-  recorder.add_detector("env_report");
-  recorder.add_detector("fault_memory");
-  recorder.add_detector("treatment");
-  recorder.add_detector("diag_readout");
+  inject::DetectionRecorder recorder(kEnvironmentDetectors);
 
-  const wdg::ErrorType expected_type =
-      expected_environment_error(fault_class);
+  const wdg::ErrorType expected_type = row.expected_type;
   const ApplicationId expected_app =
       expected_type == wdg::ErrorType::kDeadline ? ss_app : light_app;
 
@@ -188,158 +248,45 @@ harness::RunResult run_environment_fault(const std::string& fault_class,
     }
   });
 
-  // Per-class treatment predicate, polled by the 10 ms sampler below.
-  std::function<bool()> treated;
-  if (fault_class == "thermal_ramp") {
-    // The derate stage of the ladder parks the QM applications.
-    treated = [&node, light_app] {
-      return !node.rte().application_enabled(light_app);
-    };
-  } else if (fault_class == "thermal_runaway") {
-    // The shutdown stage latches the persistent safe state.
-    treated = [&node] { return node.in_safe_state(); };
-  } else if (fault_class == "sensor_stuck" ||
-             fault_class == "sensor_implausible") {
-    // FMF degradation via the TSI, or the precautionary derate parking —
-    // whichever lands first, the QM application is off the bus.
-    treated = [&node, fmf, light_app] {
-      return fmf->is_degraded(light_app) ||
-             !node.rte().application_enabled(light_app);
-    };
-  } else if (fault_class == "flash_fill") {
-    // Evict-by-priority: the fault memory degraded gracefully instead of
-    // losing the commit.
-    treated = [fmf] { return fmf->nvm_evictions() > 0; };
-  } else if (fault_class == "nvm_write_errors") {
-    // Recovery: commits resume once the transient burst is exhausted.
-    auto commits_at_error = std::make_shared<std::optional<std::uint32_t>>();
-    treated = [&node, commits_at_error] {
-      if (node.nvm()->write_errors() == 0) return false;
-      if (!commits_at_error->has_value()) {
-        *commits_at_error = node.nvm()->commits();
-        return false;
-      }
-      return node.nvm()->commits() > **commits_at_error;
-    };
-  } else if (fault_class == "flash_wear") {
-    treated = [fmf, light_app] { return fmf->is_degraded(light_app); };
-  } else if (fault_class == "deadline_transgression") {
-    treated = [&node, ss_app] {
-      return node.rte().restart_count(ss_app) > 0;
-    };
-  } else {
-    throw std::invalid_argument("unknown environment fault class: " +
-                                fault_class);
-  }
-
   // --- steady workload --------------------------------------------------------
   // The fault memory sees a periodic maintenance commit (the journal is
   // alive without a fault; this is also what retries after a write-error
   // burst), and two samplers poll the treatment predicate and the DTC
   // store every supervision-ish period.
-  std::function<void()> maintenance = [&] {
-    fmf->persist();
-    engine.schedule_in(sim::Duration::millis(250), maintenance);
-  };
-  std::function<void()> state_sampler = [&] {
-    if (treated()) recorder.record("treatment", engine.now());
+  std::optional<std::uint32_t> treatment_memo;
+  engine.every(sim::Duration::millis(250), [fmf] { fmf->persist(); });
+  engine.every(sim::Duration::millis(10), [&] {
+    if (row.treated(node, treatment_memo)) {
+      recorder.record("treatment", engine.now());
+    }
     if (node.dtc_store() != nullptr &&
         node.dtc_store()->entry({expected_app, expected_type}) != nullptr) {
       recorder.record("fault_memory", engine.now());
     }
-    engine.schedule_in(sim::Duration::millis(10), state_sampler);
-  };
-  engine.schedule_in(sim::Duration::millis(250), maintenance);
-  engine.schedule_in(sim::Duration::millis(10), state_sampler);
-
-  std::function<void()> note_loop = [&engine, &esu, ctx, &note_loop] {
-    ctx->set_flight_note(esu.format_snapshot());
-    engine.schedule_in(sim::Duration::millis(100), note_loop);
-  };
-  if (ctx != nullptr) {
-    engine.schedule_in(sim::Duration::millis(100), note_loop);
-  }
+  });
+  publish_flight_note(engine, ctx, [&esu] { return esu.format_snapshot(); });
 
   // --- injection --------------------------------------------------------------
   const sim::SimTime inject_at(kInjectAtUs);
   inject::ErrorInjector injector(engine);
-  if (fault_class == "thermal_ramp") {
-    // Ambient into the derate band (junction = ambient + 8 C idle rise
-    // stays below the 105 C shutdown boundary); held past the readout.
-    injector.add(inject::make_thermal_ramp(
-        engine, node.thermal_model(), rng.uniform(85.0, 93.0), 4.0,
-        sim::Duration::millis(50), inject_at,
-        sim::Duration::millis(rng.uniform_int(4200, 4800))));
-  } else if (fault_class == "thermal_runaway") {
-    // Ambient past the shutdown boundary: the ladder must walk
-    // warn -> derate -> shutdown and latch the safe state.
-    injector.add(inject::make_thermal_ramp(
-        engine, node.thermal_model(), rng.uniform(115.0, 125.0), 6.0,
-        sim::Duration::millis(40), inject_at,
-        sim::Duration::millis(5000)));
-  } else if (fault_class == "sensor_stuck") {
-    injector.add(inject::make_sensor_stuck(
-        node.thermal_model(), inject_at,
-        sim::Duration::millis(rng.uniform_int(2500, 3500))));
-  } else if (fault_class == "sensor_implausible") {
-    injector.add(inject::make_sensor_offset(
-        node.thermal_model(), rng.uniform(140.0, 160.0), inject_at,
-        sim::Duration::millis(rng.uniform_int(2500, 3500))));
-  } else if (fault_class == "flash_fill") {
-    injector.add(inject::make_dtc_flood(
-        engine, *fmf, /*first_app=*/600,
-        static_cast<std::uint32_t>(rng.uniform_int(2, 4)),
-        sim::Duration::millis(100), inject_at,
-        sim::Duration::millis(rng.uniform_int(2500, 3500))));
-  } else if (fault_class == "nvm_write_errors") {
-    injector.add(inject::make_nvm_write_fault_burst(
-        *node.nvm(), static_cast<std::uint32_t>(rng.uniform_int(6, 11)),
-        inject_at));
-  } else if (fault_class == "flash_wear") {
-    injector.add(inject::make_commit_storm(
-        engine, *fmf, sim::Duration::millis(20), inject_at,
-        sim::Duration::millis(rng.uniform_int(2500, 3500))));
-  } else {  // deadline_transgression
-    // The hogged control runnable (400 us -> 3.2..4.8 ms) blows the
-    // 1.5 ms section deadline every period but still fits the 10 ms task.
-    injector.add(inject::make_cpu_hog(
-        node.rte(), node.safespeed().safe_cc_process(),
-        rng.uniform(8.0, 12.0), inject_at,
-        sim::Duration::millis(rng.uniform_int(1000, 1500))));
-  }
+  injector.add(row.inject(engine, node, rng, inject_at));
   injector.arm();
   recorder.mark_injection(inject_at);
 
   // --- post-run UDS-lite readout ----------------------------------------------
-  bus::CanBus diag_can(engine);
-  node.attach_diag(diag_can);
-  diag::DiagTesterConfig tester_config;
-  tester_config.name = "workshop";
-  diag::DiagTester tester(engine, diag_can, tester_config);
-
+  Workshop workshop(engine, node);
   bool dtc_found = false;
   std::optional<double> did_value;
-  const auto expected_app_raw =
-      static_cast<std::uint16_t>(expected_app.value());
   engine.schedule_at(sim::SimTime(kReadoutAtUs), [&] {
-    tester.read_dtcs([&](const std::optional<diag::Response>& response) {
-      if (!response || !response->positive) return;
-      const auto readout = diag::decode_dtc_readout(response->data);
-      if (!readout) return;
-      for (const auto& record : readout->records) {
-        if (record.type == expected_type &&
-            record.application == expected_app_raw) {
-          dtc_found = true;
-          recorder.record("diag_readout", engine.now());
-          break;
-        }
-      }
+    workshop.read_dtc(expected_type, expected_app, [&](const diag::DtcRecord&) {
+      dtc_found = true;
+      recorder.record("diag_readout", engine.now());
     });
-    tester.read_data(class_did(fault_class),
-                     [&](const std::optional<diag::Response>& response) {
-                       if (!response || !response->positive) return;
-                       did_value = diag::get_f32(response->data, 2);
-                     });
+    workshop.tester.read_data(
+        row.did, [&](const std::optional<diag::Response>& response) {
+          if (!response || !response->positive) return;
+          did_value = diag::get_f32(response->data, 2);
+        });
   });
 
   node.start();
@@ -347,18 +294,12 @@ harness::RunResult run_environment_fault(const std::string& fault_class,
 
   // --- reduction --------------------------------------------------------------
   harness::RunResult result;
-  for (const auto& detector : recorder.detectors()) {
-    result.coverage.add_result(fault_class, detector,
-                               recorder.detected(detector),
-                               recorder.latency(detector));
-  }
+  result.coverage.add_run(fault_class, recorder);
 
-  const std::string channel = supervised_channel_of(fault_class);
-  const std::uint64_t env_reports =
-      channel == "ecu"
-          ? esu.reports_for(thermal_id)
-          : (channel == "faultmem" ? esu.reports_for(fs_id)
-                                   : psu.record(cc_section).count);
+  const std::string channel = row.channel;
+  std::uint64_t env_reports = psu.record(cc_section).count;
+  if (channel == "ecu") env_reports = esu.reports_for(thermal_id);
+  if (channel == "faultmem") env_reports = esu.reports_for(fs_id);
   bool accurate = recorder.detected("env_report") && dtc_found;
   // The runaway class must show the whole ladder: every stage stepped
   // through observably, never a jump from normal into shutdown.

@@ -15,6 +15,7 @@
 // workers and --runs repeats the whole campaign for statistical weight.
 // The injections are deterministic (no RNG), so the result CSV is
 // byte-identical to the pre-harness serial bench at default flags.
+#include <algorithm>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -53,11 +54,9 @@ harness::RunResult run_one(const FaultSpec& spec, int target) {
   config.with_fmf = false;
   validator::CentralNode node(engine, config);
 
-  inject::DetectionRecorder recorder;
-  recorder.add_detector("software_watchdog");
-  recorder.add_detector("hw_watchdog");
-  recorder.add_detector("deadline_monitor");
-  recorder.add_detector("exec_time_monitor");
+  inject::DetectionRecorder recorder({"software_watchdog", "hw_watchdog",
+                                      "deadline_monitor",
+                                      "exec_time_monitor"});
 
   node.watchdog().add_error_listener([&](const wdg::ErrorReport& r) {
     recorder.record("software_watchdog", r.time);
@@ -94,14 +93,10 @@ harness::RunResult run_one(const FaultSpec& spec, int target) {
   engine.run_until(sim::SimTime(12'000'000));
 
   harness::RunResult result;
-  bool any_detected = false;
-  for (const auto& detector : recorder.detectors()) {
-    result.coverage.add_result(spec.fault_class, detector,
-                               recorder.detected(detector),
-                               recorder.latency(detector));
-    any_detected = any_detected || recorder.detected(detector);
-  }
-  if (!any_detected) {
+  result.coverage.add_run(spec.fault_class, recorder);
+  if (std::ranges::none_of(recorder.detectors(), [&](const auto& detector) {
+        return recorder.detected(detector);
+      })) {
     // A completely invisible injection is the anomaly the flight recorder
     // exists for; flag it so the harness dumps this run's events.
     result.misdetect = "no detector fired for " + spec.fault_class;

@@ -133,14 +133,13 @@ harness::RunResult run_one(std::shared_ptr<const policy::PolicySet> pol,
   // service (not dark in a reboot, not parked in the safe state)?
   std::uint64_t probes = 0;
   std::uint64_t available = 0;
-  std::function<void()> probe = [&] {
-    ++probes;
-    if (!node.rebooting() && !node.in_safe_state()) ++available;
-    engine.schedule_in(sim::Duration::millis(10), probe,
-                       sim::EventPriority::kMonitor);
-  };
-  engine.schedule_in(sim::Duration::millis(10), probe,
-                     sim::EventPriority::kMonitor);
+  engine.every(
+      sim::Duration::millis(10),
+      [&] {
+        ++probes;
+        if (!node.rebooting() && !node.in_safe_state()) ++available;
+      },
+      sim::EventPriority::kMonitor);
 
   node.start();
   engine.run_until(run_until);

@@ -101,15 +101,13 @@ Outcome run_policy(Policy policy) {
 
   std::uint64_t slots = 0, live_slots = 0;
   std::uint64_t last_executions = 0;
-  std::function<void()> sample = [&] {
+  engine.every(sim::Duration::millis(10), [&] {
     ++slots;
     const auto executions =
         node.rte().executions(node.safespeed().get_sensor_value());
     if (executions > last_executions) ++live_slots;
     last_executions = executions;
-    engine.schedule_in(sim::Duration::millis(10), sample);
-  };
-  engine.schedule_at(sim::SimTime(10'000), sample);
+  });
 
   node.start();
   engine.run_until(sim::SimTime(60'000'000));

@@ -26,19 +26,17 @@
 // legitimate contractual silence never alarms.
 #include "campaign_scenarios.hpp"
 
-#include <functional>
 #include <optional>
 #include <stdexcept>
 
-#include "bus/can.hpp"
 #include "diag/protocol.hpp"
-#include "diag/tester.hpp"
 #include "fmf/fmf.hpp"
 #include "inject/campaign.hpp"
 #include "inject/injector.hpp"
 #include "inject/mode_faults.hpp"
 #include "policy/compiler.hpp"
 #include "policy/policy.hpp"
+#include "scenario_kit.hpp"
 #include "sim/engine.hpp"
 #include "util/random.hpp"
 #include "validator/railmon_node.hpp"
@@ -47,17 +45,49 @@ namespace easis::bench {
 
 namespace {
 
-constexpr std::int64_t kInjectAtUs = 2'000'000;
-constexpr std::int64_t kReadoutAtUs = 6'000'000;
-constexpr std::int64_t kRunUntilUs = 8'000'000;
+/// One mode-aware class: its injection, held for the run's `hold` and
+/// parameterized by the run's RNG.
+struct ModeFaultClass {
+  const char* name;
+  inject::Injection (*inject)(sim::Engine&, validator::RailMonNode&,
+                              util::Rng&, sim::SimTime at,
+                              sim::Duration hold);
+};
+
+constexpr ModeFaultClass kModeClasses[] = {
+    {"stuck_in_sleep", [](auto&, auto& node, auto&, auto at, auto hold) {
+       return inject::make_stuck_in_sleep(
+           [&node](bool on) { node.railmon().set_wake_suppressed(on); }, at,
+           hold);
+     }},
+    {"sleep_refusal", [](auto&, auto& node, auto&, auto at, auto hold) {
+       return inject::make_sleep_refusal(node.mode_manager(), at, hold);
+     }},
+    {"wake_storm_overrun", [](auto&, auto& node, auto&, auto at, auto hold) {
+       return inject::make_wake_storm_overrun(
+           [&node](bool on) { node.railmon().set_burst_stuck(on); }, at,
+           hold);
+     }},
+    {"heartbeat_during_silence",
+     [](auto& engine, auto& node, auto& rng, auto at, auto hold) {
+       return inject::make_rogue_wake_heartbeat(
+           engine, node.kernel(), node.mode_manager(), node.sensor_task(),
+           sim::Duration::millis(rng.uniform_int(8, 12)), at, hold);
+     }},
+    {"mode_transition_hang", [](auto&, auto& node, auto&, auto at, auto hold) {
+       return inject::make_mode_transition_hang(node.mode_manager(), at, hold);
+     }},
+    {"flash_write_overrun", [](auto&, auto& node, auto&, auto at, auto hold) {
+       return inject::make_flash_write_overrun(
+           [&node](bool on) { node.railmon().set_flash_stuck(on); }, at,
+           hold);
+     }},
+};
 
 }  // namespace
 
 const std::vector<std::string>& mode_fault_classes() {
-  static const std::vector<std::string> kClasses = {
-      "stuck_in_sleep",       "sleep_refusal",
-      "wake_storm_overrun",   "heartbeat_during_silence",
-      "mode_transition_hang", "flash_write_overrun"};
+  static const auto kClasses = class_names(kModeClasses);
   return kClasses;
 }
 
@@ -130,6 +160,7 @@ policy::PolicySet railmon_duty_policy() {
 harness::RunResult run_mode_fault(const std::string& fault_class,
                                   std::uint64_t seed,
                                   const harness::RunContext* ctx) {
+  const ModeFaultClass& row = find_class(kModeClasses, fault_class, "mode");
   util::Rng rng(seed);
 
   // The policy takes the full distribution path: built, serialised to its
@@ -150,11 +181,7 @@ harness::RunResult run_mode_fault(const std::string& fault_class,
   validator::RailMonNode node(engine, config);
 
   // --- detectors --------------------------------------------------------------
-  inject::DetectionRecorder recorder;
-  recorder.add_detector("mode_report");
-  recorder.add_detector("fault_memory");
-  recorder.add_detector("treatment");
-  recorder.add_detector("diag_readout");
+  inject::DetectionRecorder recorder(kModeDetectors);
 
   const sim::SimTime inject_at(kInjectAtUs);
   std::uint64_t false_alarms = 0;
@@ -172,7 +199,7 @@ harness::RunResult run_mode_fault(const std::string& fault_class,
   });
 
   const ApplicationId railmon_app = node.railmon().application();
-  std::function<void()> chain_sampler = [&] {
+  engine.every(sim::Duration::millis(10), [&] {
     if (node.dtc_store() != nullptr &&
         node.dtc_store()->entry({railmon_app, wdg::ErrorType::kPowerMode}) !=
             nullptr) {
@@ -182,101 +209,55 @@ harness::RunResult run_mode_fault(const std::string& fault_class,
         node.safe_state()) {
       recorder.record("treatment", engine.now());
     }
-    engine.schedule_in(sim::Duration::millis(10), chain_sampler);
-  };
-  engine.schedule_in(sim::Duration::millis(10), chain_sampler);
+  });
 
   // The run's post-mortem note: mode, dwell, overlay and journal state.
-  std::function<void()> note_loop = [&engine, &node, ctx, &note_loop] {
-    ctx->set_flight_note(
-        "mode=" + std::string(mode::to_string(node.mode_manager().current())) +
-        " dwell_us=" +
-        std::to_string(
-            node.mode_manager().dwell(engine.now()).as_micros()) +
-        " overlay=" +
-        std::to_string(node.mode_unit().active_overlay_hash24()) +
-        " mode_errors=" + std::to_string(node.mode_unit().errors_reported()) +
-        " journal=" + std::to_string(node.railmon().journal_depth()) +
-        " uplinked=" + std::to_string(node.railmon().uplinked()));
-    engine.schedule_in(sim::Duration::millis(100), note_loop);
-  };
-  if (ctx != nullptr) {
-    engine.schedule_in(sim::Duration::millis(100), note_loop);
-  }
+  publish_flight_note(engine, ctx, [&engine, &node] {
+    return "mode=" +
+           std::string(mode::to_string(node.mode_manager().current())) +
+           " dwell_us=" +
+           std::to_string(
+               node.mode_manager().dwell(engine.now()).as_micros()) +
+           " overlay=" +
+           std::to_string(node.mode_unit().active_overlay_hash24()) +
+           " mode_errors=" +
+           std::to_string(node.mode_unit().errors_reported()) +
+           " journal=" + std::to_string(node.railmon().journal_depth()) +
+           " uplinked=" + std::to_string(node.railmon().uplinked());
+  });
 
   // --- injection --------------------------------------------------------------
   inject::ErrorInjector injector(engine);
   const sim::Duration fault_hold =
       sim::Duration::millis(rng.uniform_int(2500, 3500));
-  if (fault_class == "stuck_in_sleep") {
-    injector.add(inject::make_stuck_in_sleep(
-        [&node](bool on) { node.railmon().set_wake_suppressed(on); },
-        inject_at, fault_hold));
-  } else if (fault_class == "sleep_refusal") {
-    injector.add(
-        inject::make_sleep_refusal(node.mode_manager(), inject_at,
-                                   fault_hold));
-  } else if (fault_class == "wake_storm_overrun") {
-    injector.add(inject::make_wake_storm_overrun(
-        [&node](bool on) { node.railmon().set_burst_stuck(on); }, inject_at,
-        fault_hold));
-  } else if (fault_class == "heartbeat_during_silence") {
-    injector.add(inject::make_rogue_wake_heartbeat(
-        engine, node.kernel(), node.mode_manager(), node.sensor_task(),
-        sim::Duration::millis(rng.uniform_int(8, 12)), inject_at,
-        fault_hold));
-  } else if (fault_class == "mode_transition_hang") {
-    injector.add(inject::make_mode_transition_hang(node.mode_manager(),
-                                                   inject_at, fault_hold));
-  } else if (fault_class == "flash_write_overrun") {
-    injector.add(inject::make_flash_write_overrun(
-        [&node](bool on) { node.railmon().set_flash_stuck(on); }, inject_at,
-        fault_hold));
-  } else {
-    throw std::invalid_argument("unknown mode fault class: " + fault_class);
-  }
+  injector.add(row.inject(engine, node, rng, inject_at, fault_hold));
   injector.arm();
   recorder.mark_injection(inject_at);
 
   // --- post-run UDS-lite readout ----------------------------------------------
-  bus::CanBus diag_can(engine);
-  node.attach_diag(diag_can);
-  diag::DiagTesterConfig tester_config;
-  tester_config.name = "workshop";
-  diag::DiagTester tester(engine, diag_can, tester_config);
-
+  Workshop workshop(engine, node);
   bool dtc_found = false;
   bool mode_did_ok = false;
   bool overlay_did_ok = false;
-  const auto expected_app_raw =
-      static_cast<std::uint16_t>(railmon_app.value());
   engine.schedule_at(sim::SimTime(kReadoutAtUs), [&] {
-    tester.read_dtcs([&](const std::optional<diag::Response>& response) {
-      if (!response || !response->positive) return;
-      const auto readout = diag::decode_dtc_readout(response->data);
-      if (!readout) return;
-      for (const auto& record : readout->records) {
-        if (record.type == wdg::ErrorType::kPowerMode &&
-            record.application == expected_app_raw) {
-          dtc_found = true;
-          recorder.record("diag_readout", engine.now());
-          break;
-        }
-      }
-    });
+    workshop.read_dtc(wdg::ErrorType::kPowerMode, railmon_app,
+                      [&](const diag::DtcRecord&) {
+                        dtc_found = true;
+                        recorder.record("diag_readout", engine.now());
+                      });
     // The mode identifiers must agree with the node's live state at the
     // moment of the read (the fault may have pinned any mode).
-    tester.read_data(diag::kDidPowerMode,
-                     [&](const std::optional<diag::Response>& response) {
-                       if (!response || !response->positive) return;
-                       const auto value = diag::get_f32(response->data, 2);
-                       mode_did_ok =
-                           value.has_value() &&
-                           static_cast<std::uint8_t>(*value) ==
-                               static_cast<std::uint8_t>(
-                                   node.mode_manager().current());
-                     });
-    tester.read_data(
+    workshop.tester.read_data(
+        diag::kDidPowerMode,
+        [&](const std::optional<diag::Response>& response) {
+          if (!response || !response->positive) return;
+          const auto value = diag::get_f32(response->data, 2);
+          mode_did_ok = value.has_value() &&
+                        static_cast<std::uint8_t>(*value) ==
+                            static_cast<std::uint8_t>(
+                                node.mode_manager().current());
+        });
+    workshop.tester.read_data(
         diag::kDidModeOverlayHash,
         [&](const std::optional<diag::Response>& response) {
           if (!response || !response->positive) return;
@@ -293,11 +274,7 @@ harness::RunResult run_mode_fault(const std::string& fault_class,
 
   // --- reduction --------------------------------------------------------------
   harness::RunResult result;
-  for (const auto& detector : recorder.detectors()) {
-    result.coverage.add_result(fault_class, detector,
-                               recorder.detected(detector),
-                               recorder.latency(detector));
-  }
+  result.coverage.add_run(fault_class, recorder);
 
   const bool accurate = recorder.detected("mode_report") && dtc_found &&
                         false_alarms == 0;

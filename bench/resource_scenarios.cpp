@@ -17,17 +17,14 @@
 // and the post-run UDS-lite readout of the resource DTC.
 #include "campaign_scenarios.hpp"
 
-#include <functional>
 #include <optional>
-#include <stdexcept>
 
-#include "bus/can.hpp"
 #include "diag/protocol.hpp"
-#include "diag/tester.hpp"
 #include "fmf/fmf.hpp"
 #include "inject/campaign.hpp"
 #include "inject/injector.hpp"
 #include "inject/resource_faults.hpp"
+#include "scenario_kit.hpp"
 #include "sim/engine.hpp"
 #include "util/random.hpp"
 #include "validator/central_node.hpp"
@@ -37,40 +34,78 @@ namespace easis::bench {
 
 namespace {
 
-constexpr std::int64_t kInjectAtUs = 2'000'000;
-constexpr std::int64_t kReadoutAtUs = 6'000'000;
-constexpr std::int64_t kRunUntilUs = 8'000'000;
 constexpr std::uint64_t kMemoryBudget = 1u << 20;  // 1 MiB
 constexpr std::uint32_t kHandleBudget = 32;
 constexpr std::uint32_t kHandlePool = 64;
 constexpr std::uint32_t kQueueDepth = 16;
 
-wdg::ErrorType expected_resource_error(const std::string& fault_class) {
-  if (fault_class == "handle_exhaustion") {
-    return wdg::ErrorType::kHandleExhaustion;
-  }
-  if (fault_class == "queue_flood") return wdg::ErrorType::kQueueOverflow;
-  if (fault_class == "cpu_hog" || fault_class == "creeping_load") {
-    return wdg::ErrorType::kCpuOverload;
-  }
-  return wdg::ErrorType::kMemoryBudget;  // memory_leak, memory_burst
-}
+/// One resource-exhaustion class: the error it must raise, the supervised
+/// resource it exhausts (whose task and application the fault is bound
+/// to), and its injection, parameterized by the run's RNG.
+struct ResourceFaultClass {
+  const char* name;
+  wdg::ErrorType expected_type;
+  const char* resource;
+  inject::Injection (*inject)(sim::Engine&, validator::CentralNode&,
+                              util::Rng&, sim::SimTime);
+};
 
-std::string supervised_resource_of(const std::string& fault_class) {
-  if (fault_class == "handle_exhaustion") return "safespeed.handles";
-  if (fault_class == "queue_flood") return "lane.queue";
-  if (fault_class == "cpu_hog" || fault_class == "creeping_load") {
-    return "ecu.load";
-  }
-  return "safespeed.mem";
-}
+constexpr ResourceFaultClass kResourceClasses[] = {
+    {"memory_leak", wdg::ErrorType::kMemoryBudget, "safespeed.mem",
+     [](auto& engine, auto& node, auto& rng, auto at) {
+       return inject::make_memory_leak(
+           engine, node.kernel(), node.safespeed_task(),
+           static_cast<std::uint64_t>(rng.uniform_int(12'000, 24'000)),
+           sim::Duration::millis(10), at,
+           sim::Duration::millis(rng.uniform_int(2000, 3000)));
+     }},
+    {"memory_burst", wdg::ErrorType::kMemoryBudget, "safespeed.mem",
+     [](auto&, auto& node, auto& rng, auto at) {
+       return inject::make_allocation_burst(
+           node.kernel(), node.safespeed_task(),
+           static_cast<std::uint64_t>(rng.uniform_int(96'000, 160'000)), 16,
+           at);
+     }},
+    {"handle_exhaustion", wdg::ErrorType::kHandleExhaustion,
+     "safespeed.handles",
+     [](auto& engine, auto& node, auto& rng, auto at) {
+       return inject::make_handle_exhaustion(
+           engine, node.kernel(), node.safespeed_task(),
+           static_cast<std::uint32_t>(rng.uniform_int(2, 4)),
+           sim::Duration::millis(20), at,
+           sim::Duration::millis(rng.uniform_int(2000, 3000)));
+     }},
+    {"queue_flood", wdg::ErrorType::kQueueOverflow, "lane.queue",
+     [](auto& engine, auto& node, auto& rng, auto at) {
+       return inject::make_queue_flood(
+           engine, node.signals(), "lane.samples",
+           static_cast<std::uint32_t>(rng.uniform_int(8, 16)),
+           sim::Duration::millis(10), at,
+           sim::Duration::millis(rng.uniform_int(1500, 2500)));
+     }},
+    // The hogged job must still fit its 50 ms period (120 us * ~320 =
+    // ~38 ms): an overrunning job loses every other activation and the
+    // load collapses into a sawtooth no watermark can hold onto.
+    {"cpu_hog", wdg::ErrorType::kCpuOverload, "ecu.load",
+     [](auto&, auto& node, auto& rng, auto at) {
+       return inject::make_cpu_hog(
+           node.rte(), node.light_control()->control_lights(),
+           rng.uniform(300.0, 340.0), at,
+           sim::Duration::millis(rng.uniform_int(2000, 3000)));
+     }},
+    {"creeping_load", wdg::ErrorType::kCpuOverload, "ecu.load",
+     [](auto& engine, auto& node, auto& rng, auto at) {
+       return inject::make_creeping_load(
+           engine, node.rte(), node.light_control()->control_lights(),
+           rng.uniform(20.0, 35.0), sim::Duration::millis(100), at,
+           sim::Duration::millis(rng.uniform_int(2500, 3500)));
+     }},
+};
 
 }  // namespace
 
 const std::vector<std::string>& resource_fault_classes() {
-  static const std::vector<std::string> kClasses = {
-      "memory_leak", "memory_burst", "handle_exhaustion",
-      "queue_flood", "cpu_hog",      "creeping_load"};
+  static const auto kClasses = class_names(kResourceClasses);
   return kClasses;
 }
 
@@ -84,6 +119,8 @@ const std::string& resource_fault_csv_header() {
 harness::RunResult run_resource_fault(const std::string& fault_class,
                                       std::uint64_t seed,
                                       const harness::RunContext* ctx) {
+  const ResourceFaultClass& row =
+      find_class(kResourceClasses, fault_class, "resource");
   util::Rng rng(seed);
 
   sim::Engine engine;
@@ -155,46 +192,23 @@ harness::RunResult run_resource_fault(const std::string& fault_class,
   rsu.set_load_smoothing(0.1);
 
   // --- treatments -------------------------------------------------------------
-  // CPU overload is treated by load shedding, not restart: the QM
-  // light-control application drops out (the park idiom of the safe
-  // state) so the safety applications keep their budget.
+  // CPU overload is treated by load shedding, not restart.
   fmf::FaultManagementFramework* fmf = node.fault_management();
-  fmf::ApplicationPolicy degrade;
-  degrade.on_faulty = fmf::TreatmentAction::kDegrade;
-  fmf->set_application_policy(light_app, degrade);
-  fmf->set_degraded_mode(
-      light_app,
-      [&node, light_app] {
-        for (RunnableId runnable :
-             node.rte().runnables_of_application(light_app)) {
-          if (node.watchdog().heartbeat_unit().monitors(runnable)) {
-            node.watchdog().set_activation_status(runnable, false);
-          }
-        }
-        node.rte().set_application_enabled(light_app, false);
-      },
-      [&node, light_app] {
-        node.rte().set_application_enabled(light_app, true);
-      });
+  shed_light_control_on_fault(node);
 
   // --- detectors --------------------------------------------------------------
-  inject::DetectionRecorder recorder;
-  recorder.add_detector("rsu_report");
-  recorder.add_detector("task_state");
-  recorder.add_detector("treatment");
-  recorder.add_detector("diag_readout");
+  inject::DetectionRecorder recorder(kResourceDetectors);
 
-  const wdg::ErrorType expected_type = expected_resource_error(fault_class);
-  const TaskId bound_task = fault_class == "queue_flood"
-                                ? node.safelane_task()
-                                : (expected_type == wdg::ErrorType::kCpuOverload
-                                       ? node.light_task()
-                                       : node.safespeed_task());
-  const ApplicationId bound_app =
-      fault_class == "queue_flood"
-          ? lane_app
-          : (expected_type == wdg::ErrorType::kCpuOverload ? light_app
-                                                           : ss_app);
+  // The fault is bound to the task and application of the resource its
+  // class exhausts.
+  const wdg::ErrorType expected_type = row.expected_type;
+  const wdg::SupervisedResource* bound = nullptr;
+  for (const wdg::SupervisedResource* resource :
+       {&mem, &handles, &queue, &load}) {
+    if (resource->name == row.resource) bound = resource;
+  }
+  const TaskId bound_task = bound->task;
+  const ApplicationId bound_app = bound->application;
 
   node.watchdog().add_error_listener([&](const wdg::ErrorReport& report) {
     if (report.type == expected_type) {
@@ -214,123 +228,51 @@ harness::RunResult run_resource_fault(const std::string& fault_class,
   // The lane queue sees one sample in and two drained every 10 ms (never
   // backs up without a fault); SafeSpeed churns a small allocation and a
   // handle every 20 ms (alive but balanced resource traffic).
-  std::function<void()> lane_traffic = [&] {
+  engine.every(sim::Duration::millis(10), [&] {
     node.signals().publish("lane.samples", 1.0, engine.now());
     node.signals().drain("lane.samples", 2);
-    engine.schedule_in(sim::Duration::millis(10), lane_traffic);
-  };
-  std::function<void()> churn = [&] {
+  });
+  engine.every(sim::Duration::millis(20), [&] {
     if (node.kernel().task_alloc(node.safespeed_task(), 4096)) {
       node.kernel().task_free(node.safespeed_task(), 4096);
     }
     if (node.kernel().task_acquire_handles(node.safespeed_task(), 1)) {
       node.kernel().task_release_handles(node.safespeed_task(), 1);
     }
-    engine.schedule_in(sim::Duration::millis(20), churn);
-  };
-  std::function<void()> state_sampler = [&] {
+  });
+  engine.every(sim::Duration::millis(10), [&] {
     if (node.rte().restart_count(bound_app) > 0 ||
         fmf->is_degraded(bound_app)) {
       recorder.record("treatment", engine.now());
     }
-    engine.schedule_in(sim::Duration::millis(10), state_sampler);
-  };
-  engine.schedule_in(sim::Duration::millis(10), lane_traffic);
-  engine.schedule_in(sim::Duration::millis(20), churn);
-  engine.schedule_in(sim::Duration::millis(10), state_sampler);
-
-  // The run's post-mortem note: whatever snapshot was published last is
-  // what a quarantined run's flight dump shows. The loop must outlive the
-  // whole simulation (the engine re-schedules it by reference).
-  std::function<void()> note_loop = [&engine, &rsu, ctx, &note_loop] {
-    ctx->set_flight_note(rsu.format_snapshot());
-    engine.schedule_in(sim::Duration::millis(100), note_loop);
-  };
-  if (ctx != nullptr) {
-    engine.schedule_in(sim::Duration::millis(100), note_loop);
-  }
+  });
+  publish_flight_note(engine, ctx, [&rsu] { return rsu.format_snapshot(); });
 
   // --- injection --------------------------------------------------------------
   const sim::SimTime inject_at(kInjectAtUs);
   inject::ErrorInjector injector(engine);
-  if (fault_class == "memory_leak") {
-    injector.add(inject::make_memory_leak(
-        engine, node.kernel(), node.safespeed_task(),
-        static_cast<std::uint64_t>(rng.uniform_int(12'000, 24'000)),
-        sim::Duration::millis(10), inject_at,
-        sim::Duration::millis(rng.uniform_int(2000, 3000))));
-  } else if (fault_class == "memory_burst") {
-    injector.add(inject::make_allocation_burst(
-        node.kernel(), node.safespeed_task(),
-        static_cast<std::uint64_t>(rng.uniform_int(96'000, 160'000)), 16,
-        inject_at));
-  } else if (fault_class == "handle_exhaustion") {
-    injector.add(inject::make_handle_exhaustion(
-        engine, node.kernel(), node.safespeed_task(),
-        static_cast<std::uint32_t>(rng.uniform_int(2, 4)),
-        sim::Duration::millis(20), inject_at,
-        sim::Duration::millis(rng.uniform_int(2000, 3000))));
-  } else if (fault_class == "queue_flood") {
-    injector.add(inject::make_queue_flood(
-        engine, node.signals(), "lane.samples",
-        static_cast<std::uint32_t>(rng.uniform_int(8, 16)),
-        sim::Duration::millis(10), inject_at,
-        sim::Duration::millis(rng.uniform_int(1500, 2500))));
-  } else if (fault_class == "cpu_hog") {
-    // The hogged job must still fit its 50 ms period (120 us * ~320 =
-    // ~38 ms): an overrunning job loses every other activation and the
-    // load collapses into a sawtooth no watermark can hold onto.
-    injector.add(inject::make_cpu_hog(
-        node.rte(), node.light_control()->control_lights(),
-        rng.uniform(300.0, 340.0), inject_at,
-        sim::Duration::millis(rng.uniform_int(2000, 3000))));
-  } else if (fault_class == "creeping_load") {
-    injector.add(inject::make_creeping_load(
-        engine, node.rte(), node.light_control()->control_lights(),
-        rng.uniform(20.0, 35.0), sim::Duration::millis(100), inject_at,
-        sim::Duration::millis(rng.uniform_int(2500, 3500))));
-  } else {
-    throw std::invalid_argument("unknown resource fault class: " +
-                                fault_class);
-  }
+  injector.add(row.inject(engine, node, rng, inject_at));
   injector.arm();
   recorder.mark_injection(inject_at);
 
   // --- post-run UDS-lite readout of the resource DTC --------------------------
-  bus::CanBus diag_can(engine);
-  node.attach_diag(diag_can);
-  diag::DiagTesterConfig tester_config;
-  tester_config.name = "workshop";
-  diag::DiagTester tester(engine, diag_can, tester_config);
-
+  Workshop workshop(engine, node);
   bool dtc_found = false;
   bool freeze_frame_ok = false;
-  const auto expected_app_raw =
-      static_cast<std::uint16_t>(bound_app.value());
   engine.schedule_at(sim::SimTime(kReadoutAtUs), [&] {
-    tester.read_dtcs([&](const std::optional<diag::Response>& response) {
-      if (!response || !response->positive) return;
-      const auto readout = diag::decode_dtc_readout(response->data);
-      if (!readout) return;
-      bool chase = false;
-      for (const auto& record : readout->records) {
-        if (record.type == expected_type &&
-            record.application == expected_app_raw) {
+    workshop.read_dtc(
+        expected_type, bound_app, [&](const diag::DtcRecord& record) {
           dtc_found = true;
           recorder.record("diag_readout", engine.now());
-          chase = record.has_freeze_frame;
-          break;
-        }
-      }
-      if (!chase) return;
-      tester.read_freeze_frame(
-          expected_app_raw, expected_type,
-          [&](const std::optional<diag::Response>& ff_response) {
-            if (!ff_response || !ff_response->positive) return;
-            const auto frame = diag::decode_freeze_frame(ff_response->data);
-            freeze_frame_ok = frame.has_value() && !frame->signals.empty();
-          });
-    });
+          if (!record.has_freeze_frame) return;
+          workshop.tester.read_freeze_frame(
+              record.application, expected_type,
+              [&](const std::optional<diag::Response>& response) {
+                if (!response || !response->positive) return;
+                const auto frame = diag::decode_freeze_frame(response->data);
+                freeze_frame_ok = frame.has_value() && !frame->signals.empty();
+              });
+        });
   });
 
   node.start();
@@ -338,22 +280,12 @@ harness::RunResult run_resource_fault(const std::string& fault_class,
 
   // --- reduction --------------------------------------------------------------
   harness::RunResult result;
-  for (const auto& detector : recorder.detectors()) {
-    result.coverage.add_result(fault_class, detector,
-                               recorder.detected(detector),
-                               recorder.latency(detector));
-  }
+  result.coverage.add_run(fault_class, recorder);
 
-  const std::string resource = supervised_resource_of(fault_class);
-  const RunnableId resource_id =
-      resource == "safespeed.mem"
-          ? mem.id
-          : (resource == "safespeed.handles"
-                 ? handles.id
-                 : (resource == "lane.queue" ? queue.id : load.id));
+  const RunnableId resource_id = bound->id;
   const bool accurate = recorder.detected("rsu_report") && dtc_found;
   result.rows.push_back(
-      {fault_class, resource, std::string(wdg::to_string(expected_type)),
+      {fault_class, row.resource, std::string(wdg::to_string(expected_type)),
        std::to_string(rsu.reports_for(resource_id)),
        recorder.detected("task_state") ? "1" : "0",
        recorder.detected("treatment") ? "1" : "0", dtc_found ? "1" : "0",

@@ -35,11 +35,9 @@ void run_experiment(const Experiment& experiment,
   config.with_fmf = false;  // raw detection comparison
   validator::CentralNode node(engine, config);
 
-  inject::DetectionRecorder recorder;
-  recorder.add_detector("software_watchdog");
-  recorder.add_detector("hw_watchdog");
-  recorder.add_detector("deadline_monitor");
-  recorder.add_detector("exec_time_monitor");
+  inject::DetectionRecorder recorder({"software_watchdog", "hw_watchdog",
+                                      "deadline_monitor",
+                                      "exec_time_monitor"});
 
   node.watchdog().add_error_listener([&](const wdg::ErrorReport& r) {
     recorder.record("software_watchdog", r.time);
@@ -74,11 +72,7 @@ void run_experiment(const Experiment& experiment,
   hw.start();
   engine.run_until(sim::SimTime(10'000'000));
 
-  for (const auto& detector : recorder.detectors()) {
-    table.add_result(experiment.fault_class, detector,
-                     recorder.detected(detector),
-                     recorder.latency(detector));
-  }
+  table.add_run(experiment.fault_class, recorder);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 //
 //   $ ./network_fault_demo
 #include <cstdio>
-#include <functional>
 
 #include "inject/injector.hpp"
 #include "inject/network_faults.hpp"
@@ -81,11 +80,7 @@ int main() {
       [&](bus::E2EStatus status, sim::SimTime now) {
         cmu.on_check_result(channel, status, now);
       });
-  std::function<void()> cmu_loop = [&] {
-    cmu.cycle(engine.now());
-    engine.schedule_in(sim::Duration::millis(50), cmu_loop);
-  };
-  engine.schedule_in(sim::Duration::millis(50), cmu_loop);
+  engine.every(sim::Duration::millis(50), [&] { cmu.cycle(engine.now()); });
 
   // A remote node heartbeating on the same CAN, supervised centrally.
   validator::RemoteNodeConfig remote_config;
@@ -104,11 +99,8 @@ int main() {
   });
 
   // Telematics keeps commanding 120 km/h every 50 ms.
-  std::function<void()> command_loop = [&] {
-    network.command_max_speed(120.0);
-    engine.schedule_in(sim::Duration::millis(50), command_loop);
-  };
-  engine.schedule_in(sim::Duration::millis(50), command_loop);
+  engine.every(sim::Duration::millis(50),
+               [&] { network.command_max_speed(120.0); });
 
   // The three attacks, back to back with recovery gaps.
   inject::ErrorInjector injector(engine);

@@ -7,6 +7,11 @@
 
 namespace easis::inject {
 
+DetectionRecorder::DetectionRecorder(
+    const std::vector<std::string>& detectors) {
+  for (const auto& name : detectors) add_detector(name);
+}
+
 void DetectionRecorder::add_detector(const std::string& name) {
   first_.try_emplace(name, std::nullopt);
 }
@@ -53,6 +58,14 @@ void CoverageTable::add_result(const std::string& fault_class,
   if (detected) {
     ++cell.detections;
     if (latency) cell.latency_ms.add(latency->as_millis());
+  }
+}
+
+void CoverageTable::add_run(const std::string& fault_class,
+                            const DetectionRecorder& recorder) {
+  for (const auto& detector : recorder.detectors()) {
+    add_result(fault_class, detector, recorder.detected(detector),
+               recorder.latency(detector));
   }
 }
 

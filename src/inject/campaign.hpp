@@ -18,6 +18,10 @@ namespace easis::inject {
 /// Records, per detector, the first detection after an injection instant.
 class DetectionRecorder {
  public:
+  DetectionRecorder() = default;
+  /// Declares each of `detectors` (see add_detector()).
+  explicit DetectionRecorder(const std::vector<std::string>& detectors);
+
   /// Declares a detector so coverage can count misses.
   void add_detector(const std::string& name);
 
@@ -48,6 +52,11 @@ class CoverageTable {
  public:
   void add_result(const std::string& fault_class, const std::string& detector,
                   bool detected, std::optional<sim::Duration> latency);
+
+  /// Adds one result per detector `recorder` declares or saw, in detector
+  /// name order.
+  void add_run(const std::string& fault_class,
+               const DetectionRecorder& recorder);
 
   /// Folds another table's cells into this one (counts add up, latency
   /// samples replay through util::Stats::merge). Campaign shards merged in

@@ -25,6 +25,16 @@ EventId Engine::schedule_in(Duration delay, Action action,
   return schedule_at(now_ + delay, std::move(action), priority);
 }
 
+void Engine::every(Duration period, Action action, EventPriority priority) {
+  schedule_in(
+      period,
+      [this, period, priority, action = std::move(action)]() mutable {
+        action();
+        every(period, std::move(action), priority);
+      },
+      priority);
+}
+
 bool Engine::cancel(EventId id) {
   if (id == 0 || id >= next_id_ || settled_[id - 1]) return false;
   // Lazy cancellation: settle the id now; skip its event when popped.

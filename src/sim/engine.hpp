@@ -45,6 +45,13 @@ class Engine {
   EventId schedule_in(Duration delay, Action action,
                       EventPriority priority = EventPriority::kDefault);
 
+  /// Runs `action` every `period` for the engine's lifetime, first at
+  /// now() + period. Each firing runs `action` and then schedules the next
+  /// one, so an event `action` schedules for the next firing's instant
+  /// fires before it.
+  void every(Duration period, Action action,
+             EventPriority priority = EventPriority::kDefault);
+
   /// Cancels a pending event. Returns false (and changes nothing) if the
   /// id is unknown, already fired or already cancelled.
   bool cancel(EventId id);

@@ -1,0 +1,82 @@
+// The class x detector campaign scenarios: each family's fault-class table
+// rejects an unknown class by name, names every class once, and a run
+// reduces to exactly the family's declared detectors.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "campaign_scenarios.hpp"
+
+namespace easis::bench {
+namespace {
+
+struct Family {
+  const char* name;
+  const std::vector<std::string>& (*classes)();
+  std::function<harness::RunResult(const std::string&)> run;
+  const std::vector<std::string>& detectors;
+};
+
+const std::vector<Family>& families() {
+  static const std::vector<Family> kFamilies = {
+      {"network", network_fault_classes,
+       [](const std::string& c) { return run_network_fault(c, 1); },
+       kNetworkDetectors},
+      {"diag", diag_fault_classes,
+       [](const std::string& c) { return run_diag_readout(c, 1); },
+       kDiagDetectors},
+      {"resource", resource_fault_classes,
+       [](const std::string& c) { return run_resource_fault(c, 1); },
+       kResourceDetectors},
+      {"environment", environment_fault_classes,
+       [](const std::string& c) { return run_environment_fault(c, 1); },
+       kEnvironmentDetectors},
+      {"mode", mode_fault_classes,
+       [](const std::string& c) { return run_mode_fault(c, 1); },
+       kModeDetectors},
+  };
+  return kFamilies;
+}
+
+TEST(CampaignScenarios, UnknownClassThrowsNamingFamilyAndClass) {
+  for (const Family& family : families()) {
+    try {
+      (void)family.run("no_such_class");
+      ADD_FAILURE() << family.name << ": unknown class did not throw";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()),
+                std::string("unknown ") + family.name +
+                    " fault class: no_such_class");
+    }
+  }
+}
+
+TEST(CampaignScenarios, ClassNamesAreUnique) {
+  for (const Family& family : families()) {
+    const std::vector<std::string>& classes = family.classes();
+    EXPECT_FALSE(classes.empty()) << family.name;
+    EXPECT_EQ(std::set<std::string>(classes.begin(), classes.end()).size(),
+              classes.size())
+        << family.name;
+  }
+}
+
+TEST(CampaignScenarios, RunReducesToTheDeclaredDetectors) {
+  for (const Family& family : families()) {
+    const harness::RunResult result = family.run(family.classes().front());
+    std::vector<std::string> declared = family.detectors;
+    std::sort(declared.begin(), declared.end());
+    EXPECT_EQ(result.coverage.detector_names(), declared) << family.name;
+    EXPECT_EQ(result.coverage.fault_classes(),
+              std::vector<std::string>{family.classes().front()})
+        << family.name;
+  }
+}
+
+}  // namespace
+}  // namespace easis::bench

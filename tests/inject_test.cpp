@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "inject/campaign.hpp"
 #include "inject/faults.hpp"
@@ -229,15 +231,20 @@ TEST(DetectionRecorder, FirstDetectionWins) {
   rec.record("swd", SimTime(200));
   ASSERT_TRUE(rec.detected("swd"));
   EXPECT_EQ(rec.latency("swd")->as_micros(), 50);
+  // A run's reduction keeps the first detection's latency.
+  CoverageTable table;
+  table.add_run("hang", rec);
+  EXPECT_EQ(table.detections("hang", "swd"), 1u);
+  ASSERT_NE(table.latency_stats("hang", "swd"), nullptr);
+  EXPECT_DOUBLE_EQ(table.latency_stats("hang", "swd")->mean(), 0.05);
 }
 
 TEST(DetectionRecorder, ResetKeepsDetectors) {
-  DetectionRecorder rec;
-  rec.add_detector("swd");
+  DetectionRecorder rec({"swd", "hw_wd"});
   rec.record("swd", SimTime(1));
   rec.reset();
   EXPECT_FALSE(rec.detected("swd"));
-  EXPECT_EQ(rec.detectors().size(), 1u);
+  EXPECT_EQ(rec.detectors(), (std::vector<std::string>{"hw_wd", "swd"}));
 }
 
 TEST(DetectionRecorder, UnknownDetectorAutoRegisters) {
@@ -245,14 +252,19 @@ TEST(DetectionRecorder, UnknownDetectorAutoRegisters) {
   rec.mark_injection(SimTime(0));
   rec.record("late", SimTime(5));
   EXPECT_TRUE(rec.detected("late"));
+  // The reduction counts an auto-registered detector like a declared one.
+  CoverageTable table;
+  table.add_run("drop", rec);
+  EXPECT_EQ(table.detector_names(), (std::vector<std::string>{"late"}));
+  EXPECT_DOUBLE_EQ(table.coverage("drop", "late"), 1.0);
 }
 
 TEST(CoverageTable, AggregatesCoverageAndLatency) {
   CoverageTable table;
   table.add_result("hang", "swd", true, Duration::millis(20));
   table.add_result("hang", "swd", true, Duration::millis(40));
-  table.add_result("hang", "swd", false, std::nullopt);
-  table.add_result("hang", "hw_wd", false, std::nullopt);
+  // A run nothing caught: one miss per declared detector.
+  table.add_run("hang", DetectionRecorder({"swd", "hw_wd"}));
   EXPECT_EQ(table.experiments("hang", "swd"), 3u);
   EXPECT_EQ(table.detections("hang", "swd"), 2u);
   EXPECT_NEAR(table.coverage("hang", "swd"), 2.0 / 3.0, 1e-9);

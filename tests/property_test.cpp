@@ -4,7 +4,9 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "apps/monitor_hypothesis.hpp"
@@ -54,6 +56,62 @@ TEST_P(EngineDeterminism, SameSeedSameTrace) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineDeterminism,
                          ::testing::Values(1u, 7u, 42u, 1234u, 99999u));
+
+// --- engine conservation under a random schedule/cancel/run mix -------------------
+
+class EngineConservation : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EngineConservation, EveryEventFiresPendsOrWasCancelled) {
+  util::Rng rng(GetParam());
+  Engine engine;
+  std::vector<sim::EventId> ids;
+  std::vector<sim::EventId> fired;
+  std::uint64_t cancels = 0;
+  // Some events schedule a child when they fire.
+  std::function<void()> schedule = [&] {
+    auto id = std::make_shared<sim::EventId>();
+    const bool spawns = rng.uniform_int(0, 3) == 0;
+    *id = engine.schedule_in(Duration::micros(rng.uniform_int(0, 100)),
+                             [&fired, &schedule, id, spawns] {
+                               fired.push_back(*id);
+                               if (spawns) schedule();
+                             });
+    ids.push_back(*id);
+  };
+  SimTime last = engine.now();
+  for (int step = 0; step < 2000; ++step) {
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+      case 1:
+        schedule();
+        break;
+      case 2:
+        if (!ids.empty()) {
+          const auto pick = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1));
+          if (engine.cancel(ids[pick])) ++cancels;
+        }
+        if (!fired.empty()) {
+          const auto pick = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(fired.size()) - 1));
+          EXPECT_FALSE(engine.cancel(fired[pick]));
+        }
+        break;
+      default:
+        engine.run_until(engine.now() +
+                         Duration::micros(rng.uniform_int(0, 60)));
+        break;
+    }
+    ASSERT_GE(engine.now(), last);
+    last = engine.now();
+    ASSERT_EQ(engine.events_fired() + engine.pending_events() + cancels,
+              ids.size());
+  }
+  EXPECT_EQ(engine.events_fired(), fired.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineConservation,
+                         ::testing::Values(3u, 17u, 2024u, 65537u));
 
 // --- kernel schedulability property --------------------------------------------------
 

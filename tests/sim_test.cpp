@@ -2,6 +2,8 @@
 // and lane environment models.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -161,6 +163,59 @@ TEST(Engine, EventsScheduledDuringRunFire) {
   engine.schedule_at(SimTime(0), reschedule);
   engine.run_until(SimTime(1000));
   EXPECT_EQ(count, 5);
+}
+
+TEST(Engine, EveryFiresFromNowPlusPeriodOnePeriodApart) {
+  Engine engine;
+  engine.run_until(SimTime(5));
+  std::vector<std::int64_t> fired_at;
+  engine.every(Duration::micros(10),
+               [&] { fired_at.push_back(engine.now().as_micros()); });
+  engine.run_until(SimTime(45));
+  EXPECT_EQ(fired_at, (std::vector<std::int64_t>{15, 25, 35, 45}));
+  EXPECT_EQ(engine.pending_events(), 1u);
+}
+
+TEST(Engine, EveryHonoursPriority) {
+  Engine engine;
+  std::vector<int> order;
+  engine.every(Duration::micros(10), [&] { order.push_back(3); },
+               EventPriority::kMonitor);
+  engine.schedule_at(SimTime(10), [&] { order.push_back(2); });
+  engine.every(Duration::micros(10), [&] { order.push_back(1); },
+               EventPriority::kKernel);
+  engine.run_until(SimTime(20));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 1, 3}));
+}
+
+TEST(Engine, EveryMatchesTheHandWrittenLoop) {
+  // The body schedules an event for the instant of the next repetition:
+  // it was scheduled first, so it fires first, as in a loop that
+  // reschedules itself after its body.
+  auto trace = [](bool use_every) {
+    Engine engine;
+    std::vector<std::string> order;
+    int ticks = 0;
+    auto body = [&] {
+      order.push_back("tick" + std::to_string(++ticks));
+      engine.schedule_in(Duration::micros(10),
+                         [&] { order.push_back("body"); });
+    };
+    std::function<void()> loop = [&] {
+      body();
+      engine.schedule_in(Duration::micros(10), loop);
+    };
+    if (use_every) {
+      engine.every(Duration::micros(10), body);
+    } else {
+      engine.schedule_in(Duration::micros(10), loop);
+    }
+    engine.run_until(SimTime(30));
+    return order;
+  };
+  EXPECT_EQ(trace(true), (std::vector<std::string>{"tick1", "body", "tick2",
+                                                   "body", "tick3"}));
+  EXPECT_EQ(trace(true), trace(false));
 }
 
 TEST(Engine, PendingEventsCount) {
