@@ -58,16 +58,16 @@ struct DiagBackend {
   fmf::FaultManagementFramework* fmf = nullptr;
   wdg::SoftwareWatchdog* watchdog = nullptr;
   /// Performs the node's software reset (ECUReset service).
-  std::function<void()> ecu_reset;
+  std::function<void()> ecu_reset{};
   /// True while the node cannot serve diagnostics (reset blackout).
-  std::function<bool()> offline;
+  std::function<bool()> offline{};
   /// Extra probe for kDidHeartbeatsSent (remote nodes).
-  std::function<std::uint64_t()> heartbeats_sent;
+  std::function<std::uint64_t()> heartbeats_sent{};
   /// Active dependability policy, as (24-bit hash, version) probes for
   /// kDidPolicyHash/kDidPolicyVersion. Kept as probes so the diag layer
   /// stays independent of the policy library.
-  std::function<std::uint32_t()> policy_hash;
-  std::function<std::uint32_t()> policy_version;
+  std::function<std::uint32_t()> policy_hash{};
+  std::function<std::uint32_t()> policy_version{};
   /// Environmental supervision: temperature and derate-stage identifiers.
   const wdg::EnvironmentSupervisionUnit* environment = nullptr;
   /// Supervised-process client API: transgression-record identifiers.

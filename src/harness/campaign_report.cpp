@@ -14,16 +14,8 @@ CampaignReport::CampaignReport(const std::vector<RunSpec>& specs,
                                const CampaignOutcome& outcome) {
   for (std::size_t i = 0; i < outcome.results.size(); ++i) {
     const RunResult& result = outcome.results[i];
-    runs_.push_back(RunRecord{i,
-                              i < specs.size() ? specs[i].label : "",
-                              i < specs.size() ? specs[i].seed : 0,
-                              result.status,
-                              result.error,
-                              result.misdetect,
-                              result.flight_note,
-                              result.events,
-                              result.events_truncated,
-                              result.profile});
+    runs_.push_back(RunRecord{i, i < specs.size() ? specs[i].label : "",
+                              i < specs.size() ? specs[i].seed : 0, &result});
     // Skipped runs never executed (--fail-fast): not quarantined, not
     // completed — they simply don't exist for the reduction.
     if (result.status == RunStatus::kRunSkipped) continue;
@@ -92,11 +84,12 @@ void CampaignReport::write_event_log(std::ostream& out) const {
   out << "# easis campaign event log v1\n";
   out << "# runs=" << runs_.size() << '\n';
   for (const RunRecord& run : runs_) {
+    const RunResult& result = *run.result;
     out << "# run index=" << run.run_index << " label=" << run.label
-        << " seed=" << run.seed << " status=" << to_string(run.status)
-        << " events=" << run.events.size()
-        << " truncated=" << (run.events_truncated ? 1 : 0) << '\n';
-    for (const telemetry::Event& event : run.events) {
+        << " seed=" << run.seed << " status=" << to_string(result.status)
+        << " events=" << result.events.size()
+        << " truncated=" << (result.events_truncated ? 1 : 0) << '\n';
+    for (const telemetry::Event& event : result.events) {
       telemetry::write_event_line(out, event);
       out << '\n';
     }
@@ -109,9 +102,10 @@ void CampaignReport::write_metrics(std::ostream& out, bool csv) const {
   for (const RunRecord& run : runs_) {
     registry
         .counter("easis_campaign_run_status_total",
-                 "status=\"" + std::string(to_string(run.status)) + "\"")
+                 "status=\"" + std::string(to_string(run.result->status)) +
+                     "\"")
         .inc();
-    telemetry::replay_into_metrics(run.events, registry);
+    telemetry::replay_into_metrics(run.result->events, registry);
   }
   if (csv) {
     registry.write_csv(out);
@@ -123,8 +117,9 @@ void CampaignReport::write_metrics(std::ostream& out, bool csv) const {
 std::vector<std::size_t> CampaignReport::flight_dump_candidates() const {
   std::vector<std::size_t> out;
   for (const RunRecord& run : runs_) {
-    if (run.status == RunStatus::kRunSkipped) continue;  // never executed
-    if (run.status != RunStatus::kRunOk || !run.misdetect.empty()) {
+    const RunResult& result = *run.result;
+    if (result.status == RunStatus::kRunSkipped) continue;  // never executed
+    if (result.status != RunStatus::kRunOk || !result.misdetect.empty()) {
       out.push_back(run.run_index);
     }
   }
@@ -135,21 +130,25 @@ void CampaignReport::write_flight_dump(std::ostream& out,
                                        std::size_t run_index) const {
   if (run_index >= runs_.size()) return;
   const RunRecord& run = runs_[run_index];
+  const RunResult& result = *run.result;
   out << "flight recorder dump — run " << run.run_index;
   if (!run.label.empty()) out << " [" << run.label << "]";
-  out << " seed=" << run.seed << " status=" << to_string(run.status) << '\n';
-  if (!run.error.empty()) out << "error: " << run.error << '\n';
-  if (!run.misdetect.empty()) out << "misdetect: " << run.misdetect << '\n';
-  if (!run.flight_note.empty()) {
+  out << " seed=" << run.seed << " status=" << to_string(result.status)
+      << '\n';
+  if (!result.error.empty()) out << "error: " << result.error << '\n';
+  if (!result.misdetect.empty()) {
+    out << "misdetect: " << result.misdetect << '\n';
+  }
+  if (!result.flight_note.empty()) {
     // The run's last published post-mortem note — for resource scenarios
     // the per-task budget/usage snapshot at (or near) the hang.
-    out << "note:\n" << run.flight_note;
-    if (run.flight_note.back() != '\n') out << '\n';
+    out << "note:\n" << result.flight_note;
+    if (result.flight_note.back() != '\n') out << '\n';
   }
-  out << run.events.size() << " event(s)";
-  if (run.events_truncated) out << " (older events dropped by the ring)";
+  out << result.events.size() << " event(s)";
+  if (result.events_truncated) out << " (older events dropped by the ring)";
   out << '\n';
-  for (const telemetry::Event& event : run.events) {
+  for (const telemetry::Event& event : result.events) {
     telemetry::write_event_line(out, event);
     out << '\n';
   }
@@ -157,20 +156,20 @@ void CampaignReport::write_flight_dump(std::ostream& out,
 
 bool CampaignReport::has_profiles() const {
   for (const RunRecord& run : runs_) {
-    if (run.profile.enabled) return true;
+    if (run.result->profile.enabled) return true;
   }
   return false;
 }
 
 void CampaignReport::write_profile_csv(std::ostream& out) const {
   profile::CampaignRollup rollup;
-  for (const RunRecord& run : runs_) rollup.add_run(run.profile);
+  for (const RunRecord& run : runs_) rollup.add_run(run.result->profile);
   rollup.write_csv(out);
 }
 
 void CampaignReport::write_profile_shape_csv(std::ostream& out) const {
   profile::CampaignRollup rollup;
-  for (const RunRecord& run : runs_) rollup.add_run(run.profile);
+  for (const RunRecord& run : runs_) rollup.add_run(run.result->profile);
   rollup.write_shape_csv(out);
 }
 
@@ -179,11 +178,11 @@ void CampaignReport::write_trace_json(std::ostream& out,
   profile::TraceWriter trace(out);
   trace.begin();
   for (const RunRecord& run : runs_) {
-    if (!run.profile.enabled) continue;
+    if (!run.result->profile.enabled) continue;
     const std::string label = run.label.empty()
                                   ? "run" + std::to_string(run.run_index)
                                   : run.label;
-    trace.add_run(run.profile,
+    trace.add_run(run.result->profile,
                   label + "#" + std::to_string(run.run_index), epoch_ns);
   }
   trace.end();

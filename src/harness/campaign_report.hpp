@@ -8,6 +8,12 @@
 // split governs telemetry: the event log and the metrics export contain
 // only sim-time-stamped, run-index-ordered data and are byte-comparable
 // too, while flight-recorder dumps exist per failed run.
+//
+// The report borrows the outcome: it keeps each run's spec label and seed,
+// and a pointer to the run's RunResult for everything else (event log,
+// profile, error and post-mortem notes). The campaign therefore holds one
+// copy of every run's telemetry, owned by the CampaignOutcome, and a report
+// must not outlive the outcome it was built from.
 #pragma once
 
 #include <ostream>
@@ -16,8 +22,6 @@
 
 #include "harness/campaign_runner.hpp"
 #include "inject/campaign.hpp"
-#include "profile/profiler.hpp"
-#include "telemetry/event.hpp"
 
 namespace easis::harness {
 
@@ -26,10 +30,14 @@ class CampaignReport {
   /// Reduces the outcome: coverage tables merge and rows concatenate in
   /// run-index order; quarantined/errored runs contribute only to the
   /// quarantine list (their partial results are dropped — that is the
-  /// quarantine). Telemetry events are kept for every run, including
-  /// quarantined ones (their ring snapshot is all that survives).
+  /// quarantine). The telemetry exports read every run's result through
+  /// `outcome`, including quarantined runs (their ring snapshot is all that
+  /// survives), so `outcome` must outlive the report.
   CampaignReport(const std::vector<RunSpec>& specs,
                  const CampaignOutcome& outcome);
+  /// A report of a temporary outcome would dangle: name the outcome.
+  CampaignReport(const std::vector<RunSpec>& specs,
+                 CampaignOutcome&& outcome) = delete;
 
   [[nodiscard]] const inject::CoverageTable& coverage() const {
     return coverage_;
@@ -108,18 +116,13 @@ class CampaignReport {
   void write_trace_json(std::ostream& out, std::int64_t epoch_ns) const;
 
  private:
-  /// Everything the telemetry exports need, one entry per run.
+  /// What the telemetry exports need beyond the run's own result, which
+  /// stays in (and is borrowed from) the outcome. One entry per run.
   struct RunRecord {
     std::size_t run_index;
     std::string label;
     std::uint64_t seed;
-    RunStatus status;
-    std::string error;
-    std::string misdetect;
-    std::string flight_note;
-    std::vector<telemetry::Event> events;
-    bool events_truncated;
-    profile::RunProfile profile;
+    const RunResult* result;
   };
 
   inject::CoverageTable coverage_;

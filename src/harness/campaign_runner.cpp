@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <exception>
-#include <iterator>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -55,7 +54,7 @@ struct CampaignState {
     std::mutex telemetry_mutex;
     telemetry::EventBus bus;
     telemetry::FlightRecorder flight;
-    std::vector<telemetry::Event> event_log;
+    telemetry::EventLog event_log;
     /// Latest post-mortem note of the current run (see
     /// RunResult::flight_note); shares telemetry_mutex so the supervisor
     /// can snapshot it together with the flight ring.
@@ -203,11 +202,10 @@ void worker_main(const std::shared_ptr<CampaignState>& state,
       // Completed (or errored) runs carry their full event log; a
       // quarantined run's late log is discarded with its result.
       std::lock_guard<std::mutex> lock(self->telemetry_mutex);
-      // Results live until the end-of-campaign reduction, so each gets an
-      // exact-size copy instead of the log's push_back slack; the log
-      // keeps its capacity for the worker's next run.
-      result.events.assign(std::make_move_iterator(self->event_log.begin()),
-                           std::make_move_iterator(self->event_log.end()));
+      // Results live until the campaign's exports, so each gets an
+      // exact-size copy (copy construction allocates no growth slack); the
+      // worker's log keeps its capacity for the next run.
+      result.events = telemetry::EventLog(self->event_log);
       self->event_log.clear();
       if (result.flight_note.empty()) result.flight_note = self->flight_note;
     }

@@ -17,7 +17,7 @@
 
 #include "inject/campaign.hpp"
 #include "profile/profiler.hpp"
-#include "telemetry/event.hpp"
+#include "telemetry/event_log.hpp"
 
 namespace easis::harness {
 
@@ -66,9 +66,11 @@ struct RunResult {
   std::vector<std::vector<std::string>> rows;
   std::string error;
   /// Telemetry events the run emitted (harvested by the harness from the
-  /// per-worker bus). Completed runs carry the full log; quarantined runs
-  /// only the flight-recorder ring the supervisor could snapshot.
-  std::vector<telemetry::Event> events;
+  /// per-worker bus), in the compact per-run log form: the campaign keeps
+  /// this one copy until its exports, and CampaignReport only borrows it.
+  /// Completed runs carry the full log; quarantined runs only the
+  /// flight-recorder ring the supervisor could snapshot.
+  telemetry::EventLog events;
   /// True when `events` is a bounded ring snapshot that lost older events.
   bool events_truncated = false;
   /// Set by the run function when its own result looks wrong (e.g. an

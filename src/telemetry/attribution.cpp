@@ -4,8 +4,7 @@
 
 namespace easis::telemetry {
 
-std::vector<DetectionChain> attribute_chains(
-    const std::vector<Event>& events) {
+std::vector<DetectionChain> attribute_chains(const EventLog& events) {
   std::vector<DetectionChain> chains;
   std::unordered_map<InjectionId, std::size_t> index;
 
@@ -80,8 +79,7 @@ const std::vector<double>& level_buckets_pct() {
 
 }  // namespace
 
-void replay_into_metrics(const std::vector<Event>& events,
-                         MetricsRegistry& registry) {
+void replay_into_metrics(const EventLog& events, MetricsRegistry& registry) {
   for (const Event& event : events) {
     registry
         .counter("easis_events_total",

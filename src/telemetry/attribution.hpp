@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "telemetry/event.hpp"
+#include "telemetry/event_log.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace easis::telemetry {
@@ -50,7 +51,7 @@ struct DetectionChain {
 /// InjectionId, in order of first appearance. Events without a valid
 /// injection correlation are ignored.
 [[nodiscard]] std::vector<DetectionChain> attribute_chains(
-    const std::vector<Event>& events);
+    const EventLog& events);
 
 /// Fixed latency buckets (milliseconds) shared by every latency histogram,
 /// so exports stay comparable across campaigns.
@@ -61,7 +62,6 @@ struct DetectionChain {
 ///  * easis_injections_total / _detected_total / _treated_total,
 ///  * easis_fault_to_detection_latency_ms{detector=...} and
 ///    easis_detection_to_treatment_latency_ms histograms.
-void replay_into_metrics(const std::vector<Event>& events,
-                         MetricsRegistry& registry);
+void replay_into_metrics(const EventLog& events, MetricsRegistry& registry);
 
 }  // namespace easis::telemetry

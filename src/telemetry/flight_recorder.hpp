@@ -10,9 +10,9 @@
 
 #include <cstddef>
 #include <ostream>
-#include <vector>
 
 #include "telemetry/event.hpp"
+#include "telemetry/event_log.hpp"
 #include "util/ring_buffer.hpp"
 
 namespace easis::telemetry {
@@ -32,9 +32,11 @@ class FlightRecorder {
   [[nodiscard]] std::size_t size() const { return ring_.size(); }
   /// Events overwritten because the ring was full.
   [[nodiscard]] std::size_t dropped() const { return ring_.dropped(); }
-  /// Retained events, oldest first.
-  [[nodiscard]] std::vector<Event> snapshot() const {
-    return ring_.snapshot();
+  /// Retained events, oldest first, as a compact log.
+  [[nodiscard]] EventLog snapshot() const {
+    EventLog log;
+    for (std::size_t i = 0; i < ring_.size(); ++i) log.push_back(ring_.at(i));
+    return log;
   }
 
   /// Human-readable dump: a header noting retained/dropped counts, then

@@ -39,6 +39,8 @@ telemetry::Component detector_component(ErrorType type) {
       return telemetry::Component::kEnvironmentUnit;
     case ErrorType::kCheckRule:
       return telemetry::Component::kCheckUnit;
+    case ErrorType::kPowerMode:
+      return telemetry::Component::kModeUnit;
   }
   return telemetry::Component::kHarness;
 }

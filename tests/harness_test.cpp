@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "harness/campaign_report.hpp"
@@ -170,10 +171,21 @@ TEST(CampaignRunnerDeterminism, RepeatedParallelRunsAreStable) {
   CampaignConfig config;
   config.jobs = 3;
   CampaignRunner runner(config, synthetic_run);
-  const CampaignReport first(specs, runner.run(specs));
-  const CampaignReport second(specs, runner.run(specs));
+  const CampaignOutcome first_outcome = runner.run(specs);
+  const CampaignOutcome second_outcome = runner.run(specs);
+  const CampaignReport first(specs, first_outcome);
+  const CampaignReport second(specs, second_outcome);
   EXPECT_EQ(coverage_csv(first), coverage_csv(second));
 }
+
+// The report borrows each run's result from the outcome, so building one
+// from a temporary outcome must not compile.
+static_assert(!std::is_constructible_v<CampaignReport,
+                                       const std::vector<RunSpec>&,
+                                       CampaignOutcome&&>);
+static_assert(std::is_constructible_v<CampaignReport,
+                                      const std::vector<RunSpec>&,
+                                      const CampaignOutcome&>);
 
 // --- worker pool mechanics ---------------------------------------------------
 

@@ -13,6 +13,7 @@
 #include "telemetry/attribution.hpp"
 #include "telemetry/event.hpp"
 #include "telemetry/event_bus.hpp"
+#include "telemetry/event_log.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "validator/central_node.hpp"
@@ -24,6 +25,7 @@ using telemetry::Component;
 using telemetry::Event;
 using telemetry::EventBus;
 using telemetry::EventKind;
+using telemetry::EventLog;
 using telemetry::EventScope;
 using telemetry::FlightRecorder;
 using telemetry::MetricsRegistry;
@@ -298,14 +300,112 @@ TEST(FlightRecorder, ClearResetsRing) {
   EXPECT_EQ(recorder.dropped(), 0u);
 }
 
+// --- EventLog ----------------------------------------------------------------
+
+std::string line_of(const Event& event) {
+  std::ostringstream out;
+  telemetry::write_event_line(out, event);
+  return out.str();
+}
+
+TEST(EventLog, RoundTripsEveryField) {
+  Event event;
+  event.seq = 0x1'0000'0002;  // wider than 32 bits
+  event.time = sim::SimTime(-5);
+  event.component = Component::kModeUnit;
+  event.kind = EventKind::kModeOverlayApplied;
+  event.injection = InjectionId(4);
+  event.runnable = RunnableId(3);
+  event.task = TaskId(2);
+  event.application = ApplicationId(1);
+  event.detail = "overlay=abcdef";
+
+  EventLog log;
+  log.push_back(event);
+  ASSERT_EQ(log.size(), 1u);
+  const Event back = log[0];
+  EXPECT_EQ(back.seq, event.seq);
+  EXPECT_EQ(back.time, event.time);
+  EXPECT_EQ(back.component, event.component);
+  EXPECT_EQ(back.kind, event.kind);
+  EXPECT_EQ(back.injection, event.injection);
+  EXPECT_EQ(back.runnable, event.runnable);
+  EXPECT_EQ(back.task, event.task);
+  EXPECT_EQ(back.application, event.application);
+  EXPECT_EQ(back.detail, event.detail);
+  EXPECT_EQ(line_of(back), line_of(event));
+}
+
+TEST(EventLog, KeepsEmptyAndLongDetailsApart) {
+  // Longer than any small-string buffer, so the arena is the only copy.
+  const std::string long_detail(200, 'x');
+  EventLog log;
+  log.push_back(make_event(EventKind::kFaultArmed, 0, Component::kInjector,
+                           ""));
+  log.push_back(make_event(EventKind::kFaultApplied, 1, Component::kInjector,
+                           long_detail));
+  log.push_back(make_event(EventKind::kErrorDetected, 2));
+  log.push_back(make_event(EventKind::kTreatmentAction, 3, Component::kFmf,
+                           "restart"));
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log[0].detail, "");
+  EXPECT_EQ(log[1].detail, long_detail);
+  EXPECT_EQ(log[2].detail, "");
+  EXPECT_EQ(log.back().detail, "restart");
+  EXPECT_EQ(log.front().kind, EventKind::kFaultArmed);
+
+  // Range-for yields the events in append order.
+  std::vector<std::int64_t> times;
+  for (const Event& e : log) times.push_back(e.time.as_micros());
+  EXPECT_EQ(times, (std::vector<std::int64_t>{0, 1, 2, 3}));
+
+  log.clear();
+  EXPECT_TRUE(log.empty());
+  log.push_back(make_event(EventKind::kErrorDetected, 9, Component::kTsi,
+                           "after clear"));
+  EXPECT_EQ(log[0].detail, "after clear");
+}
+
+TEST(EventLog, KeepsInvalidIdsInvalid) {
+  EventLog log;
+  log.push_back(make_event(EventKind::kErrorDetected, 7));
+  const Event back = log[0];
+  EXPECT_FALSE(back.injection.valid());
+  EXPECT_FALSE(back.runnable.valid());
+  EXPECT_FALSE(back.task.valid());
+  EXPECT_FALSE(back.application.valid());
+  EXPECT_EQ(line_of(back),
+            "0 t=7 harness error_detected inj=#invalid run=#invalid "
+            "task=#invalid app=#invalid | ");
+}
+
+TEST(EventLog, FlightSnapshotKeepsSeqAndDetail) {
+  FlightRecorder recorder(3);
+  for (int i = 0; i < 5; ++i) {
+    Event event = make_event(EventKind::kErrorDetected, i * 10,
+                             Component::kDeadlineUnit,
+                             "deadline miss number " + std::to_string(i));
+    event.seq = static_cast<std::uint64_t>(100 + i);
+    recorder.on_event(event);
+  }
+  const EventLog snapshot = recorder.snapshot();
+  ASSERT_EQ(snapshot.size(), 3u);
+  for (std::size_t i = 0; i < snapshot.size(); ++i) {
+    EXPECT_EQ(snapshot[i].seq, 102 + i);
+    EXPECT_EQ(snapshot[i].detail,
+              "deadline miss number " + std::to_string(i + 2));
+    EXPECT_EQ(snapshot[i].component, Component::kDeadlineUnit);
+  }
+}
+
 // --- Attribution -------------------------------------------------------------
 
-std::vector<Event> synthetic_chain() {
-  std::vector<Event> events;
+EventLog synthetic_chain() {
+  EventLog events;
   auto push = [&](Event e, std::uint32_t inj) {
     e.injection = InjectionId(inj);
     e.seq = events.size();
-    events.push_back(std::move(e));
+    events.push_back(e);
   };
   push(make_event(EventKind::kFaultArmed, 0, Component::kInjector, "hang"), 0);
   push(make_event(EventKind::kFaultApplied, 100, Component::kInjector, "hang"),
@@ -351,7 +451,7 @@ TEST(Attribution, ReconstructsChains) {
 }
 
 TEST(Attribution, IgnoresUncorrelatedEvents) {
-  std::vector<Event> events;
+  EventLog events;
   events.push_back(make_event(EventKind::kErrorDetected, 0));
   EXPECT_TRUE(telemetry::attribute_chains(events).empty());
 }
@@ -381,7 +481,7 @@ TEST(Attribution, ReplayIntoMetricsCountsChains) {
 // InjectionId) -> threshold_trip -> state changes.
 TEST(TelemetryEndToEnd, InjectedFaultIsTraceable) {
   EventBus bus;
-  std::vector<Event> events;
+  EventLog events;
   bus.add_sink([&](const Event& e) { events.push_back(e); });
   EventScope scope(bus);
 
