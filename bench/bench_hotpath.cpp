@@ -36,7 +36,7 @@ wdg::RunnableMonitor make_monitor(std::uint32_t id) {
   m.runnable = RunnableId(id);
   m.task = TaskId(id / 4);
   m.application = ApplicationId(0);
-  m.name = "r" + std::to_string(id);
+  m.name = std::string("r").append(std::to_string(id));
   m.aliveness_cycles = 4;
   m.min_heartbeats = 1;
   m.arrival_cycles = 4;

@@ -39,7 +39,7 @@ void BM_SimulatedSecondVsRunnables(benchmark::State& state) {
     std::vector<AlarmId> alarms;
     for (int t = 0; t < task_count; ++t) {
       os::TaskConfig tc;
-      tc.name = "t" + std::to_string(t);
+      tc.name = std::string("t").append(std::to_string(t));
       tc.priority = t;
       tasks.push_back(kernel.create_task(tc));
       alarms.push_back(kernel.create_alarm(
@@ -47,7 +47,7 @@ void BM_SimulatedSecondVsRunnables(benchmark::State& state) {
     }
     for (int i = 0; i < runnable_count; ++i) {
       rte::RunnableSpec spec;
-      spec.name = "r" + std::to_string(i);
+      spec.name = std::string("r").append(std::to_string(i));
       spec.execution_time = sim::Duration::micros(20);
       const RunnableId id = rte.register_runnable(comp, spec);
       const TaskId task = tasks[static_cast<std::size_t>(i % task_count)];

@@ -23,22 +23,23 @@ void HardwareWatchdog::start() {
 
 void HardwareWatchdog::stop() {
   running_ = false;
-  ++generation_;
+  expiry_.cancel();
 }
 
 void HardwareWatchdog::arm() {
-  const std::uint64_t generation = ++generation_;
-  engine_.schedule_at(
-      last_kick_ + timeout_,
-      [this, generation] {
-        if (!running_ || generation != generation_) return;
-        ++expirations_;
-        if (on_expire_) on_expire_(engine_.now());
-        // A real watchdog resets the ECU; re-arm for continued monitoring.
-        last_kick_ = engine_.now();
-        arm();
-      },
-      sim::EventPriority::kMonitor);
+  expiry_.cancel();
+  expiry_ = engine_.every(timeout_, [this] { expire(); },
+                          sim::EventPriority::kMonitor);
+}
+
+void HardwareWatchdog::expire() {
+  ++expirations_;
+  if (on_expire_) on_expire_(engine_.now());
+  // A real watchdog resets the ECU; re-arm for continued monitoring, after
+  // the callback, so the next expiry queues behind all it scheduled.
+  if (!running_) return;
+  last_kick_ = engine_.now();
+  arm();
 }
 
 void HardwareWatchdog::kick() {

@@ -44,11 +44,12 @@ class HardwareWatchdog {
   ExpireCallback on_expire_;
   bool running_ = false;
   sim::SimTime last_kick_;
-  std::uint64_t generation_ = 0;
+  sim::Timer expiry_;
   std::uint32_t expirations_ = 0;
   std::uint32_t early_kicks_ = 0;
 
   void arm();
+  void expire();
 };
 
 /// Installs the conventional servicing pattern: a lowest-priority periodic

@@ -33,21 +33,16 @@ sim::Duration CanBus::frame_time(const Frame& frame) const {
 
 void CanBus::transmit(EndpointId from, Frame frame) {
   assert(from < endpoints_.size());
-  pending_.push_back(Pending{from, std::move(frame), seq_++});
+  const std::pair<std::uint32_t, std::uint64_t> key{frame.id, seq_++};
+  pending_.emplace(key, Pending{from, std::move(frame)});
   try_start();
 }
 
 void CanBus::try_start() {
   if (busy_ || pending_.empty()) return;
   // Arbitration: lowest identifier wins; FIFO among equal ids.
-  auto winner = std::min_element(
-      pending_.begin(), pending_.end(),
-      [](const Pending& a, const Pending& b) {
-        if (a.frame.id != b.frame.id) return a.frame.id < b.frame.id;
-        return a.seq < b.seq;
-      });
-  Pending tx = std::move(*winner);
-  pending_.erase(winner);
+  Pending tx = std::move(pending_.begin()->second);
+  pending_.erase(pending_.begin());
   busy_ = true;
   const sim::Duration duration = frame_time(tx.frame);
   engine_.schedule_in(duration, [this, tx = std::move(tx)] {

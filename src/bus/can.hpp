@@ -7,8 +7,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bus/fault_link.hpp"
@@ -65,13 +66,14 @@ class CanBus {
   struct Pending {
     EndpointId from;
     Frame frame;
-    std::uint64_t seq;  // FIFO tie-break for equal ids
   };
 
   sim::Engine& engine_;
   std::uint32_t bitrate_bps_;
   std::vector<Endpoint> endpoints_;
-  std::vector<Pending> pending_;
+  /// Keyed by (frame id, transmit sequence): the first entry wins
+  /// arbitration, lowest identifier first and FIFO among equal ids.
+  std::map<std::pair<std::uint32_t, std::uint64_t>, Pending> pending_;
   bool busy_ = false;
   bool bus_off_ = false;
   std::function<bool(const Frame&)> drop_hook_;

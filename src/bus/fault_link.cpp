@@ -52,25 +52,20 @@ BabblingIdiot::BabblingIdiot(sim::Engine& engine,
 void BabblingIdiot::start() {
   if (babbling_) return;
   babbling_ = true;
-  ++generation_;
-  schedule_next(generation_);
+  timer_ = engine_.every(config_.period, [this] { babble(); });
 }
 
 void BabblingIdiot::stop() {
   babbling_ = false;
-  ++generation_;
+  timer_.cancel();
 }
 
-void BabblingIdiot::schedule_next(std::uint64_t generation) {
-  engine_.schedule_in(config_.period, [this, generation] {
-    if (generation != generation_ || !babbling_) return;
-    Frame frame;
-    frame.id = config_.frame_id;
-    frame.payload.assign(config_.payload_bytes, 0xAA);
-    ++sent_;
-    send_(std::move(frame));
-    schedule_next(generation);
-  });
+void BabblingIdiot::babble() {
+  Frame frame;
+  frame.id = config_.frame_id;
+  frame.payload.assign(config_.payload_bytes, 0xAA);
+  ++sent_;
+  send_(std::move(frame));
 }
 
 }  // namespace easis::bus

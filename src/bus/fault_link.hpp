@@ -105,10 +105,10 @@ class BabblingIdiot {
   std::function<void(Frame)> send_;
   BabblingIdiotConfig config_;
   bool babbling_ = false;
-  std::uint64_t generation_ = 0;
+  sim::Timer timer_;
   std::uint64_t sent_ = 0;
 
-  void schedule_next(std::uint64_t generation);
+  void babble();
 };
 
 }  // namespace easis::bus

@@ -47,13 +47,19 @@ sim::Duration FlexRayBus::slot_length() const {
 void FlexRayBus::start() {
   if (running_) throw std::logic_error("FlexRayBus: already running");
   running_ = true;
-  ++generation_;
-  schedule_cycle(engine_.now(), generation_);
+  schedule_slots(engine_.now());
+  timers_.add(engine_.every(
+      config_.cycle,
+      [this] {
+        ++cycles_;
+        schedule_slots(engine_.now());
+      },
+      sim::EventPriority::kKernel));
 }
 
 void FlexRayBus::stop() {
   running_ = false;
-  ++generation_;
+  timers_.cancel_all();
 }
 
 std::optional<FlexRayBus::EndpointId> FlexRayBus::slot_owner(
@@ -62,45 +68,35 @@ std::optional<FlexRayBus::EndpointId> FlexRayBus::slot_owner(
   return slots_[slot].owner;
 }
 
-void FlexRayBus::schedule_cycle(sim::SimTime cycle_start,
-                                std::uint64_t generation) {
+void FlexRayBus::schedule_slots(sim::SimTime cycle_start) {
   const sim::Duration slot_len = slot_length();
   for (std::uint32_t s = 0; s < slots_.size(); ++s) {
     // Delivery at the slot end.
-    engine_.schedule_at(
-        cycle_start + slot_len * (s + 1),
-        [this, s, generation] {
-          if (generation != generation_ || !running_) return;
-          Slot& slot = slots_[s];
-          if (!slot.owner || !slot.staged) return;
-          Frame frame = std::move(*slot.staged);
-          slot.staged.reset();
-          FaultLink::Verdict verdict;
-          if (fault_link_) verdict = fault_link_->process(frame);
-          if (verdict.drop) {
-            ++lost_;
-            return;
-          }
-          if (verdict.delay > sim::Duration::zero()) {
-            engine_.schedule_in(verdict.delay,
-                                [this, frame, from = *slot.owner] {
-                                  deliver(frame, from);
-                                });
-          } else {
-            deliver(frame, *slot.owner);
-          }
-          if (verdict.duplicate) deliver(frame, *slot.owner);
-        },
-        sim::EventPriority::kKernel);
+    timers_.add(engine_.schedule_at(cycle_start + slot_len * (s + 1),
+                                    [this, s] { end_slot(s); },
+                                    sim::EventPriority::kKernel));
   }
-  engine_.schedule_at(
-      cycle_start + config_.cycle,
-      [this, cycle_start, generation] {
-        if (generation != generation_ || !running_) return;
-        ++cycles_;
-        schedule_cycle(cycle_start + config_.cycle, generation);
-      },
-      sim::EventPriority::kKernel);
+}
+
+void FlexRayBus::end_slot(std::uint32_t s) {
+  Slot& slot = slots_[s];
+  if (!slot.owner || !slot.staged) return;
+  Frame frame = std::move(*slot.staged);
+  slot.staged.reset();
+  FaultLink::Verdict verdict;
+  if (fault_link_) verdict = fault_link_->process(frame);
+  if (verdict.drop) {
+    ++lost_;
+    return;
+  }
+  if (verdict.delay > sim::Duration::zero()) {
+    engine_.schedule_in(verdict.delay, [this, frame, from = *slot.owner] {
+      deliver(frame, from);
+    });
+  } else {
+    deliver(frame, *slot.owner);
+  }
+  if (verdict.duplicate) deliver(frame, *slot.owner);
 }
 
 void FlexRayBus::deliver(const Frame& frame, EndpointId from) {

@@ -73,12 +73,13 @@ class FlexRayBus {
   std::vector<Slot> slots_;
   FaultLink* fault_link_ = nullptr;
   bool running_ = false;
-  std::uint64_t generation_ = 0;
+  sim::TimerGroup timers_{engine_};  // the cycle series and its slot ends
   std::uint64_t cycles_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t lost_ = 0;
 
-  void schedule_cycle(sim::SimTime cycle_start, std::uint64_t generation);
+  void schedule_slots(sim::SimTime cycle_start);
+  void end_slot(std::uint32_t s);
   void deliver(const Frame& frame, EndpointId from);
 };
 

@@ -43,54 +43,44 @@ void LinBus::start() {
   if (running_) throw std::logic_error("LinBus: already running");
   if (schedule_.empty()) throw std::logic_error("LinBus: empty schedule");
   running_ = true;
-  ++generation_;
   next_slot_ = 0;
-  schedule_next(generation_);
+  poll_timer_ = engine_.every(slot_, [this] { poll_slot(); },
+                              sim::EventPriority::kKernel);
 }
 
 void LinBus::stop() {
   running_ = false;
-  ++generation_;
+  poll_timer_.cancel();
 }
 
-void LinBus::schedule_next(std::uint64_t generation) {
-  engine_.schedule_in(
-      slot_,
-      [this, generation] {
-        if (generation != generation_ || !running_) return;
-        const std::uint32_t frame_id = schedule_[next_slot_];
-        next_slot_ = (next_slot_ + 1) % schedule_.size();
-        ++polls_;
-        Slave* slave = slave_for(frame_id);
-        std::optional<std::vector<std::uint8_t>> payload;
-        if (slave != nullptr && slave->publisher) {
-          payload = slave->publisher();
-        }
-        if (payload.has_value()) {
-          ++responses_;
-          Frame frame;
-          frame.id = frame_id;
-          frame.payload = std::move(*payload);
-          FaultLink::Verdict verdict;
-          if (fault_link_) verdict = fault_link_->process(frame);
-          if (verdict.drop) {
-            ++lost_;
-          } else {
-            if (verdict.delay > sim::Duration::zero()) {
-              engine_.schedule_in(verdict.delay, [this, frame, slave] {
-                deliver(frame, slave);
-              });
-            } else {
-              deliver(frame, slave);
-            }
-            if (verdict.duplicate) deliver(frame, slave);
-          }
-        } else {
-          ++no_responses_;
-        }
-        schedule_next(generation);
-      },
-      sim::EventPriority::kKernel);
+void LinBus::poll_slot() {
+  const std::uint32_t frame_id = schedule_[next_slot_];
+  next_slot_ = (next_slot_ + 1) % schedule_.size();
+  ++polls_;
+  Slave* slave = slave_for(frame_id);
+  std::optional<std::vector<std::uint8_t>> payload;
+  if (slave != nullptr && slave->publisher) payload = slave->publisher();
+  if (!payload.has_value()) {
+    ++no_responses_;
+    return;
+  }
+  ++responses_;
+  Frame frame;
+  frame.id = frame_id;
+  frame.payload = std::move(*payload);
+  FaultLink::Verdict verdict;
+  if (fault_link_) verdict = fault_link_->process(frame);
+  if (verdict.drop) {
+    ++lost_;
+    return;
+  }
+  if (verdict.delay > sim::Duration::zero()) {
+    engine_.schedule_in(verdict.delay,
+                        [this, frame, slave] { deliver(frame, slave); });
+  } else {
+    deliver(frame, slave);
+  }
+  if (verdict.duplicate) deliver(frame, slave);
 }
 
 void LinBus::deliver(const Frame& frame, const Slave* slave) {

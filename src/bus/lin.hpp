@@ -70,14 +70,14 @@ class LinBus {
   std::vector<std::pair<std::uint32_t, Slave>> publishers_;
   FaultLink* fault_link_ = nullptr;
   bool running_ = false;
-  std::uint64_t generation_ = 0;
+  sim::Timer poll_timer_;
   std::size_t next_slot_ = 0;
   std::uint64_t polls_ = 0;
   std::uint64_t responses_ = 0;
   std::uint64_t no_responses_ = 0;
   std::uint64_t lost_ = 0;
 
-  void schedule_next(std::uint64_t generation);
+  void poll_slot();
   void deliver(const Frame& frame, const Slave* slave);
   [[nodiscard]] Slave* slave_for(std::uint32_t frame_id);
 };

@@ -60,15 +60,13 @@ void HealthMonitorMaster::register_ecu(const std::string& name,
 void HealthMonitorMaster::start() {
   if (started_) return;
   started_ = true;
-  engine_.schedule_in(config_.poll_period, [this] { poll_cycle(); },
-                      sim::EventPriority::kMonitor);
+  engine_.every(config_.poll_period, [this] { poll_cycle(); },
+                sim::EventPriority::kMonitor);
 }
 
 void HealthMonitorMaster::poll_cycle() {
   ++cycles_;
   for (std::size_t i = 0; i < ecus_.size(); ++i) poll_ecu(i);
-  engine_.schedule_in(config_.poll_period, [this] { poll_cycle(); },
-                      sim::EventPriority::kMonitor);
 }
 
 void HealthMonitorMaster::poll_ecu(std::size_t index) {

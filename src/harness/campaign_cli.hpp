@@ -72,6 +72,7 @@ class CampaignCli {
     // turns the per-run profiler on; without one the campaign pays only
     // the per-site thread-local null check.
     config.profile = telemetry.profiling_requested();
+    if (telemetry.trace_out.empty()) config.profile_ring_capacity = 0;
     return config;
   }
 

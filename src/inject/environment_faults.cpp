@@ -1,40 +1,9 @@
 #include "inject/environment_faults.hpp"
 
-#include <functional>
 #include <memory>
 #include <string>
 
 namespace easis::inject {
-
-namespace {
-
-/// Runs `action` every `period` from the moment start() is called until
-/// stop(); the shared state keeps the repeating lambda alive across the
-/// engine's event queue.
-struct PeriodicAction {
-  bool active = false;
-  std::function<void()> action;
-};
-
-void schedule_tick(sim::Engine& engine,
-                   std::shared_ptr<PeriodicAction> state,
-                   sim::Duration period) {
-  engine.schedule_in(period, [&engine, state = std::move(state), period] {
-    if (!state->active) return;
-    state->action();
-    schedule_tick(engine, state, period);
-  });
-}
-
-void start_periodic(sim::Engine& engine,
-                    const std::shared_ptr<PeriodicAction>& state,
-                    sim::Duration period) {
-  state->active = true;
-  state->action();
-  schedule_tick(engine, state, period);
-}
-
-}  // namespace
 
 Injection make_thermal_ramp(sim::Engine& engine, sim::ThermalModel& thermal,
                             double target_c, double step_c,
@@ -44,22 +13,15 @@ Injection make_thermal_ramp(sim::Engine& engine, sim::ThermalModel& thermal,
   inj.name = "thermal_ramp(to " + std::to_string(target_c) + "C)";
   inj.start = start;
   inj.duration = duration;
-  auto state = std::make_shared<PeriodicAction>();
   // The pre-ramp ambient is captured at apply time so a revert rolls the
   // climate chamber back to where the run actually started.
   auto baseline = std::make_shared<double>(0.0);
-  state->action = [&thermal, target_c, step_c] {
+  inj.apply = [&thermal, baseline] { *baseline = thermal.ambient_c(); };
+  inj.revert = [&thermal, baseline] { thermal.set_ambient(*baseline); };
+  repeat_while_applied(inj, engine, period, [&thermal, target_c, step_c] {
     const double next = thermal.ambient_c() + step_c;
     thermal.set_ambient(next >= target_c ? target_c : next);
-  };
-  inj.apply = [&engine, &thermal, state, baseline, period] {
-    *baseline = thermal.ambient_c();
-    start_periodic(engine, state, period);
-  };
-  inj.revert = [&thermal, state, baseline] {
-    state->active = false;
-    thermal.set_ambient(*baseline);
-  };
+  });
   return inj;
 }
 
@@ -94,9 +56,9 @@ Injection make_dtc_flood(sim::Engine& engine,
   inj.name = "dtc_flood(" + std::to_string(dtcs_per_period) + "/period)";
   inj.start = start;
   inj.duration = duration;
-  auto state = std::make_shared<PeriodicAction>();
   auto next_app = std::make_shared<std::uint32_t>(first_app);
-  state->action = [&engine, &fmf, next_app, dtcs_per_period] {
+  repeat_while_applied(inj, engine, period, [&engine, &fmf, next_app,
+                                             dtcs_per_period] {
     if (fmf.dtc_store() == nullptr) return;
     for (std::uint32_t i = 0; i < dtcs_per_period; ++i) {
       wdg::ErrorReport report;
@@ -107,11 +69,7 @@ Injection make_dtc_flood(sim::Engine& engine,
       fmf.dtc_store()->record(report);
     }
     fmf.persist();
-  };
-  inj.apply = [&engine, state, period] {
-    start_periodic(engine, state, period);
-  };
-  inj.revert = [state] { state->active = false; };
+  });
   return inj;
 }
 
@@ -132,12 +90,7 @@ Injection make_commit_storm(sim::Engine& engine,
   inj.name = "commit_storm";
   inj.start = start;
   inj.duration = duration;
-  auto state = std::make_shared<PeriodicAction>();
-  state->action = [&fmf] { fmf.persist(); };
-  inj.apply = [&engine, state, period] {
-    start_periodic(engine, state, period);
-  };
-  inj.revert = [state] { state->active = false; };
+  repeat_while_applied(inj, engine, period, [&fmf] { fmf.persist(); });
   return inj;
 }
 

@@ -1,6 +1,8 @@
 #include "inject/injector.hpp"
 
+#include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "telemetry/event_bus.hpp"
 #include "util/logging.hpp"
@@ -24,6 +26,21 @@ void emit_injection_event(telemetry::EventKind kind,
 }
 
 }  // namespace
+
+void repeat_while_applied(Injection& inj, sim::Engine& engine,
+                          sim::Duration period, std::function<void()> action) {
+  auto timer = std::make_shared<sim::Timer>();
+  inj.apply = [&engine, period, action = std::move(action), timer,
+               apply = std::move(inj.apply)] {
+    if (apply) apply();
+    action();
+    *timer = engine.every(period, action);
+  };
+  inj.revert = [timer, revert = std::move(inj.revert)] {
+    if (revert) revert();
+    timer->cancel();
+  };
+}
 
 void ErrorInjector::add(Injection injection) {
   if (armed_) throw std::logic_error("ErrorInjector: already armed");

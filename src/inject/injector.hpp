@@ -30,6 +30,12 @@ struct Injection {
   InjectionId id;
 };
 
+/// Makes `inj` a periodic fault: `action` runs when the injection is
+/// applied and every `period` after that until it is reverted. An apply
+/// or revert already set on `inj` runs first.
+void repeat_while_applied(Injection& inj, sim::Engine& engine,
+                          sim::Duration period, std::function<void()> action);
+
 class ErrorInjector {
  public:
   explicit ErrorInjector(sim::Engine& engine) : engine_(engine) {}

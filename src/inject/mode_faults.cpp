@@ -1,29 +1,10 @@
 #include "inject/mode_faults.hpp"
 
-#include <memory>
 #include <utility>
 
 namespace easis::inject {
 
 namespace {
-
-/// Runs `action` every `period` from start() until the active flag drops;
-/// the shared state keeps the repeating lambda alive across the engine's
-/// event queue (same idiom as the resource-fault factories).
-struct PeriodicAction {
-  bool active = false;
-  std::function<void()> action;
-};
-
-void schedule_tick(sim::Engine& engine,
-                   std::shared_ptr<PeriodicAction> state,
-                   sim::Duration period) {
-  engine.schedule_in(period, [&engine, state = std::move(state), period] {
-    if (!state->active) return;
-    state->action();
-    schedule_tick(engine, state, period);
-  });
-}
 
 Injection make_flag_fault(std::string name, std::function<void(bool)> set,
                           sim::SimTime start, sim::Duration duration) {
@@ -89,20 +70,13 @@ Injection make_rogue_wake_heartbeat(sim::Engine& engine, os::Kernel& kernel,
   inj.name = "rogue_wake_heartbeat(" + kernel.task_name(task) + ")";
   inj.start = start;
   inj.duration = duration;
-  auto state = std::make_shared<PeriodicAction>();
-  state->action = [&kernel, &manager, task] {
+  repeat_while_applied(inj, engine, period, [&kernel, &manager, task] {
     // Only the sleeping node is harmed: the spurious interrupt's task
     // activation heartbeats through the contracted silence.
     if (manager.current() == mode::PowerMode::kSleep) {
       (void)kernel.activate_task(task);
     }
-  };
-  inj.apply = [&engine, state, period] {
-    state->active = true;
-    state->action();
-    schedule_tick(engine, state, period);
-  };
-  inj.revert = [state] { state->active = false; };
+  });
   return inj;
 }
 

@@ -1,42 +1,8 @@
 #include "inject/resource_faults.hpp"
 
-#include <functional>
-#include <memory>
 #include <utility>
 
 namespace easis::inject {
-
-namespace {
-
-/// Runs `action` every `period` from the moment start() is called until
-/// stop(); the shared state keeps the repeating lambda alive across the
-/// engine's event queue.
-struct PeriodicAction {
-  bool active = false;
-  std::function<void()> action;
-};
-
-void schedule_tick(sim::Engine& engine,
-                   std::shared_ptr<PeriodicAction> state,
-                   sim::Duration period) {
-  // Each scheduled closure owns the state and schedules its successor;
-  // no closure refers to itself, so the chain frees once it goes quiet.
-  engine.schedule_in(period, [&engine, state = std::move(state), period] {
-    if (!state->active) return;
-    state->action();
-    schedule_tick(engine, state, period);
-  });
-}
-
-void start_periodic(sim::Engine& engine,
-                    const std::shared_ptr<PeriodicAction>& state,
-                    sim::Duration period) {
-  state->active = true;
-  state->action();
-  schedule_tick(engine, state, period);
-}
-
-}  // namespace
 
 Injection make_memory_leak(sim::Engine& engine, os::Kernel& kernel,
                            TaskId task, std::uint64_t bytes_per_period,
@@ -46,16 +12,11 @@ Injection make_memory_leak(sim::Engine& engine, os::Kernel& kernel,
   inj.name = "memory_leak(" + kernel.task_name(task) + ")";
   inj.start = start;
   inj.duration = duration;
-  auto state = std::make_shared<PeriodicAction>();
-  state->action = [&kernel, task, bytes_per_period] {
+  // A revert stops leaking; what already leaked stays allocated until a
+  // restart reclaims the task's pool.
+  repeat_while_applied(inj, engine, period, [&kernel, task, bytes_per_period] {
     kernel.task_alloc(task, bytes_per_period);
-  };
-  inj.apply = [&engine, state, period] {
-    start_periodic(engine, state, period);
-  };
-  // Stops leaking; what already leaked stays allocated until a restart
-  // reclaims the task's pool.
-  inj.revert = [state] { state->active = false; };
+  });
   return inj;
 }
 
@@ -80,14 +41,10 @@ Injection make_handle_exhaustion(sim::Engine& engine, os::Kernel& kernel,
   inj.name = "handle_exhaustion(" + kernel.task_name(task) + ")";
   inj.start = start;
   inj.duration = duration;
-  auto state = std::make_shared<PeriodicAction>();
-  state->action = [&kernel, task, handles_per_period] {
-    kernel.task_acquire_handles(task, handles_per_period);
-  };
-  inj.apply = [&engine, state, period] {
-    start_periodic(engine, state, period);
-  };
-  inj.revert = [state] { state->active = false; };
+  repeat_while_applied(inj, engine, period,
+                       [&kernel, task, handles_per_period] {
+                         kernel.task_acquire_handles(task, handles_per_period);
+                       });
   return inj;
 }
 
@@ -100,17 +57,15 @@ Injection make_queue_flood(sim::Engine& engine, rte::SignalBus& bus,
   inj.name = "queue_flood(" + signal + ")";
   inj.start = start;
   inj.duration = duration;
-  auto state = std::make_shared<PeriodicAction>();
-  state->action = [&engine, &bus, signal = std::move(signal),
-                   publishes_per_period] {
-    for (std::uint32_t i = 0; i < publishes_per_period; ++i) {
-      bus.publish(signal, static_cast<double>(i), engine.now());
-    }
-  };
-  inj.apply = [&engine, state, period] {
-    start_periodic(engine, state, period);
-  };
-  inj.revert = [state] { state->active = false; };
+  repeat_while_applied(inj, engine, period,
+                       [&engine, &bus, signal = std::move(signal),
+                        publishes_per_period] {
+                         for (std::uint32_t i = 0; i < publishes_per_period;
+                              ++i) {
+                           bus.publish(signal, static_cast<double>(i),
+                                       engine.now());
+                         }
+                       });
   return inj;
 }
 
@@ -135,17 +90,10 @@ Injection make_creeping_load(sim::Engine& engine, rte::Rte& rte,
   inj.name = "creeping_load(" + rte.runnable_name(runnable) + ")";
   inj.start = start;
   inj.duration = duration;
-  auto state = std::make_shared<PeriodicAction>();
-  state->action = [&rte, runnable, factor_step] {
+  inj.revert = [&rte, runnable] { rte.control(runnable).time_scale = 1.0; };
+  repeat_while_applied(inj, engine, period, [&rte, runnable, factor_step] {
     rte.control(runnable).time_scale += factor_step;
-  };
-  inj.apply = [&engine, state, period] {
-    start_periodic(engine, state, period);
-  };
-  inj.revert = [&rte, runnable, state] {
-    state->active = false;
-    rte.control(runnable).time_scale = 1.0;
-  };
+  });
   return inj;
 }
 

@@ -89,16 +89,15 @@ bool PowerModeManager::request(PowerMode to, std::string cause) {
   transition.cause = std::move(cause);
   pending_ = std::move(transition);
   pending_since_ = now;
-  const std::uint64_t token = ++pending_token_;
-  engine_.schedule_in(config_.transition_latency,
-                      [this, token] { commit(token); });
+  commit_event_ =
+      engine_.schedule_in(config_.transition_latency, [this] { commit(); });
   return true;
 }
 
-void PowerModeManager::commit(std::uint64_t token) {
-  // A stale commit (superseded by reseed/reset) or an injected hang: the
-  // transition stays pending for the supervision unit to flag.
-  if (!pending_ || token != pending_token_ || hang_) return;
+void PowerModeManager::commit() {
+  // An injected hang: the transition stays pending for the supervision
+  // unit to flag.
+  if (hang_) return;
   const sim::SimTime now = engine_.now();
   ModeTransition transition = std::move(*pending_);
   pending_.reset();
@@ -117,7 +116,7 @@ void PowerModeManager::commit(std::uint64_t token) {
 }
 
 void PowerModeManager::reseed(PowerMode target, sim::SimTime now) {
-  ++pending_token_;  // invalidate any in-flight commit
+  engine_.cancel(commit_event_);
   pending_.reset();
   const PowerMode from = current_;
   current_ = target;

@@ -141,7 +141,7 @@ class PowerModeManager {
   sim::SimTime entered_at_;
   std::optional<ModeTransition> pending_;
   sim::SimTime pending_since_;
-  std::uint64_t pending_token_ = 0;  // invalidates stale commit events
+  sim::EventId commit_event_ = 0;  // the in-flight commit; reseed cancels it
   std::string last_cause_ = "boot";
   std::uint64_t transitions_ = 0;
   std::uint64_t refusals_ = 0;
@@ -155,7 +155,7 @@ class PowerModeManager {
   [[nodiscard]] bool edge_allowed(PowerMode from, PowerMode to) const;
   void refuse(PowerMode to, const std::string& cause,
               const std::string& reason);
-  void commit(std::uint64_t token);
+  void commit();
   void publish(sim::SimTime now);
 };
 

@@ -37,12 +37,12 @@ ResourceId Kernel::create_resource(std::string name, Priority ceiling) {
 }
 
 CounterId Kernel::create_counter(CounterConfig config) {
-  counters_.push_back(Counter{std::move(config), 0, {}});
+  counters_.push_back(Counter{std::move(config), 0, {}, {}});
   const auto id = CounterId(
       static_cast<CounterId::underlying_type>(counters_.size() - 1));
   // Counters created on a running system start ticking immediately.
   if (started_ && counters_.back().config.hardware_driven) {
-    drive_counter(id, reset_epoch_);
+    drive_counter(id);
   }
   return id;
 }
@@ -68,14 +68,13 @@ void Kernel::start() {
   }
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     if (counters_[i].config.hardware_driven) {
-      drive_counter(CounterId(static_cast<CounterId::underlying_type>(i)),
-                    reset_epoch_);
+      drive_counter(CounterId(static_cast<CounterId::underlying_type>(i)));
     }
   }
 }
 
 void Kernel::software_reset() {
-  ++reset_epoch_;  // invalidates pending completion events and counter ticks
+  ++resets_;
   started_ = false;
   running_ = TaskId{};
   ready_.clear();
@@ -98,14 +97,17 @@ void Kernel::software_reset() {
   }
   handles_in_use_ = 0;
   for (auto& r : resources_) r.holder = TaskId{};
-  for (auto& c : counters_) c.ticks = 0;
+  for (auto& c : counters_) {
+    c.ticks = 0;
+    c.drive.cancel();
+  }
   for (auto& a : alarms_) {
     a.armed = false;
     a.expiry_tick = 0;
     a.cycle_ticks = 0;
   }
   EASIS_LOG(util::LogLevel::kInfo, kLog) << "software reset (epoch "
-                                         << reset_epoch_ << ")";
+                                         << resets_ << ")";
 }
 
 // --- helpers -----------------------------------------------------------------
@@ -209,10 +211,8 @@ void Kernel::begin_or_resume_segment(Tcb& t) {
     if (running_ != id || t.state != TaskState::kRunning) return;
   }
   t.segment_started_at = now();
-  const std::uint32_t epoch = reset_epoch_;
   t.completion_event = engine_.schedule_at(
-      now() + t.remaining,
-      [this, id, epoch] { handle_segment_complete(id, epoch); },
+      now() + t.remaining, [this, id] { handle_segment_complete(id); },
       sim::EventPriority::kDispatch);
 }
 
@@ -235,8 +235,7 @@ void Kernel::preempt_running() {
   request_dispatch();
 }
 
-void Kernel::handle_segment_complete(TaskId id, std::uint32_t epoch) {
-  if (epoch != reset_epoch_) return;  // stale event across a reset
+void Kernel::handle_segment_complete(TaskId id) {
   EASIS_PROFILE_SPAN("os.segment");
   EASIS_PROFILE_COUNT("os.segments_completed", 1);
   Section section(*this);
@@ -531,15 +530,13 @@ bool Kernel::resource_held(ResourceId resource) const {
 
 // --- counters and alarms --------------------------------------------------------
 
-void Kernel::drive_counter(CounterId id, std::uint32_t epoch) {
+void Kernel::drive_counter(CounterId id) {
   Counter& c = counters_[id.value()];
-  engine_.schedule_in(
+  c.drive = engine_.every(
       c.config.tick,
-      [this, id, epoch] {
-        if (epoch != reset_epoch_ || !started_) return;
+      [this, id] {
         Section section(*this);
         counter_tick(counters_[id.value()], id);
-        drive_counter(id, epoch);
       },
       sim::EventPriority::kKernel);
 }

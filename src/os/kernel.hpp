@@ -113,11 +113,12 @@ class Kernel {
   [[nodiscard]] bool started() const { return started_; }
 
   /// ECU software reset: stops everything, clears all dynamic state
-  /// (activations, alarms, counters, events, resources) and bumps the
-  /// reset epoch. Static configuration (tasks, resources, counters,
-  /// alarms) survives; call start() to boot again.
+  /// (activations, alarms, counters, events, resources), cancels the
+  /// pending segment completions and counter ticks, and counts the reset.
+  /// Static configuration (tasks, resources, counters, alarms) survives;
+  /// call start() to boot again.
   void software_reset();
-  [[nodiscard]] std::uint32_t reset_count() const { return reset_epoch_; }
+  [[nodiscard]] std::uint32_t reset_count() const { return resets_; }
 
   // --- OSEK task services -------------------------------------------------
   Status activate_task(TaskId task);
@@ -258,6 +259,7 @@ class Kernel {
     CounterConfig config;
     std::uint64_t ticks = 0;
     std::vector<AlarmId> alarms;
+    sim::Timer drive;  // hardware tick series; stopped on software_reset
   };
 
   /// RAII guard deferring dispatch to the outermost kernel entry.
@@ -295,7 +297,7 @@ class Kernel {
   /// immediately would free the executing std::function (see Section).
   std::vector<Job> retired_jobs_;
   bool started_ = false;
-  std::uint32_t reset_epoch_ = 0;
+  std::uint32_t resets_ = 0;
   std::uint32_t handle_pool_capacity_ = 0;  // zero = unlimited
   std::uint32_t handles_in_use_ = 0;
 
@@ -317,14 +319,14 @@ class Kernel {
   void remove_from_ready(TaskId id);
   void begin_or_resume_segment(Tcb& t);
   void preempt_running();
-  void handle_segment_complete(TaskId id, std::uint32_t epoch);
+  void handle_segment_complete(TaskId id);
   /// Advances past the completed segment; blocks, finishes or continues.
   void advance_job(Tcb& t);
   void finish_job(Tcb& t);
   void retire_job(Tcb& t);
   void build_job(Tcb& t);
   void release_all_resources(Tcb& t);
-  void drive_counter(CounterId id, std::uint32_t epoch);
+  void drive_counter(CounterId id);
   void counter_tick(Counter& counter, CounterId id);
   void fire_alarm(Alarm& alarm);
 

@@ -31,35 +31,30 @@ void ScheduleTable::add_expiry_point(ExpiryPoint point) {
 void ScheduleTable::start(sim::Duration initial_offset) {
   if (running_) throw std::logic_error("ScheduleTable: already running");
   running_ = true;
-  ++generation_;
-  schedule_round(kernel_.now() + initial_offset, generation_);
+  const sim::SimTime first = kernel_.now() + initial_offset;
+  schedule_expiries(first);
+  // Each round end counts the round and lays out the next one.
+  timers_.add(kernel_.engine().every_from(
+      first + round_, round_,
+      [this] {
+        ++rounds_;
+        schedule_expiries(kernel_.now());
+      },
+      sim::EventPriority::kKernel));
 }
 
 void ScheduleTable::stop() {
   running_ = false;
-  ++generation_;
+  timers_.cancel_all();
 }
 
-void ScheduleTable::schedule_round(sim::SimTime round_start,
-                                   std::uint64_t generation) {
-  auto& engine = kernel_.engine();
+void ScheduleTable::schedule_expiries(sim::SimTime round_start) {
   for (const ExpiryPoint& point : points_) {
-    engine.schedule_at(
+    timers_.add(kernel_.engine().schedule_at(
         round_start + point.offset,
-        [this, task = point.task, generation] {
-          if (generation != generation_ || !running_) return;
-          kernel_.activate_task(task);
-        },
-        sim::EventPriority::kKernel);
+        [this, task = point.task] { kernel_.activate_task(task); },
+        sim::EventPriority::kKernel));
   }
-  engine.schedule_at(
-      round_start + round_,
-      [this, round_start, generation] {
-        if (generation != generation_ || !running_) return;
-        ++rounds_;
-        schedule_round(round_start + round_, generation);
-      },
-      sim::EventPriority::kKernel);
 }
 
 }  // namespace easis::os

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "os/kernel.hpp"
+#include "sim/engine.hpp"
 #include "sim/time.hpp"
 #include "util/ids.hpp"
 
@@ -49,9 +50,9 @@ class ScheduleTable {
   std::vector<ExpiryPoint> points_;
   bool running_ = false;
   std::uint64_t rounds_ = 0;
-  std::uint64_t generation_ = 0;  // invalidates scheduled rounds on stop()
+  sim::TimerGroup timers_{kernel_.engine()};  // rounds and dispatch points
 
-  void schedule_round(sim::SimTime round_start, std::uint64_t generation);
+  void schedule_expiries(sim::SimTime round_start);
 };
 
 }  // namespace easis::os

@@ -126,7 +126,8 @@ class Compiler {
         "thermal",    "filesystem", "escalation", "treatment"};
     if (kSections.count(section_) == 0) {
       error(line_no, "unknown section [" + section_ + "]");
-      section_ = "?";  // swallow this section's keys without key errors
+      // Swallow this section's keys without key errors.
+      section_.assign(1, '?');
       return;
     }
     if (!seen_sections_.insert(section_).second) {
@@ -138,14 +139,14 @@ class Compiler {
     if (name_part.size() < 2 || name_part.front() != '"' ||
         name_part.back() != '"') {
       error(line_no, "check section needs a quoted name: [check \"name\"]");
-      section_ = "?";
+      section_.assign(1, '?');
       in_check_ = false;
       return;
     }
     const std::string name{name_part.substr(1, name_part.size() - 2)};
     if (name.empty()) {
       error(line_no, "check rule name must not be empty");
-      section_ = "?";
+      section_.assign(1, '?');
       in_check_ = false;
       return;
     }
@@ -176,7 +177,7 @@ class Compiler {
       error(line_no, "mode section needs a lower-case identifier: "
                      "[mode.<name>], got [mode." +
                          name + "]");
-      section_ = "?";
+      section_.assign(1, '?');
       return;
     }
     for (const ModeOverlay& overlay : policy_.modes) {

@@ -11,8 +11,6 @@ namespace easis::profile {
 
 namespace {
 
-thread_local Profiler* g_current = nullptr;
-
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -79,7 +77,6 @@ std::string RunProfile::path(std::size_t i) const {
 Profiler::Profiler() : Profiler(Config{}) {}
 
 Profiler::Profiler(Config config) : config_(config) {
-  if (config_.ring_capacity == 0) config_.ring_capacity = 1;
   ring_.reserve(std::min<std::size_t>(config_.ring_capacity, 4096));
 }
 
@@ -117,20 +114,29 @@ void Profiler::push_span(NameId name) {
   const std::int32_t parent =
       stack_.empty() ? -1 : static_cast<std::int32_t>(stack_.back().node);
   const std::uint32_t node = child_of(parent, name);
-  stack_.push_back(Frame{node, now_ns()});
+  stack_.push_back(Frame{node, sample(nodes_[node]) ? now_ns() : kUntimed});
+}
+
+bool Profiler::sample(const Node& node) {
+  if (config_.ring_capacity > 0 || node.hits < kFullyTimedHits) return true;
+  sample_state_ ^= sample_state_ << 13;
+  sample_state_ ^= sample_state_ >> 7;
+  sample_state_ ^= sample_state_ << 17;
+  return sample_state_ % kSampleEvery == 0;
 }
 
 void Profiler::pop_span() {
   assert(!stack_.empty());
   const Frame frame = stack_.back();
   stack_.pop_back();
-  const std::int64_t dur = now_ns() - frame.start_ns;
   Node& node = nodes_[frame.node];
   ++node.hits;
+  if (frame.start_ns == kUntimed) return;
+  const std::int64_t dur = now_ns() - frame.start_ns;
+  ++node.timed_hits;
   node.total_ns += dur;
-  node.self_ns += dur - frame.child_ns;
-  if (!stack_.empty()) stack_.back().child_ns += dur;
 
+  if (config_.ring_capacity == 0) return;
   if (ring_.size() < config_.ring_capacity) {
     ring_.push_back(RunProfile::SpanRecord{frame.node, frame.start_ns, dur});
   } else {
@@ -154,9 +160,21 @@ RunProfile Profiler::harvest_run(unsigned worker) {
   profile.worker = worker;
   profile.nodes.reserve(nodes_.size());
   for (const Node& node : nodes_) {
+    // A sampled node's timed hits stand for all of its hits.
+    const std::int64_t total_ns =
+        node.timed_hits == node.hits
+            ? node.total_ns
+            : node.total_ns * static_cast<std::int64_t>(node.hits) /
+                  static_cast<std::int64_t>(node.timed_hits);
     profile.nodes.push_back(RunProfile::Node{name_of(node.name), node.parent,
-                                             node.hits, node.total_ns,
-                                             node.self_ns});
+                                             node.hits, total_ns, total_ns});
+  }
+  // Parents precede their children: take each child's total out of its
+  // parent's self time.
+  for (const RunProfile::Node& node : profile.nodes) {
+    if (node.parent < 0) continue;
+    auto& parent = profile.nodes[static_cast<std::size_t>(node.parent)];
+    parent.self_ns = std::max<std::int64_t>(0, parent.self_ns - node.total_ns);
   }
   for (NameId id = 0; id < counters_.size(); ++id) {
     if (counters_[id] == 0) continue;
@@ -182,11 +200,9 @@ RunProfile Profiler::harvest_run(unsigned worker) {
   return profile;
 }
 
-Profiler* current() { return g_current; }
-
 ProfileScope::ProfileScope(Profiler& profiler)
-    : previous_(std::exchange(g_current, &profiler)) {}
+    : previous_(std::exchange(detail::current_profiler, &profiler)) {}
 
-ProfileScope::~ProfileScope() { g_current = previous_; }
+ProfileScope::~ProfileScope() { detail::current_profiler = previous_; }
 
 }  // namespace easis::profile

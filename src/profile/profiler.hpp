@@ -3,8 +3,9 @@
 // A Profiler owns the per-run profiling state of one worker thread: a span
 // tree (name, nesting, hit counts, self/total wall time), lightweight named
 // counters, and a bounded ring of raw span records for trace export. RAII
-// ScopedSpans cost two steady_clock reads plus one ring write; counters cost
-// one thread-local load and an indexed add. Instrumentation sites use the
+// ScopedSpans cost two steady_clock reads plus one ring write (without a
+// ring, most spans skip both: see Config); counters cost one thread-local
+// load and an indexed add. Instrumentation sites use the
 // EASIS_PROFILE_SPAN / EASIS_PROFILE_COUNT macros, which compile to nothing
 // when the tree is configured with EASIS_PROFILING=OFF (the zero-cost kill
 // switch for production builds).
@@ -87,7 +88,11 @@ class Profiler {
  public:
   struct Config {
     /// Raw span records kept per run; older records are overwritten (and
-    /// counted as dropped) once the ring is full.
+    /// counted as dropped) once the ring is full. Zero keeps none (no
+    /// trace export) and samples the timing: past a node's first
+    /// kFullyTimedHits, a span is timed with probability 1/kSampleEvery
+    /// and the node's time is scaled up from its timed hits. Hit counts
+    /// and the tree's shape stay exact.
     std::size_t ring_capacity = 1 << 16;
   };
 
@@ -112,22 +117,29 @@ class Profiler {
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
+  static constexpr std::uint64_t kFullyTimedHits = 16;
+  static constexpr std::uint64_t kSampleEvery = 32;
+  static constexpr std::int64_t kUntimed = -1;
+
   struct Node {
     NameId name = 0;
     std::int32_t parent = -1;
     std::uint64_t hits = 0;
+    std::uint64_t timed_hits = 0;
+    /// Over the timed hits; harvest_run scales it to all hits and derives
+    /// self time as the total minus the children's totals.
     std::int64_t total_ns = 0;
-    std::int64_t self_ns = 0;
     /// (name, node index) pairs; linear search — fan-out is small.
     std::vector<std::pair<NameId, std::uint32_t>> children;
   };
   struct Frame {
     std::uint32_t node;
-    std::int64_t start_ns;
-    std::int64_t child_ns = 0;
+    std::int64_t start_ns;  // kUntimed when the span is not sampled
   };
 
   [[nodiscard]] std::uint32_t child_of(std::int32_t parent, NameId name);
+  /// Whether the next span of `node` is timed (always, with a ring).
+  [[nodiscard]] bool sample(const Node& node);
 
   Config config_;
   std::vector<Node> nodes_;
@@ -140,12 +152,19 @@ class Profiler {
   std::uint64_t dropped_ = 0;
   /// Counter values indexed directly by NameId (grown on demand).
   std::vector<std::uint64_t> counters_;
+  /// xorshift64 state of the timing sample: it picks which spans are
+  /// timed, never anything in the profile's shape.
+  std::uint64_t sample_state_ = 0x9E3779B97F4A7C15ull;
 };
+
+namespace detail {
+inline thread_local Profiler* current_profiler = nullptr;
+}  // namespace detail
 
 /// The profiler installed for this thread, or nullptr. Instrumentation
 /// macros check this once per site and do nothing when unset, so the
 /// platform libraries stay cheap in unprofiled runs and unit tests.
-[[nodiscard]] Profiler* current();
+[[nodiscard]] inline Profiler* current() { return detail::current_profiler; }
 
 /// Installs `profiler` as the current thread's recording target for the
 /// scope's lifetime; restores the previous target on destruction. Scopes

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -25,22 +26,65 @@ EventId Engine::schedule_in(Duration delay, Action action,
   return schedule_at(now_ + delay, std::move(action), priority);
 }
 
-void Engine::every(Duration period, Action action, EventPriority priority) {
-  schedule_in(
-      period,
-      [this, period, priority, action = std::move(action)]() mutable {
-        action();
-        every(period, std::move(action), priority);
-      },
-      priority);
+Timer Engine::every(Duration period, Action action, EventPriority priority) {
+  return every_from(now_ + period, period, std::move(action), priority);
+}
+
+Timer Engine::every_from(SimTime first, Duration period, Action action,
+                         EventPriority priority) {
+  if (period <= Duration::zero() || first < now_) {
+    throw std::invalid_argument("Engine::every: bad period or first firing");
+  }
+  const std::uint64_t key = next_series_++;
+  Series& series = series_.emplace(key, Series{key, period, priority,
+                                               std::move(action)})
+                       .first->second;
+  schedule_series(series, first);
+  return Timer(this, key);
+}
+
+void Engine::schedule_series(Series& series, SimTime at) {
+  series.next = schedule_at(
+      at, [this, &series] { fire_series(series); }, series.priority);
+}
+
+void Engine::fire_series(Series& series) {
+  series.next = 0;
+  series.action();
+  if (series.stopped) {
+    series_.erase(series.key);
+  } else {
+    schedule_series(series, now_ + series.period);
+  }
+}
+
+bool Engine::cancel_series(std::uint64_t key) {
+  const auto it = series_.find(key);
+  if (it == series_.end() || it->second.stopped) return false;
+  if (it->second.next == 0) {
+    // Cancelled from its own action: fire_series erases it on return.
+    it->second.stopped = true;
+  } else {
+    cancel(it->second.next);
+    series_.erase(it);
+  }
+  return true;
+}
+
+bool Timer::cancel() {
+  return engine_ != nullptr && engine_->cancel_series(series_);
 }
 
 bool Engine::cancel(EventId id) {
-  if (id == 0 || id >= next_id_ || settled_[id - 1]) return false;
+  if (!is_pending(id)) return false;
   // Lazy cancellation: settle the id now; skip its event when popped.
   settled_[id - 1] = true;
   ++cancelled_queued_;
   return true;
+}
+
+bool Engine::is_pending(EventId id) const {
+  return id != 0 && id < next_id_ && !settled_[id - 1];
 }
 
 bool Engine::drop_cancelled_top() {
@@ -58,7 +102,6 @@ void Engine::fire_top() {
   settled_[ev.id - 1] = true;
   now_ = ev.at;
   ++fired_;
-  EASIS_PROFILE_COUNT("sim.events_fired", 1);
   ev.action();
 }
 
@@ -66,6 +109,7 @@ bool Engine::fire_next() {
   while (!queue_.empty()) {
     if (drop_cancelled_top()) continue;
     fire_top();
+    EASIS_PROFILE_COUNT("sim.events_fired", 1);
     return true;
   }
   return false;
@@ -75,6 +119,7 @@ bool Engine::step() { return fire_next(); }
 
 void Engine::run_until(SimTime until) {
   EASIS_PROFILE_SPAN("sim.run_until");
+  const std::uint64_t fired_before = fired_;
   while (!queue_.empty()) {
     // Peek past cancelled events without firing.
     if (drop_cancelled_top()) continue;
@@ -82,6 +127,8 @@ void Engine::run_until(SimTime until) {
     fire_top();
   }
   if (now_ < until) now_ = until;
+  // One counter add per call, not one per event.
+  EASIS_PROFILE_COUNT("sim.events_fired", fired_ - fired_before);
 }
 
 void Engine::run_all() {
@@ -91,6 +138,25 @@ void Engine::run_all() {
 
 std::size_t Engine::pending_events() const {
   return queue_.size() - cancelled_queued_;
+}
+
+void TimerGroup::add(EventId id) {
+  if (events_.size() >= prune_at_) {
+    std::erase_if(events_,
+                  [this](EventId id) { return !engine_.is_pending(id); });
+    prune_at_ = std::max(kMinPrune, 2 * events_.size());
+  }
+  events_.push_back(id);
+}
+
+void TimerGroup::add(Timer timer) { series_.push_back(timer); }
+
+void TimerGroup::cancel_all() {
+  for (const EventId id : events_) engine_.cancel(id);
+  for (Timer& timer : series_) timer.cancel();
+  events_.clear();
+  series_.clear();
+  prune_at_ = kMinPrune;
 }
 
 }  // namespace easis::sim

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -25,6 +26,26 @@ enum class EventPriority : int {
   kDispatch = 1,
   kDefault = 2,
   kMonitor = 3,
+};
+
+class Engine;
+
+/// Handle to a series started by Engine::every. A plain value: copies name
+/// the same series, and dropping a handle leaves the series running.
+class Timer {
+ public:
+  Timer() = default;
+  /// Stops the series, also from inside its own action (the current firing
+  /// completes, no further one is scheduled). Returns false if the series
+  /// was already stopped or the handle names none.
+  bool cancel();
+
+ private:
+  friend class Engine;
+  Timer(Engine* engine, std::uint64_t series)
+      : engine_(engine), series_(series) {}
+  Engine* engine_ = nullptr;
+  std::uint64_t series_ = 0;
 };
 
 class Engine {
@@ -45,16 +66,22 @@ class Engine {
   EventId schedule_in(Duration delay, Action action,
                       EventPriority priority = EventPriority::kDefault);
 
-  /// Runs `action` every `period` for the engine's lifetime, first at
-  /// now() + period. Each firing runs `action` and then schedules the next
-  /// one, so an event `action` schedules for the next firing's instant
-  /// fires before it.
-  void every(Duration period, Action action,
-             EventPriority priority = EventPriority::kDefault);
+  /// Runs `action` every `period`, first at now() + period, until the
+  /// returned handle is cancelled. Each firing runs `action` and then
+  /// schedules the next one, so an event `action` schedules for the next
+  /// firing's instant fires before it.
+  Timer every(Duration period, Action action,
+              EventPriority priority = EventPriority::kDefault);
+  /// As every(), but the first firing is at `first` (must be >= now()).
+  Timer every_from(SimTime first, Duration period, Action action,
+                   EventPriority priority = EventPriority::kDefault);
 
   /// Cancels a pending event. Returns false (and changes nothing) if the
   /// id is unknown, already fired or already cancelled.
   bool cancel(EventId id);
+
+  /// True while `id` is scheduled: neither fired nor cancelled.
+  [[nodiscard]] bool is_pending(EventId id) const;
 
   /// Runs the next event. Returns false if the queue is empty.
   bool step();
@@ -72,6 +99,8 @@ class Engine {
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
 
  private:
+  friend class Timer;
+
   struct Event {
     SimTime at;
     int priority;
@@ -96,11 +125,53 @@ class Engine {
   EventId next_id_ = 1;
   std::uint64_t fired_ = 0;
 
+  struct Series {
+    std::uint64_t key;
+    Duration period;
+    EventPriority priority;
+    Action action;
+    EventId next = 0;  // the queued firing; 0 while `action` runs
+    bool stopped = false;
+  };
+  /// Live series by key. Keys are never reused, so a handle to a stopped
+  /// series stays harmless; node-based storage keeps each Series in place
+  /// while its queued firing points at it.
+  std::unordered_map<std::uint64_t, Series> series_;
+  std::uint64_t next_series_ = 1;
+
+  void schedule_series(Series& series, SimTime at);
+  void fire_series(Series& series);
+  bool cancel_series(std::uint64_t key);
+
   bool fire_next();
   /// Pops and runs the queue head, which must not be cancelled.
   void fire_top();
   /// Pops the queue head if it was cancelled; true if it did.
   bool drop_cancelled_top();
+};
+
+/// Everything one owner scheduled, cancelled in one call: a node adds the
+/// one-shots and series of its current boot and drops them all on reset.
+/// Fired one-shots are pruned as the group grows, so its size stays
+/// proportional to what is still pending.
+class TimerGroup {
+ public:
+  explicit TimerGroup(Engine& engine) : engine_(engine) {}
+
+  void add(EventId id);
+  void add(Timer timer);
+  /// Cancels every pending one-shot and stops every series of the group.
+  void cancel_all();
+  [[nodiscard]] std::size_t size() const {
+    return events_.size() + series_.size();
+  }
+
+ private:
+  static constexpr std::size_t kMinPrune = 64;
+  Engine& engine_;
+  std::vector<EventId> events_;
+  std::vector<Timer> series_;
+  std::size_t prune_at_ = kMinPrune;
 };
 
 }  // namespace easis::sim

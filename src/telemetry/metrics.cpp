@@ -20,7 +20,9 @@ std::string braced(const std::string& labels) {
 }
 
 std::string with_le(const std::string& labels, const std::string& le) {
-  return "{" + (labels.empty() ? "" : labels + ",") + "le=\"" + le + "\"}";
+  std::string out = "{";
+  if (!labels.empty()) out.append(labels).append(",");
+  return out.append("le=\"").append(le).append("\"}");
 }
 
 }  // namespace

@@ -288,14 +288,7 @@ void CentralNode::start() {
     }
   }
   started_once_ = true;
-  kernel().start();
-  if (fmf_) fmf_->boot_from_nvm(engine_.now());
-  arm_alarms();
-  if (crash_) crash_->start();
-  if (self_supervision_ && !safe_state_) self_supervision_->start();
-  schedule_environment(++env_generation_);
-  schedule_resource_cycles(env_generation_);
-  schedule_environment_cycles(env_generation_);
+  boot();
 }
 
 void CentralNode::software_reset() {
@@ -305,20 +298,13 @@ void CentralNode::software_reset() {
   if (self_supervision_) self_supervision_->stop();
   kernel().software_reset();
   watchdog_.reset(engine_.now());
-  ++boot_generation_;
+  timers_.cancel_all();
   if (config_.reboot_delay.as_micros() > 0) {
     // Reboot blackout: the ECU is dark, nothing runs until the delayed
     // boot. The environment keeps its state and resumes with the boot.
     rebooting_ = true;
-    ++env_generation_;
-    const std::uint64_t boot_gen = boot_generation_;
-    engine_.schedule_in(
-        config_.reboot_delay,
-        [this, boot_gen] {
-          if (boot_gen != boot_generation_) return;
-          boot_after_reset();
-        },
-        sim::EventPriority::kDefault);
+    timers_.add(engine_.schedule_in(config_.reboot_delay,
+                                    [this] { boot_after_reset(); }));
     return;
   }
   boot_after_reset();
@@ -326,16 +312,7 @@ void CentralNode::software_reset() {
 
 void CentralNode::boot_after_reset() {
   rebooting_ = false;
-  kernel().start();
-  // Re-seed the fault memory from NVM before anything runs: the post-boot
-  // FMF/DTC view continues where the pre-reset ECU left off.
-  if (fmf_) fmf_->boot_from_nvm(engine_.now());
-  arm_alarms();
-  if (crash_) crash_->start();
-  if (self_supervision_ && !safe_state_) self_supervision_->start();
-  schedule_environment(++env_generation_);
-  schedule_resource_cycles(env_generation_);
-  schedule_environment_cycles(env_generation_);
+  boot();
   // Post-reset recovery validation: the warm-up window supervises the
   // re-announcement of every monitored runnable (no-op when disabled).
   if (fmf_) fmf_->begin_ecu_recovery_window(engine_.now());
@@ -381,18 +358,6 @@ wdg::ResourceSupervisionUnit& CentralNode::attach_resource_supervision() {
         watchdog_, ecu_.kernel(), ecu_.signals());
   }
   return *rsu_;
-}
-
-void CentralNode::schedule_resource_cycles(std::uint64_t generation) {
-  if (!rsu_) return;
-  engine_.schedule_in(
-      config_.watchdog.check_period,
-      [this, generation] {
-        if (generation != env_generation_) return;
-        rsu_->cycle(engine_.now());
-        schedule_resource_cycles(generation);
-      },
-      sim::EventPriority::kMonitor);
 }
 
 wdg::EnvironmentSupervisionUnit& CentralNode::attach_environment_supervision() {
@@ -463,22 +428,6 @@ wdg::ProcessSupervisionUnit& CentralNode::attach_process_supervision() {
         });
   }
   return *psu_;
-}
-
-void CentralNode::schedule_environment_cycles(std::uint64_t generation) {
-  if (!esu_ && !psu_ && !csu_) return;
-  engine_.schedule_in(
-      config_.watchdog.check_period,
-      [this, generation] {
-        if (generation != env_generation_) return;
-        if (esu_) esu_->cycle(engine_.now());
-        // Check evaluations run before the process-supervision cycle so a
-        // window opened this cycle is not instantly reported overdue.
-        if (csu_) csu_->cycle(engine_.now());
-        if (psu_) psu_->cycle(engine_.now());
-        schedule_environment_cycles(generation);
-      },
-      sim::EventPriority::kMonitor);
 }
 
 void CentralNode::enter_thermal_derate(sim::SimTime now) {
@@ -607,24 +556,45 @@ void CentralNode::arm_alarms() {
   service_->arm();
 }
 
-void CentralNode::schedule_environment(std::uint64_t generation) {
-  engine_.schedule_in(
-      config_.environment_step,
-      [this, generation] {
-        if (generation != env_generation_) return;
-        auto& signals = ecu_.signals();
-        vehicle_.set_drive_command(signals.read_or("actuator.drive_cmd", 0.0));
-        vehicle_.step(config_.environment_step);
-        lane_.step(config_.environment_step);
-        thermal_model_.step(config_.environment_step,
-                            rsu_ ? rsu_->load_average() : 0.0);
-        signals.publish("vehicle.speed_kmh", vehicle_.speed_kmh(),
-                        engine_.now());
-        signals.publish("lane.offset_m", lane_.lateral_offset_m(),
-                        engine_.now());
-        schedule_environment(generation);
-      },
-      sim::EventPriority::kDefault);
+void CentralNode::boot() {
+  kernel().start();
+  // Re-seed the fault memory from NVM before anything runs: the post-boot
+  // FMF/DTC view continues where the pre-reset ECU left off.
+  if (fmf_) fmf_->boot_from_nvm(engine_.now());
+  arm_alarms();
+  if (crash_) crash_->start();
+  if (self_supervision_ && !safe_state_) self_supervision_->start();
+  timers_.add(
+      engine_.every(config_.environment_step, [this] { step_environment(); }));
+  const sim::Duration period = config_.watchdog.check_period;
+  if (rsu_) {
+    timers_.add(engine_.every(
+        period, [this] { rsu_->cycle(engine_.now()); },
+        sim::EventPriority::kMonitor));
+  }
+  if (esu_ || psu_ || csu_) {
+    timers_.add(engine_.every(
+        period,
+        [this] {
+          if (esu_) esu_->cycle(engine_.now());
+          // Check evaluations run before the process-supervision cycle so
+          // a window opened this cycle is not instantly reported overdue.
+          if (csu_) csu_->cycle(engine_.now());
+          if (psu_) psu_->cycle(engine_.now());
+        },
+        sim::EventPriority::kMonitor));
+  }
+}
+
+void CentralNode::step_environment() {
+  auto& signals = ecu_.signals();
+  vehicle_.set_drive_command(signals.read_or("actuator.drive_cmd", 0.0));
+  vehicle_.step(config_.environment_step);
+  lane_.step(config_.environment_step);
+  thermal_model_.step(config_.environment_step,
+                      rsu_ ? rsu_->load_average() : 0.0);
+  signals.publish("vehicle.speed_kmh", vehicle_.speed_kmh(), engine_.now());
+  signals.publish("lane.offset_m", lane_.lateral_offset_m(), engine_.now());
 }
 
 }  // namespace easis::validator

@@ -287,17 +287,19 @@ class CentralNode {
   std::uint32_t hw_resets_ = 0;
   bool safe_state_ = false;
   bool rebooting_ = false;
-  std::uint64_t env_generation_ = 0;
-  std::uint64_t boot_generation_ = 0;
+  /// This boot's environment and supervision cycles, and a pending delayed
+  /// boot; all cancelled on software_reset().
+  sim::TimerGroup timers_{engine_};
 
   void arm_alarms();
   void apply_policy_bindings();
   [[nodiscard]] sim::Duration nominal_period_of(RunnableId id);
+  /// Starts the kernel, the fault memory, the alarms and this boot's
+  /// environment and supervision cycles (first start and every reboot).
+  void boot();
   void boot_after_reset();
   void on_hw_watchdog_expired(sim::SimTime now);
-  void schedule_environment(std::uint64_t generation);
-  void schedule_resource_cycles(std::uint64_t generation);
-  void schedule_environment_cycles(std::uint64_t generation);
+  void step_environment();
   void enter_thermal_derate(sim::SimTime now);
   void exit_thermal_derate(sim::SimTime now);
 };

@@ -159,12 +159,15 @@ void ControlDesk::start(sim::Duration horizon) {
   if (running_) throw std::logic_error("ControlDesk: already running");
   running_ = true;
   stop_at_ = engine_.now() + horizon;
-  sample_and_reschedule();
+  sample();
+  timer_ = engine_.every(period_, [this] { sample(); },
+                         sim::EventPriority::kMonitor);
 }
 
-void ControlDesk::sample_and_reschedule() {
+void ControlDesk::sample() {
   if (engine_.now() > stop_at_) {
     running_ = false;
+    timer_.cancel();
     return;
   }
   ++samples_;
@@ -172,8 +175,6 @@ void ControlDesk::sample_and_reschedule() {
   for (const auto& [signal, probe] : probes_) {
     recorder_.record(signal, t, probe());
   }
-  engine_.schedule_in(period_, [this] { sample_and_reschedule(); },
-                      sim::EventPriority::kMonitor);
 }
 
 }  // namespace easis::validator

@@ -84,9 +84,10 @@ class ControlDesk {
   std::vector<std::pair<std::string, std::function<double()>>> probes_;
   sim::SimTime stop_at_;
   bool running_ = false;
+  sim::Timer timer_;
   std::uint64_t samples_ = 0;
 
-  void sample_and_reschedule();
+  void sample();
 };
 
 }  // namespace easis::validator

@@ -111,10 +111,16 @@ VehicleNetwork::VehicleNetwork(sim::Engine& engine,
 }
 
 void VehicleNetwork::start() {
-  running_ = true;
   flexray_->start();
   lin_->start();
-  schedule_speed_broadcast();
+  engine_.every(config_.speed_broadcast_period, [this] {
+    bus::Frame frame;
+    frame.id = 0x200 + config_.speed_slot;
+    bus::encode_f32(frame, 0, signals_.read_or("vehicle.speed_kmh", 0.0));
+    if (speed_tx_) speed_tx_->protect(frame);
+    flexray_->send(central_fr_endpoint_, config_.speed_slot,
+                   std::move(frame));
+  });
 }
 
 void VehicleNetwork::command_max_speed(double kmh) {
@@ -135,19 +141,6 @@ bus::BabblingIdiot& VehicleNetwork::babbler() {
         });
   }
   return *babbler_;
-}
-
-void VehicleNetwork::schedule_speed_broadcast() {
-  engine_.schedule_in(config_.speed_broadcast_period, [this] {
-    if (!running_) return;
-    bus::Frame frame;
-    frame.id = 0x200 + config_.speed_slot;
-    bus::encode_f32(frame, 0, signals_.read_or("vehicle.speed_kmh", 0.0));
-    if (speed_tx_) speed_tx_->protect(frame);
-    flexray_->send(central_fr_endpoint_, config_.speed_slot,
-                   std::move(frame));
-    schedule_speed_broadcast();
-  });
 }
 
 }  // namespace easis::validator

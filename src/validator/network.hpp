@@ -151,9 +151,6 @@ class VehicleNetwork {
   std::uint64_t commands_received_ = 0;
   std::uint64_t decode_failures_ = 0;
   std::uint64_t e2e_rejections_ = 0;
-  bool running_ = false;
-
-  void schedule_speed_broadcast();
 };
 
 }  // namespace easis::validator

@@ -56,8 +56,8 @@ NodeId NodeSupervisor::register_node(std::string name,
 void NodeSupervisor::start() {
   if (running_) throw std::logic_error("NodeSupervisor: already running");
   running_ = true;
-  engine_.schedule_in(config_.check_period, [this] { cycle(); },
-                      sim::EventPriority::kMonitor);
+  engine_.every(config_.check_period, [this] { cycle(); },
+                sim::EventPriority::kMonitor);
 }
 
 void NodeSupervisor::on_frame(const bus::Frame& frame, sim::SimTime now) {
@@ -77,7 +77,6 @@ void NodeSupervisor::on_frame(const bus::Frame& frame, sim::SimTime now) {
 }
 
 void NodeSupervisor::cycle() {
-  if (!running_) return;
   hbm_.tick(engine_.now(),
             [this](RunnableId runnable, wdg::ErrorType type,
                    sim::SimTime now) {
@@ -94,8 +93,6 @@ void NodeSupervisor::cycle() {
                 if (on_state_) on_state_(id, NodeState::kMissing, now);
               }
             });
-  engine_.schedule_in(config_.check_period, [this] { cycle(); },
-                      sim::EventPriority::kMonitor);
 }
 
 NodeSupervisor::Node& NodeSupervisor::node(NodeId id) {

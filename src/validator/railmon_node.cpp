@@ -224,10 +224,7 @@ void RailMonNode::start() {
     }
   }
   started_once_ = true;
-  kernel().start();
-  if (fmf_) fmf_->boot_from_nvm(engine_.now());
-  arm_alarms();
-  schedule_supervision_cycles(++cycle_generation_);
+  boot();
 }
 
 void RailMonNode::software_reset() {
@@ -235,18 +232,11 @@ void RailMonNode::software_reset() {
   if (fmf_) fmf_->persist();
   kernel().software_reset();
   watchdog_.reset(engine_.now());
-  ++boot_generation_;
-  ++cycle_generation_;  // stop the supervision cycles of the old boot
+  timers_.cancel_all();
   if (config_.reboot_delay.as_micros() > 0) {
     rebooting_ = true;
-    const std::uint64_t boot_gen = boot_generation_;
-    engine_.schedule_in(
-        config_.reboot_delay,
-        [this, boot_gen] {
-          if (boot_gen != boot_generation_) return;
-          boot_after_reset();
-        },
-        sim::EventPriority::kDefault);
+    timers_.add(engine_.schedule_in(config_.reboot_delay,
+                                    [this] { boot_after_reset(); }));
     return;
   }
   boot_after_reset();
@@ -254,14 +244,7 @@ void RailMonNode::software_reset() {
 
 void RailMonNode::boot_after_reset() {
   rebooting_ = false;
-  kernel().start();
-  // Re-seeds the fault memory *and* the persisted power mode before
-  // anything runs; the reseed listener re-applies the mode's overlay and
-  // the node's scheduling contract, then arm_alarms() (idempotent: cancel
-  // + re-arm) fixes up whatever the current mode demands.
-  if (fmf_) fmf_->boot_from_nvm(engine_.now());
-  arm_alarms();
-  schedule_supervision_cycles(++cycle_generation_);
+  boot();
   if (fmf_) fmf_->begin_ecu_recovery_window(engine_.now());
 }
 
@@ -288,17 +271,22 @@ void RailMonNode::apply_mode_scheduling(mode::PowerMode mode) {
   }
 }
 
-void RailMonNode::schedule_supervision_cycles(std::uint64_t generation) {
-  engine_.schedule_in(
+void RailMonNode::boot() {
+  kernel().start();
+  // Re-seeds the fault memory *and* the persisted power mode before
+  // anything runs; the reseed listener re-applies the mode's overlay and
+  // the node's scheduling contract, then arm_alarms() (idempotent: cancel
+  // + re-arm) fixes up whatever the current mode demands.
+  if (fmf_) fmf_->boot_from_nvm(engine_.now());
+  arm_alarms();
+  timers_.add(engine_.every(
       config_.watchdog.check_period,
-      [this, generation] {
-        if (generation != cycle_generation_) return;
+      [this] {
         mode_unit_->cycle(engine_.now());
         if (csu_) csu_->cycle(engine_.now());
         if (psu_) psu_->cycle(engine_.now());
-        schedule_supervision_cycles(generation);
       },
-      sim::EventPriority::kMonitor);
+      sim::EventPriority::kMonitor));
 }
 
 void RailMonNode::enter_safe_state(const fmf::ResetCause& cause) {

@@ -142,15 +142,18 @@ class RailMonNode {
   /// two-phase commit to an ECU reset (re-seeded from NVM).
   std::uint32_t hung_mode_reports_ = 0;
   static constexpr std::uint32_t kHungModeResetThreshold = 5;
-  std::uint64_t boot_generation_ = 0;
-  std::uint64_t cycle_generation_ = 0;
+  /// This boot's supervision cycle and a pending delayed boot; both
+  /// cancelled on software_reset().
+  sim::TimerGroup timers_{engine_};
 
+  /// Starts the kernel, the fault memory, the alarms and this boot's
+  /// supervision cycle (first start and every reboot).
+  void boot();
   void boot_after_reset();
   void arm_alarms();
   /// Applies the mode's activation contract to the sensing task's alarm:
   /// cancelled in Sleep, burst-rate in WakeBurst, nominal elsewhere.
   void apply_mode_scheduling(mode::PowerMode mode);
-  void schedule_supervision_cycles(std::uint64_t generation);
   void enter_safe_state(const fmf::ResetCause& cause);
 };
 

@@ -65,6 +65,7 @@ TEST(HardwareWatchdog, StopDisarms) {
   HardwareWatchdog wd(engine, Duration::millis(50));
   wd.start();
   wd.stop();
+  EXPECT_EQ(engine.pending_events(), 0u);
   engine.run_until(SimTime(500'000));
   EXPECT_EQ(wd.expirations(), 0u);
 }

@@ -293,6 +293,22 @@ TEST_F(CanFaultTest, JitterDelaysDelivery) {
   }
 }
 
+TEST(BabblingIdiot, StopLeavesNothingQueued) {
+  Engine engine;
+  std::uint64_t sent = 0;
+  BabblingIdiot babbler(engine, [&sent](Frame) { ++sent; });
+  babbler.start();
+  engine.run_until(SimTime(1'050));
+  babbler.stop();
+  EXPECT_EQ(engine.pending_events(), 0u);
+  engine.run_until(SimTime(5'000));
+  EXPECT_EQ(sent, 10u);  // every 100 us up to the stop
+  EXPECT_EQ(babbler.frames_sent(), 10u);
+  babbler.start();  // restarts one period from now
+  engine.run_until(SimTime(5'100));
+  EXPECT_EQ(sent, 11u);
+}
+
 TEST_F(CanFaultTest, BabblingIdiotStarvesLowerPriorityTraffic) {
   const auto rogue = can.attach("rogue", nullptr);
   BabblingIdiot babbler(

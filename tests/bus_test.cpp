@@ -230,6 +230,7 @@ TEST_F(FlexRayTest, StopHaltsCycling) {
   bus.start();
   engine.run_until(SimTime(7'000));
   bus.stop();
+  EXPECT_EQ(engine.pending_events(), 0u);  // slot ends and cycle cancelled
   bus.send(tx, 0, frame(0x1));
   engine.run_until(SimTime(50'000));
   EXPECT_TRUE(received.empty());
@@ -522,6 +523,7 @@ TEST_F(LinTest, StopHaltsPolling) {
   bus.start();
   engine.run_until(SimTime(25'000));
   bus.stop();
+  EXPECT_EQ(engine.pending_events(), 0u);
   engine.run_until(SimTime(100'000));
   EXPECT_EQ(bus.polls(), 2u);
 }

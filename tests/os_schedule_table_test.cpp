@@ -76,6 +76,7 @@ TEST_F(ScheduleTableTest, StopHaltsDispatching) {
   table.start();
   engine.run_until(SimTime(15'000));
   table.stop();
+  EXPECT_EQ(engine.pending_events(), 0u);  // no stale dispatch left queued
   engine.run_until(SimTime(100'000));
   EXPECT_EQ(runs.size(), 2u);
   EXPECT_FALSE(table.running());
@@ -90,6 +91,7 @@ TEST_F(ScheduleTableTest, RestartAfterStopWorks) {
   table.start();
   engine.run_until(SimTime(5'000));
   table.stop();
+  EXPECT_EQ(engine.pending_events(), 0u);
   engine.run_until(SimTime(50'000));
   table.start();
   engine.run_until(SimTime(55'000));

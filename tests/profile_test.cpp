@@ -160,6 +160,30 @@ TEST(Profiler, RingOverflowDropsOldestAndCounts) {
   EXPECT_EQ(profile.nodes[0].hits, 10u);
 }
 
+TEST(Profiler, WithoutRingTimingIsSampledButShapeIsExact) {
+  Profiler::Config config;
+  config.ring_capacity = 0;
+  Profiler profiler(config);
+  profiler.begin_run();
+  const NameId outer = intern_name("t.sampled_outer");
+  const NameId inner = intern_name("t.sampled_inner");
+  profiler.push_span(outer);
+  for (int i = 0; i < 5000; ++i) {
+    profiler.push_span(inner);
+    profiler.pop_span();
+  }
+  profiler.pop_span();
+  const RunProfile profile = profiler.harvest_run(0);
+  ASSERT_EQ(profile.nodes.size(), 2u);
+  EXPECT_EQ(profile.nodes[0].hits, 1u);
+  EXPECT_EQ(profile.nodes[1].hits, 5000u);
+  EXPECT_GT(profile.nodes[1].total_ns, 0);
+  EXPECT_EQ(profile.nodes[1].self_ns, profile.nodes[1].total_ns);
+  EXPECT_GE(profile.nodes[0].self_ns, 0);
+  EXPECT_TRUE(profile.records.empty());
+  EXPECT_EQ(profile.dropped_records, 0u);
+}
+
 // --- scopes and macros -------------------------------------------------------
 // These assert that the macros *do* record, so they only exist when the
 // instrumentation is compiled in; a -DEASIS_PROFILING=OFF tree runs the

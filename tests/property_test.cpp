@@ -67,6 +67,10 @@ TEST_P(EngineConservation, EveryEventFiresPendsOrWasCancelled) {
   std::vector<sim::EventId> ids;
   std::vector<sim::EventId> fired;
   std::uint64_t cancels = 0;
+  // A running series has one firing queued at a time and queues the next
+  // one after each firing: started + fires events in all.
+  std::vector<sim::Timer> series;
+  std::uint64_t series_fires = 0;
   // Some events schedule a child when they fire.
   std::function<void()> schedule = [&] {
     auto id = std::make_shared<sim::EventId>();
@@ -80,7 +84,7 @@ TEST_P(EngineConservation, EveryEventFiresPendsOrWasCancelled) {
   };
   SimTime last = engine.now();
   for (int step = 0; step < 2000; ++step) {
-    switch (rng.uniform_int(0, 3)) {
+    switch (rng.uniform_int(0, 4)) {
       case 0:
       case 1:
         schedule();
@@ -97,6 +101,19 @@ TEST_P(EngineConservation, EveryEventFiresPendsOrWasCancelled) {
           EXPECT_FALSE(engine.cancel(fired[pick]));
         }
         break;
+      case 3:
+        // Start a series or cancel a random one (perhaps stopped already).
+        if (series.empty() || rng.uniform_int(0, 1) == 0) {
+          series.push_back(
+              engine.every(Duration::micros(rng.uniform_int(1, 40)),
+                           [&series_fires] { ++series_fires; }));
+        } else {
+          const auto pick = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(series.size()) - 1));
+          if (series[pick].cancel()) ++cancels;
+          EXPECT_FALSE(series[pick].cancel());
+        }
+        break;
       default:
         engine.run_until(engine.now() +
                          Duration::micros(rng.uniform_int(0, 60)));
@@ -105,9 +122,9 @@ TEST_P(EngineConservation, EveryEventFiresPendsOrWasCancelled) {
     ASSERT_GE(engine.now(), last);
     last = engine.now();
     ASSERT_EQ(engine.events_fired() + engine.pending_events() + cancels,
-              ids.size());
+              ids.size() + series.size() + series_fires);
   }
-  EXPECT_EQ(engine.events_fired(), fired.size());
+  EXPECT_EQ(engine.events_fired(), fired.size() + series_fires);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineConservation,
@@ -145,7 +162,7 @@ TEST_P(KernelTaskSet, AllJobsCompleteUnderLowUtilization) {
   std::vector<Entry> entries;
   for (int i = 0; i < task_count; ++i) {
     os::TaskConfig config;
-    config.name = "t" + std::to_string(i);
+    config.name = std::string("t").append(std::to_string(i));
     config.priority = i;  // distinct priorities
     // Short backlogs are legal (queued activations); lost ones are not.
     config.max_pending_activations = 3;
@@ -379,7 +396,7 @@ class RandomPlatform : public ::testing::TestWithParam<PlatformParam> {
     std::vector<std::pair<AlarmId, std::uint64_t>> alarms;
     for (int t = 0; t < tasks; ++t) {
       os::TaskConfig tc;
-      tc.name = "t" + std::to_string(t);
+      tc.name = std::string("t").append(std::to_string(t));
       tc.priority = t;
       const TaskId task = b.kernel->create_task(tc);
       const auto period_ms =
@@ -389,7 +406,10 @@ class RandomPlatform : public ::testing::TestWithParam<PlatformParam> {
       const int runnable_count = static_cast<int>(rng.uniform_int(1, 3));
       for (int r = 0; r < runnable_count; ++r) {
         rte::RunnableSpec spec;
-        spec.name = "t" + std::to_string(t) + "_r" + std::to_string(r);
+        spec.name = std::string("t")
+                        .append(std::to_string(t))
+                        .append("_r")
+                        .append(std::to_string(r));
         spec.execution_time =
             Duration::micros(rng.uniform_int(20, 500));
         const RunnableId id = b.rte->register_runnable(comp, spec);

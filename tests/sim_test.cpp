@@ -2,7 +2,9 @@
 // and lane environment models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -216,6 +218,108 @@ TEST(Engine, EveryMatchesTheHandWrittenLoop) {
   EXPECT_EQ(trace(true), (std::vector<std::string>{"tick1", "body", "tick2",
                                                    "body", "tick3"}));
   EXPECT_EQ(trace(true), trace(false));
+}
+
+TEST(Engine, CancelledSeriesStopsAndLeavesNothingQueued) {
+  Engine engine;
+  int ticks = 0;
+  Timer timer = engine.every(Duration::micros(10), [&] { ++ticks; });
+  engine.run_until(SimTime(25));
+  EXPECT_EQ(ticks, 2);
+  EXPECT_TRUE(timer.cancel());
+  EXPECT_EQ(engine.pending_events(), 0u);
+  engine.run_until(SimTime(100));
+  EXPECT_EQ(ticks, 2);
+}
+
+TEST(Engine, SeriesCancelledFromItsOwnActionFiresNoMore) {
+  Engine engine;
+  int ticks = 0;
+  Timer timer;
+  timer = engine.every(Duration::micros(10), [&] {
+    if (++ticks == 3) {
+      EXPECT_TRUE(timer.cancel());
+    }
+  });
+  engine.run_until(SimTime(100));
+  EXPECT_EQ(ticks, 3);
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_EQ(engine.events_fired(), 3u);
+}
+
+TEST(Engine, CancellingAStoppedTimerFails) {
+  Engine engine;
+  EXPECT_FALSE(Timer().cancel());
+  Timer timer = engine.every(Duration::micros(10), [] {});
+  const Timer copy = timer;
+  EXPECT_TRUE(timer.cancel());
+  EXPECT_FALSE(timer.cancel());
+  Timer stale = copy;
+  EXPECT_FALSE(stale.cancel());
+  // A series cancelled from inside its action is stopped too.
+  Timer self;
+  int ticks = 0;
+  self = engine.every(Duration::micros(10), [&] {
+    ++ticks;
+    EXPECT_TRUE(self.cancel());
+    EXPECT_FALSE(self.cancel());
+  });
+  engine.run_until(SimTime(50));
+  EXPECT_EQ(ticks, 1);
+  EXPECT_FALSE(self.cancel());
+}
+
+TEST(Engine, EveryFromFiresFirstAtTheGivenInstant) {
+  Engine engine;
+  std::vector<std::int64_t> fired_at;
+  engine.every_from(SimTime(3), Duration::micros(10),
+                    [&] { fired_at.push_back(engine.now().as_micros()); });
+  engine.run_until(SimTime(30));
+  EXPECT_EQ(fired_at, (std::vector<std::int64_t>{3, 13, 23}));
+  EXPECT_THROW(engine.every(Duration::zero(), [] {}), std::invalid_argument);
+  EXPECT_THROW(engine.every_from(SimTime(1), Duration::micros(10), [] {}),
+               std::invalid_argument);
+}
+
+TEST(TimerGroup, CancelAllStopsOneShotsAndSeries) {
+  Engine engine;
+  TimerGroup group(engine);
+  int fired = 0;
+  group.add(engine.schedule_in(Duration::micros(5), [&] { ++fired; }));
+  group.add(engine.schedule_in(Duration::micros(50), [&] { ++fired; }));
+  group.add(engine.every(Duration::micros(10), [&] { ++fired; }));
+  engine.schedule_in(Duration::micros(60), [] {});  // not in the group
+  engine.run_until(SimTime(12));
+  EXPECT_EQ(fired, 2);
+  group.cancel_all();
+  EXPECT_EQ(group.size(), 0u);
+  EXPECT_EQ(engine.pending_events(), 1u);
+  engine.run_until(SimTime(100));
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(TimerGroup, StaysBoundedOverManyRounds) {
+  // FlexRay-style: a cycle series that lays out 64 slot one-shots per round.
+  Engine engine;
+  TimerGroup group(engine);
+  constexpr int kSlots = 64;
+  std::uint64_t slot_ends = 0;
+  auto layout = [&] {
+    for (int s = 1; s <= kSlots; ++s) {
+      group.add(engine.schedule_in(Duration::micros(s), [&] { ++slot_ends; }));
+    }
+  };
+  layout();
+  group.add(engine.every(Duration::micros(kSlots), layout));
+  std::size_t largest = 0;
+  for (int round = 0; round < 10000; ++round) {
+    engine.run_for(Duration::micros(kSlots));
+    largest = std::max(largest, group.size());
+  }
+  EXPECT_EQ(slot_ends, 10000u * kSlots);
+  EXPECT_LE(largest, 4u * kSlots);
+  group.cancel_all();
+  EXPECT_EQ(engine.pending_events(), 0u);
 }
 
 TEST(Engine, PendingEventsCount) {

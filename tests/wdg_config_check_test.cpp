@@ -26,7 +26,7 @@ RunnableMonitor monitor(std::uint32_t id, std::uint32_t task = 0,
   m.runnable = RunnableId(id);
   m.task = TaskId(task);
   m.application = ApplicationId(0);
-  m.name = "r" + std::to_string(id);
+  m.name = std::string("r").append(std::to_string(id));
   m.aliveness_cycles = cycles;
   m.min_heartbeats = min_hb;
   m.arrival_cycles = cycles;

@@ -157,7 +157,7 @@ class DeadlineFacadeTest : public ::testing::Test {
       m.runnable = RunnableId(id);
       m.task = TaskId(0);
       m.application = ApplicationId(0);
-      m.name = "r" + std::to_string(id);
+      m.name = std::string("r").append(std::to_string(id));
       m.aliveness_cycles = 100;
       m.min_heartbeats = 1;
       m.arrival_cycles = 100;
