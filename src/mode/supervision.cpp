@@ -24,19 +24,10 @@ ModeSupervisionUnit::ModeSupervisionUnit(PowerModeManager& manager,
                                          Config config)
     : manager_(manager),
       watchdog_(watchdog),
-      task_(task),
-      application_(application),
       config_(config),
       runnable_(RunnableId{static_cast<std::uint32_t>(kModeRunnableBase)}) {
-  wdg::RunnableMonitor monitor;
-  monitor.runnable = runnable_;
-  monitor.task = task_;
-  monitor.application = application_;
-  monitor.name = "mode:machine";
-  monitor.monitor_aliveness = false;
-  monitor.monitor_arrival_rate = false;
-  monitor.program_flow = false;
-  watchdog_.add_runnable(monitor);
+  watchdog_.add_virtual_runnable(runnable_, task, application,
+                                 "mode:machine");
 
   manager_.add_listener([this](const ModeTransition& transition) {
     // Binding happens at commit time: the new mode's contract starts with
@@ -114,13 +105,15 @@ void ModeSupervisionUnit::apply(PowerMode target, sim::SimTime now) {
     std::ostringstream detail;
     detail << to_string(target) << " overlay=" << overlay_hash24_
            << (silence_contracted_ ? " silence" : " armed");
+    const wdg::RunnableMonitor& self =
+        watchdog_.heartbeat_unit().config(runnable_);
     telemetry::Event event;
     event.time = now;
     event.component = telemetry::Component::kModeUnit;
     event.kind = telemetry::EventKind::kModeOverlayApplied;
     event.runnable = runnable_;
-    event.task = task_;
-    event.application = application_;
+    event.task = self.task;
+    event.application = self.application;
     event.detail = detail.str();
     telemetry::emit(std::move(event));
   }
@@ -128,15 +121,11 @@ void ModeSupervisionUnit::apply(PowerMode target, sim::SimTime now) {
 
 void ModeSupervisionUnit::report(sim::SimTime now, std::string detail) {
   ++errors_;
-  wdg::ErrorReport error;
-  error.runnable = runnable_;
-  error.task = task_;
-  error.application = application_;
-  error.type = wdg::ErrorType::kPowerMode;
-  error.time = now;
-  error.detail = std::move(detail);
   reentrant_ = true;
-  watchdog_.report_external_error(std::move(error));
+  watchdog_.report_external_error({.runnable = runnable_,
+                                   .type = wdg::ErrorType::kPowerMode,
+                                   .time = now,
+                                   .detail = std::move(detail)});
   reentrant_ = false;
 }
 

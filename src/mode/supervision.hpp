@@ -94,8 +94,6 @@ class ModeSupervisionUnit {
  private:
   PowerModeManager& manager_;
   wdg::SoftwareWatchdog& watchdog_;
-  TaskId task_;
-  ApplicationId application_;
   Config config_;
   RunnableId runnable_;
   std::shared_ptr<const policy::PolicySet> policy_;

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace easis::policy {
 
@@ -21,18 +22,11 @@ void CheckSupervisionUnit::add_rule(const CheckRule& rule) {
   state.id = RunnableId{
       static_cast<std::uint32_t>(kCheckRunnableBase + rules_.size())};
 
-  wdg::RunnableMonitor monitor;
-  monitor.runnable = state.id;
-  monitor.task = task_;
-  monitor.application = application_;
-  monitor.name = "check:" + rule.name;
-  monitor.monitor_aliveness = false;
-  monitor.monitor_arrival_rate = false;
-  monitor.program_flow = false;
-  watchdog_.add_runnable(monitor);
+  const std::string name = "check:" + rule.name;
+  watchdog_.add_virtual_runnable(state.id, task_, application_, name);
 
   wdg::SectionConfig section;
-  section.name = "check:" + rule.name;
+  section.name = name;
   section.runnable = state.id;
   section.task = task_;
   section.application = application_;
@@ -98,14 +92,10 @@ void CheckSupervisionUnit::evaluate(RuleState& state, sim::SimTime now) {
   if (failed) {
     ++state.failures;
     ++failures_;
-    wdg::ErrorReport report;
-    report.runnable = state.id;
-    report.task = task_;
-    report.application = application_;
-    report.type = wdg::ErrorType::kCheckRule;
-    report.time = now;
-    report.detail = detail.str();
-    watchdog_.report_external_error(std::move(report));
+    watchdog_.report_external_error({.runnable = state.id,
+                                     .type = wdg::ErrorType::kCheckRule,
+                                     .time = now,
+                                     .detail = detail.str()});
   }
   psu_.close(state.section, now);
   state.section_open = false;

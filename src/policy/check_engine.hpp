@@ -16,9 +16,8 @@
 //     wraps every evaluation, surfacing as ErrorType::kDeadline with a
 //     persistent TransgressionRecord.
 //
-// Every rule registers as a virtual runnable (ids from kCheckRunnableBase,
-// all heartbeat/flow monitoring off) so the TSI keeps an error-indication
-// vector per rule, like the CMU/RSU/ESU channel pattern.
+// Every rule is a virtual runnable (ids from kCheckRunnableBase), like the
+// CMU/RSU/ESU channels.
 #pragma once
 
 #include <cstdint>

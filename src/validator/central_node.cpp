@@ -1,7 +1,6 @@
 #include "validator/central_node.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/logging.hpp"
@@ -273,19 +272,9 @@ void CentralNode::start() {
     throw std::logic_error("CentralNode: already started");
   }
   if (!started_once_) {
-    // Boot-time self check: a watchdog configuration with guaranteed
-    // false positives or flow-table defects must not go into operation.
-    const auto findings = wdg::ConfigChecker::check(
-        watchdog_, [this](RunnableId id) { return nominal_period_of(id); });
-    if (!wdg::ConfigChecker::acceptable(findings)) {
-      std::ostringstream report;
-      wdg::ConfigChecker::write(report, findings);
-      throw std::logic_error("CentralNode: watchdog configuration invalid\n" +
-                             report.str());
-    }
-    for (const auto& finding : findings) {
-      EASIS_LOG(util::LogLevel::kWarn, "validator") << finding.message;
-    }
+    wdg::ConfigChecker::enforce(
+        watchdog_, [this](RunnableId id) { return nominal_period_of(id); },
+        "CentralNode");
   }
   started_once_ = true;
   boot();
@@ -436,18 +425,7 @@ void CentralNode::enter_thermal_derate(sim::SimTime now) {
   EASIS_LOG(util::LogLevel::kWarn, "validator")
       << "thermal derate: parking QM applications, stretching HBM "
       << "hypotheses x" << config_.derate_hbm_stretch;
-  // Park the QM applications (reversible, unlike the safe state).
-  auto park = [this](ApplicationId app) {
-    for (RunnableId runnable : ecu_.rte().runnables_of_application(app)) {
-      if (watchdog_.heartbeat_unit().monitors(runnable)) {
-        watchdog_.set_activation_status(runnable, false);
-      }
-    }
-    ecu_.rte().set_application_enabled(app, false);
-  };
-  if (safelane_) park(safelane_->application());
-  if (light_) park(light_->application());
-  if (crash_) park(crash_->application());
+  park_qm_applications();  // reversible, unlike the safe state
   // Stretch the HBM hypotheses of the runnables that keep running: the
   // derated (slower) node must not trip aliveness monitoring.
   stretched_.clear();
@@ -524,6 +502,10 @@ void CentralNode::enter_safe_state(const fmf::ResetCause& cause) {
   // The HW watchdog must not reset the parked node.
   if (self_supervision_) self_supervision_->stop();
   safespeed_->set_limp_home(true);
+  park_qm_applications();
+}
+
+void CentralNode::park_qm_applications() {
   auto park = [this](ApplicationId app) {
     for (RunnableId runnable : ecu_.rte().runnables_of_application(app)) {
       if (watchdog_.heartbeat_unit().monitors(runnable)) {

@@ -302,6 +302,9 @@ class CentralNode {
   void step_environment();
   void enter_thermal_derate(sim::SimTime now);
   void exit_thermal_derate(sim::SimTime now);
+  /// Disables the QM assist applications (SafeLane, light control, crash
+  /// detection) and their heartbeat monitoring; reversible.
+  void park_qm_applications();
 };
 
 }  // namespace easis::validator

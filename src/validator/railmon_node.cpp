@@ -1,6 +1,5 @@
 #include "validator/railmon_node.hpp"
 
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -202,8 +201,9 @@ void RailMonNode::start() {
     throw std::logic_error("RailMonNode: already started");
   }
   if (!started_once_) {
-    const auto findings = wdg::ConfigChecker::check(
-        watchdog_, [this](RunnableId id) {
+    wdg::ConfigChecker::enforce(
+        watchdog_,
+        [this](RunnableId id) {
           if (id == railmon_->duty_cycle_control()) {
             return config_.railmon.control_period;
           }
@@ -212,16 +212,8 @@ void RailMonNode::start() {
             return config_.railmon.sample_period;
           }
           return sim::Duration::zero();
-        });
-    if (!wdg::ConfigChecker::acceptable(findings)) {
-      std::ostringstream report;
-      wdg::ConfigChecker::write(report, findings);
-      throw std::logic_error("RailMonNode: watchdog configuration invalid\n" +
-                             report.str());
-    }
-    for (const auto& finding : findings) {
-      EASIS_LOG(util::LogLevel::kWarn, "validator") << finding.message;
-    }
+        },
+        "RailMonNode");
   }
   started_once_ = true;
   boot();

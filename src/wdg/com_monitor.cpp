@@ -16,17 +16,8 @@ void CommunicationMonitoringUnit::add_channel(const ComChannel& channel,
   if (channels_.contains(channel.channel)) {
     throw std::logic_error("CMU: channel already registered: " + channel.name);
   }
-  // Virtual runnable: present in the TSI for error accounting, invisible
-  // to the heartbeat/flow units (a channel has no execution to monitor).
-  RunnableMonitor monitor;
-  monitor.runnable = channel.channel;
-  monitor.task = channel.task;
-  monitor.application = channel.application;
-  monitor.name = "com:" + channel.name;
-  monitor.monitor_aliveness = false;
-  monitor.monitor_arrival_rate = false;
-  monitor.program_flow = false;
-  watchdog_.add_runnable(monitor);
+  watchdog_.add_virtual_runnable(channel.channel, channel.task,
+                                 channel.application, "com:" + channel.name);
 
   State state;
   state.config = channel;
@@ -78,14 +69,10 @@ void CommunicationMonitoringUnit::cycle(sim::SimTime now) {
 void CommunicationMonitoringUnit::report(const State& state, sim::SimTime now,
                                          std::string detail) {
   ++reports_;
-  ErrorReport error;
-  error.runnable = state.config.channel;
-  error.task = state.config.task;
-  error.application = state.config.application;
-  error.type = ErrorType::kCommunication;
-  error.time = now;
-  error.detail = std::move(detail);
-  watchdog_.report_external_error(std::move(error));
+  watchdog_.report_external_error({.runnable = state.config.channel,
+                                   .type = ErrorType::kCommunication,
+                                   .time = now,
+                                   .detail = std::move(detail)});
 }
 
 std::uint64_t CommunicationMonitoringUnit::ok_count(RunnableId channel) const {

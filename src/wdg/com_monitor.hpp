@@ -2,11 +2,8 @@
 //
 // The watchdog's HBM/PFC/TSI units supervise computation; this unit
 // supervises the *reception side* of protected network channels. Each
-// channel registers as a virtual runnable (all heartbeat/flow monitoring
-// off — the channel never "executes"; it exists so the TSI keeps an error
-// indication vector for it and the FMF can treat its faults exactly like
-// task faults). The channel is bound to the task/application that consumes
-// the signal, so sustained network faults degrade the *consumer*, e.g.
+// channel is a virtual runnable (SoftwareWatchdog::add_virtual_runnable)
+// bound to the task/application that consumes the signal, so sustained network faults degrade the *consumer*, e.g.
 // SafeSpeed entering limp-home when its commanded maximum speed can no
 // longer be trusted.
 //

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <sstream>
+#include <stdexcept>
 #include <unordered_set>
+
+#include "util/logging.hpp"
 
 namespace easis::wdg {
 
@@ -25,6 +29,7 @@ std::vector<ConfigFinding> ConfigChecker::check(
 
   // --- fault hypothesis consistency -----------------------------------------
   for (RunnableId id : hbm.monitored_runnables()) {
+    if (watchdog.is_virtual(id)) continue;
     const RunnableMonitor& m = hbm.config(id);
 
     if (m.monitor_aliveness && m.min_heartbeats == 0) {
@@ -157,6 +162,21 @@ void ConfigChecker::write(std::ostream& out,
   for (const ConfigFinding& f : findings) {
     out << (f.severity == FindingSeverity::kError ? "ERROR" : "warning")
         << " [runnable " << f.runnable << "] " << f.message << '\n';
+  }
+}
+
+void ConfigChecker::enforce(const SoftwareWatchdog& watchdog,
+                            const PeriodLookup& period_of,
+                            std::string_view owner) {
+  const auto findings = check(watchdog, period_of);
+  if (!acceptable(findings)) {
+    std::ostringstream report;
+    report << owner << ": watchdog configuration invalid\n";
+    write(report, findings);
+    throw std::logic_error(report.str());
+  }
+  for (const auto& finding : findings) {
+    EASIS_LOG(util::LogLevel::kWarn, "validator") << finding.message;
   }
 }
 

@@ -9,9 +9,12 @@
 //   - flow-table defects (monitored runnable unreachable from any entry
 //     point, edges referencing unmonitored runnables, dead ends in tasks
 //     with entry points).
+// Virtual runnables (SoftwareWatchdog::add_virtual_runnable) have no
+// hypothesis to check and yield no finding.
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -44,6 +47,13 @@ class ConfigChecker {
   /// Renders findings one per line.
   static void write(std::ostream& out,
                     const std::vector<ConfigFinding>& findings);
+
+  /// Boot-time self check: a configuration with guaranteed false positives
+  /// or flow-table defects must not go into operation. Throws
+  /// std::logic_error ("<owner>: watchdog configuration invalid" plus the
+  /// findings) on any error; otherwise logs each warning.
+  static void enforce(const SoftwareWatchdog& watchdog,
+                      const PeriodLookup& period_of, std::string_view owner);
 };
 
 }  // namespace easis::wdg

@@ -13,22 +13,6 @@ EnvironmentSupervisionUnit::EnvironmentSupervisionUnit(
     SoftwareWatchdog& watchdog, rte::SignalBus& bus)
     : watchdog_(watchdog), bus_(bus) {}
 
-void EnvironmentSupervisionUnit::register_virtual(RunnableId id, TaskId task,
-                                                  ApplicationId app,
-                                                  const std::string& name) {
-  // Virtual runnable: present in the TSI for error accounting, invisible
-  // to the heartbeat/flow units (an environment channel never executes).
-  RunnableMonitor monitor;
-  monitor.runnable = id;
-  monitor.task = task;
-  monitor.application = app;
-  monitor.name = "env:" + name;
-  monitor.monitor_aliveness = false;
-  monitor.monitor_arrival_rate = false;
-  monitor.program_flow = false;
-  watchdog_.add_runnable(monitor);
-}
-
 void EnvironmentSupervisionUnit::add_thermal(const ThermalChannel& channel) {
   if (thermal_.contains(channel.id) || filesystem_.contains(channel.id)) {
     throw std::logic_error("ESU: channel already registered: " +
@@ -38,8 +22,8 @@ void EnvironmentSupervisionUnit::add_thermal(const ThermalChannel& channel) {
     throw std::logic_error("ESU: thermal channel needs a probe: " +
                            channel.name);
   }
-  register_virtual(channel.id, channel.task, channel.application,
-                   channel.name);
+  watchdog_.add_virtual_runnable(channel.id, channel.task,
+                                 channel.application, "env:" + channel.name);
   ThermalState state;
   state.config = channel;
   thermal_.emplace(channel.id, std::move(state));
@@ -56,8 +40,8 @@ void EnvironmentSupervisionUnit::add_filesystem(
     throw std::logic_error("ESU: filesystem channel needs a fill probe: " +
                            channel.name);
   }
-  register_virtual(channel.id, channel.task, channel.application,
-                   channel.name);
+  watchdog_.add_virtual_runnable(channel.id, channel.task,
+                                 channel.application, "env:" + channel.name);
   FilesystemState state;
   state.config = channel;
   filesystem_.emplace(channel.id, std::move(state));
@@ -128,15 +112,13 @@ void EnvironmentSupervisionUnit::enter_stage(ThermalState& state,
       // Latch the safe state *before* reporting: the FMF must see the
       // parked node, not race a per-application treatment against it.
       if (shutdown_) shutdown_(now);
-      report(state.config.id, state.config.task, state.config.application,
-             ErrorType::kThermal, now,
+      report(state.config.id, ErrorType::kThermal, now,
              "thermal shutdown on " + state.config.name +
                  ": temp_c=" + std::to_string(state.last_c));
       ++state.reports;
       return;
     }
-    report(state.config.id, state.config.task, state.config.application,
-           ErrorType::kThermal, now,
+    report(state.config.id, ErrorType::kThermal, now,
            "thermal " + std::string(to_string(next)) + " on " +
                state.config.name + ": temp_c=" + std::to_string(state.last_c));
     ++state.reports;
@@ -183,7 +165,7 @@ void EnvironmentSupervisionUnit::cycle_thermal(ThermalState& state,
     // treated, a continued stream would only fight the FMF's escalation.
     if (!state.precautionary_derate &&
         state.stage < ThermalStage::kDerate) {
-      report(cfg.id, cfg.task, cfg.application, ErrorType::kThermal, now,
+      report(cfg.id, ErrorType::kThermal, now,
              std::string("thermal sensor ") +
                  (out_of_band ? "implausible" : "stuck") + " on " + cfg.name +
                  ": temp_c=" + std::to_string(reading));
@@ -235,7 +217,7 @@ void EnvironmentSupervisionUnit::cycle_filesystem(FilesystemState& state,
     const std::uint64_t delta = write_errors - state.last_write_errors;
     state.last_write_errors = write_errors;
     ++state.reports;
-    report(cfg.id, cfg.task, cfg.application, ErrorType::kFilesystem, now,
+    report(cfg.id, ErrorType::kFilesystem, now,
            "nvm write errors on " + cfg.name + ": failed=" +
                std::to_string(delta) + " wear_pct=" +
                std::to_string(wear_pct));
@@ -251,7 +233,7 @@ void EnvironmentSupervisionUnit::cycle_filesystem(FilesystemState& state,
     const std::uint64_t delta = overflows - state.last_overflows;
     state.last_overflows = overflows;
     ++state.reports;
-    report(cfg.id, cfg.task, cfg.application, ErrorType::kFilesystem, now,
+    report(cfg.id, ErrorType::kFilesystem, now,
            "nvm journal overflow on " + cfg.name + ": overflows=" +
                std::to_string(delta) + " fill_pct=" +
                std::to_string(fill_pct));
@@ -264,7 +246,7 @@ void EnvironmentSupervisionUnit::cycle_filesystem(FilesystemState& state,
     ++state.above_watermark;
     if (state.above_watermark >= cfg.limits.window_cycles) {
       ++state.reports;
-      report(cfg.id, cfg.task, cfg.application, ErrorType::kFilesystem, now,
+      report(cfg.id, ErrorType::kFilesystem, now,
              "nvm fill watermark on " + cfg.name + ": fill_pct=" +
                  std::to_string(fill_pct));
       return;
@@ -277,25 +259,18 @@ void EnvironmentSupervisionUnit::cycle_filesystem(FilesystemState& state,
   // (the DTC store deduplicates into one rising-occurrence entry).
   if (cfg.limits.wear_watermark > 0.0 && wear >= cfg.limits.wear_watermark) {
     ++state.reports;
-    report(cfg.id, cfg.task, cfg.application, ErrorType::kFilesystem, now,
+    report(cfg.id, ErrorType::kFilesystem, now,
            "nvm erase-cycle wear on " + cfg.name + ": wear_pct=" +
                std::to_string(wear_pct));
   }
 }
 
-void EnvironmentSupervisionUnit::report(RunnableId id, TaskId task,
-                                        ApplicationId app, ErrorType type,
+void EnvironmentSupervisionUnit::report(RunnableId id, ErrorType type,
                                         sim::SimTime now,
                                         std::string detail) {
   ++reports_;
-  ErrorReport error;
-  error.runnable = id;
-  error.task = task;
-  error.application = app;
-  error.type = type;
-  error.time = now;
-  error.detail = std::move(detail);
-  watchdog_.report_external_error(std::move(error));
+  watchdog_.report_external_error(
+      {.runnable = id, .type = type, .time = now, .detail = std::move(detail)});
 }
 
 ThermalStage EnvironmentSupervisionUnit::stage() const {

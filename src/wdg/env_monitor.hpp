@@ -2,10 +2,8 @@
 //
 // Completes the monitor set of the Resource Supervision Unit with the two
 // environmental failure classes that dominate field returns: thermal
-// stress and flash/NVM wear. Like the RSU, every supervised channel
-// registers as a virtual runnable (all heartbeat/flow monitoring off) so
-// the TSI keeps an error-indication vector for it and the FMF treats its
-// faults exactly like task faults.
+// stress and flash/NVM wear. Like the RSU, every supervised channel is a
+// virtual runnable.
 //
 // Thermal channel — a multi-stage graceful-derating ladder:
 //
@@ -216,15 +214,13 @@ class EnvironmentSupervisionUnit {
   std::string trace_ = "normal";
   std::uint64_t reports_ = 0;
 
-  void register_virtual(RunnableId id, TaskId task, ApplicationId app,
-                        const std::string& name);
   void cycle_thermal(ThermalState& state, sim::SimTime now);
   void cycle_filesystem(FilesystemState& state, sim::SimTime now);
   void enter_stage(ThermalState& state, ThermalStage next, sim::SimTime now);
   [[nodiscard]] ThermalStage stage_for(const ThermalState& state,
                                        double reading) const;
-  void report(RunnableId id, TaskId task, ApplicationId app, ErrorType type,
-              sim::SimTime now, std::string detail);
+  void report(RunnableId id, ErrorType type, sim::SimTime now,
+              std::string detail);
 };
 
 }  // namespace easis::wdg

@@ -176,8 +176,4 @@ const RunnableMonitor& HeartbeatMonitoringUnit::config(RunnableId id) const {
   return state(id).config;
 }
 
-std::vector<RunnableId> HeartbeatMonitoringUnit::monitored_runnables() const {
-  return order_;
-}
-
 }  // namespace easis::wdg

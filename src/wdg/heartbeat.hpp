@@ -67,7 +67,10 @@ class HeartbeatMonitoringUnit {
   [[nodiscard]] std::uint32_t cca(RunnableId id) const;
   [[nodiscard]] std::uint32_t ccar(RunnableId id) const;
   [[nodiscard]] const RunnableMonitor& config(RunnableId id) const;
-  [[nodiscard]] std::vector<RunnableId> monitored_runnables() const;
+  /// Registration order.
+  [[nodiscard]] const std::vector<RunnableId>& monitored_runnables() const {
+    return order_;
+  }
 
  private:
   struct State {

@@ -34,17 +34,8 @@ void ResourceSupervisionUnit::add_resource(const SupervisedResource& resource) {
     throw std::logic_error("RSU: queue resource needs a queue_signal: " +
                            resource.name);
   }
-  // Virtual runnable: present in the TSI for error accounting, invisible
-  // to the heartbeat/flow units (a resource has no execution to monitor).
-  RunnableMonitor monitor;
-  monitor.runnable = resource.id;
-  monitor.task = resource.task;
-  monitor.application = resource.application;
-  monitor.name = "res:" + resource.name;
-  monitor.monitor_aliveness = false;
-  monitor.monitor_arrival_rate = false;
-  monitor.program_flow = false;
-  watchdog_.add_runnable(monitor);
+  watchdog_.add_virtual_runnable(resource.id, resource.task,
+                                 resource.application, "res:" + resource.name);
 
   State state;
   state.config = resource;
@@ -220,14 +211,10 @@ void ResourceSupervisionUnit::report(State& state, ErrorType type,
                                      sim::SimTime now, std::string detail) {
   ++reports_;
   ++state.reports;
-  ErrorReport error;
-  error.runnable = state.config.id;
-  error.task = state.config.task;
-  error.application = state.config.application;
-  error.type = type;
-  error.time = now;
-  error.detail = std::move(detail);
-  watchdog_.report_external_error(std::move(error));
+  watchdog_.report_external_error({.runnable = state.config.id,
+                                   .type = type,
+                                   .time = now,
+                                   .detail = std::move(detail)});
 }
 
 std::uint64_t ResourceSupervisionUnit::level_pct(RunnableId id) const {

@@ -5,9 +5,7 @@
 // dependable nodes die from long before they miss a heartbeat (watchdogd
 // supervises load average, memory pressure and descriptor exhaustion as
 // first-class watchdog inputs for the same reason). Each supervised
-// resource registers as a virtual runnable (all heartbeat/flow monitoring
-// off, like the CMU's channels) so the TSI keeps an error indication
-// vector for it and the FMF treats its faults exactly like task faults.
+// resource is a virtual runnable, like the CMU's channels.
 //
 // Four resource classes map onto four error types:
 //   kMemory   -> ErrorType::kMemoryBudget     (per-task heap budget)

@@ -110,16 +110,19 @@ enum class Health : std::uint8_t { kOk, kFaulty };
   return h == Health::kOk ? "ok" : "faulty";
 }
 
-/// One detected error, reported to listeners and to the TSI unit.
+/// One detected error, reported to listeners and to the TSI unit. Every
+/// member has an initializer, so a detector's designated initializer names
+/// only what it knows; the watchdog fills in a registered runnable's task
+/// and application.
 struct ErrorReport {
-  RunnableId runnable;
-  TaskId task;
-  ApplicationId application;
+  RunnableId runnable{};
+  TaskId task{};
+  ApplicationId application{};
   ErrorType type = ErrorType::kAliveness;
-  sim::SimTime time;
+  sim::SimTime time{};
   /// Extra context: e.g. the offending predecessor for flow errors.
-  RunnableId related;
-  std::string detail;
+  RunnableId related{};
+  std::string detail{};
 };
 
 /// Per-runnable supervision report (TSI output, paper §3.2.3).

@@ -1,7 +1,6 @@
 #include "wdg/watchdog.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "profile/profiler.hpp"
 #include "telemetry/event_bus.hpp"
@@ -59,7 +58,20 @@ SoftwareWatchdog::SoftwareWatchdog(WatchdogConfig config)
                 config.resource_threshold, config.environment_threshold,
                 config.environment_threshold, config.check_rule_threshold,
                 config.power_mode_threshold}},
-           config.ecu_faulty_task_limit) {}
+           config.ecu_faulty_task_limit) {
+  // The TSI supports a single callback per state level; fan out here.
+  tsi_.set_task_state_callback(
+      [this](TaskId task, Health health, sim::SimTime now) {
+        for (const auto& l : task_state_listeners_) l(task, health, now);
+      });
+  tsi_.set_application_state_callback(
+      [this](ApplicationId app, Health health, sim::SimTime now) {
+        for (const auto& l : app_state_listeners_) l(app, health, now);
+      });
+  tsi_.set_ecu_state_callback([this](Health health, sim::SimTime now) {
+    for (const auto& l : ecu_state_listeners_) l(health, now);
+  });
+}
 
 void SoftwareWatchdog::add_runnable(const RunnableMonitor& monitor) {
   hbm_.add_runnable(monitor);
@@ -67,7 +79,21 @@ void SoftwareWatchdog::add_runnable(const RunnableMonitor& monitor) {
   if (monitor.program_flow) {
     pfc_.add_monitored(monitor.runnable, monitor.task);
   }
-  monitors_.emplace(monitor.runnable, monitor);
+}
+
+void SoftwareWatchdog::add_virtual_runnable(RunnableId runnable, TaskId task,
+                                            ApplicationId application,
+                                            std::string name) {
+  RunnableMonitor monitor;
+  monitor.runnable = runnable;
+  monitor.task = task;
+  monitor.application = application;
+  monitor.name = std::move(name);
+  monitor.monitor_aliveness = false;
+  monitor.monitor_arrival_rate = false;
+  monitor.program_flow = false;
+  add_runnable(monitor);
+  virtual_runnables_.insert(runnable);
 }
 
 void SoftwareWatchdog::add_flow_edge(RunnableId pred, RunnableId succ) {
@@ -79,7 +105,7 @@ void SoftwareWatchdog::add_flow_entry_point(RunnableId runnable) {
 }
 
 std::size_t SoftwareWatchdog::add_deadline_pair(DeadlinePair pair) {
-  if (!monitors_.contains(pair.start) || !monitors_.contains(pair.end)) {
+  if (!hbm_.monitors(pair.start) || !hbm_.monitors(pair.end)) {
     throw std::logic_error(
         "SoftwareWatchdog: deadline checkpoints must be monitored");
   }
@@ -131,10 +157,7 @@ void SoftwareWatchdog::report_external_error(ErrorReport report) {
 
 void SoftwareWatchdog::handle_hbm_error(RunnableId runnable, ErrorType type,
                                         sim::SimTime now) {
-  auto it = monitors_.find(runnable);
-  assert(it != monitors_.end());
-  const RunnableMonitor& m = it->second;
-
+  const RunnableMonitor& m = hbm_.config(runnable);
   if (type == ErrorType::kAliveness) {
     auto episode = last_flow_error_cycle_.find(m.task);
     if (episode != last_flow_error_cycle_.end()) {
@@ -155,53 +178,40 @@ void SoftwareWatchdog::handle_hbm_error(RunnableId runnable, ErrorType type,
       }
     }
   }
-
-  ErrorReport report;
-  report.runnable = runnable;
-  report.task = m.task;
-  report.application = m.application;
-  report.type = type;
-  report.time = now;
-  emit(std::move(report));
+  emit({.runnable = runnable, .type = type, .time = now});
 }
 
 void SoftwareWatchdog::handle_pfc_error(RunnableId runnable,
                                         RunnableId predecessor, TaskId task,
                                         sim::SimTime now) {
-  auto it = monitors_.find(runnable);
-  assert(it != monitors_.end());
   last_flow_error_cycle_[task] = cycles_;
-
-  ErrorReport report;
-  report.runnable = runnable;
-  report.task = task;
-  report.application = it->second.application;
-  report.type = ErrorType::kProgramFlow;
-  report.time = now;
-  report.related = predecessor;
-  emit(std::move(report));
+  emit({.runnable = runnable,
+        .type = ErrorType::kProgramFlow,
+        .time = now,
+        .related = predecessor});
 }
 
 void SoftwareWatchdog::handle_deadline_error(std::size_t pair_index,
                                              sim::Duration measured,
                                              sim::SimTime now) {
   const DeadlinePair& pair = deadline_.pair(pair_index);
-  auto it = monitors_.find(pair.end);
-  assert(it != monitors_.end());
-  ErrorReport report;
-  report.runnable = pair.end;
-  report.task = it->second.task;
-  report.application = it->second.application;
-  report.type = ErrorType::kDeadline;
-  report.time = now;
-  report.related = pair.start;
-  report.detail = pair.name + ": " + std::to_string(measured.as_micros()) +
+  emit({.runnable = pair.end,
+        .type = ErrorType::kDeadline,
+        .time = now,
+        .related = pair.start,
+        .detail = pair.name + ": " + std::to_string(measured.as_micros()) +
                   "us outside [" + std::to_string(pair.min.as_micros()) +
-                  ", " + std::to_string(pair.max.as_micros()) + "]us";
-  emit(std::move(report));
+                  ", " + std::to_string(pair.max.as_micros()) + "]us"});
 }
 
 void SoftwareWatchdog::emit(ErrorReport report) {
+  // The registration is the one record of a runnable's task and
+  // application; detectors report only the runnable.
+  if (hbm_.monitors(report.runnable)) {
+    const RunnableMonitor& m = hbm_.config(report.runnable);
+    report.task = m.task;
+    report.application = m.application;
+  }
   ++errors_;
   EASIS_LOG(util::LogLevel::kDebug, kLog)
       << to_string(report.type) << " error, runnable " << report.runnable
@@ -235,36 +245,15 @@ void SoftwareWatchdog::add_error_listener(ErrorListener listener) {
 }
 
 void SoftwareWatchdog::add_task_state_listener(TaskStateListener listener) {
-  // TSI supports a single callback; fan out here.
-  if (!task_state_fanout_installed_) {
-    task_state_fanout_installed_ = true;
-    tsi_.set_task_state_callback(
-        [this](TaskId task, Health health, sim::SimTime now) {
-          for (const auto& l : task_state_listeners_) l(task, health, now);
-        });
-  }
   task_state_listeners_.push_back(std::move(listener));
 }
 
 void SoftwareWatchdog::add_application_state_listener(
     ApplicationStateListener listener) {
-  if (!app_state_fanout_installed_) {
-    app_state_fanout_installed_ = true;
-    tsi_.set_application_state_callback(
-        [this](ApplicationId app, Health health, sim::SimTime now) {
-          for (const auto& l : app_state_listeners_) l(app, health, now);
-        });
-  }
   app_state_listeners_.push_back(std::move(listener));
 }
 
 void SoftwareWatchdog::add_ecu_state_listener(EcuStateListener listener) {
-  if (!ecu_state_fanout_installed_) {
-    ecu_state_fanout_installed_ = true;
-    tsi_.set_ecu_state_callback([this](Health health, sim::SimTime now) {
-      for (const auto& l : ecu_state_listeners_) l(health, now);
-    });
-  }
   ecu_state_listeners_.push_back(std::move(listener));
 }
 
@@ -284,19 +273,10 @@ void SoftwareWatchdog::update_hypothesis(RunnableId runnable,
                                          std::uint32_t max_arrivals) {
   hbm_.update_hypothesis(runnable, aliveness_cycles, min_heartbeats,
                          arrival_cycles, max_arrivals);
-  auto it = monitors_.find(runnable);
-  assert(it != monitors_.end());
-  it->second.aliveness_cycles = aliveness_cycles;
-  it->second.min_heartbeats = min_heartbeats;
-  it->second.arrival_cycles = arrival_cycles;
-  it->second.max_arrivals = max_arrivals;
 }
 
 void SoftwareWatchdog::rebind_hypothesis(const RunnableMonitor& monitor) {
   hbm_.rebind(monitor);
-  auto it = monitors_.find(monitor.runnable);
-  assert(it != monitors_.end());
-  it->second = monitor;
 }
 
 void SoftwareWatchdog::clear_task_state(TaskId task, sim::SimTime now) {
@@ -304,8 +284,8 @@ void SoftwareWatchdog::clear_task_state(TaskId task, sim::SimTime now) {
   pfc_.task_boundary(task);
   last_flow_error_cycle_.erase(task);
   accumulated_reported_.erase(task);
-  for (const auto& [runnable, m] : monitors_) {
-    if (m.task == task) hbm_.reset_runnable(runnable);
+  for (RunnableId runnable : hbm_.monitored_runnables()) {
+    if (hbm_.config(runnable).task == task) hbm_.reset_runnable(runnable);
   }
 }
 
@@ -324,14 +304,15 @@ void SoftwareWatchdog::reset(sim::SimTime now) {
 }
 
 void SoftwareWatchdog::write_supervision_reports(std::ostream& out) const {
-  out << "supervision reports (" << monitors_.size()
+  const auto& runnables = hbm_.monitored_runnables();
+  out << "supervision reports (" << runnables.size()
       << " monitored runnables):\n";
   std::size_t name_width = 8;
-  for (RunnableId id : hbm_.monitored_runnables()) {
-    name_width = std::max(name_width, monitors_.at(id).name.size());
+  for (RunnableId id : runnables) {
+    name_width = std::max(name_width, hbm_.config(id).name.size());
   }
-  for (RunnableId id : hbm_.monitored_runnables()) {
-    const RunnableMonitor& m = monitors_.at(id);
+  for (RunnableId id : runnables) {
+    const RunnableMonitor& m = hbm_.config(id);
     const SupervisionReport r = tsi_.report(id);
     out << "  " << m.name;
     for (std::size_t pad = m.name.size(); pad < name_width + 2; ++pad) {

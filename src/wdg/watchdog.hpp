@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <ostream>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -40,9 +41,22 @@ class SoftwareWatchdog {
   using EcuStateListener = std::function<void(Health, sim::SimTime)>;
 
   explicit SoftwareWatchdog(WatchdogConfig config);
+  // The TSI state fan-outs capture `this`.
+  SoftwareWatchdog(const SoftwareWatchdog&) = delete;
+  SoftwareWatchdog& operator=(const SoftwareWatchdog&) = delete;
 
   // --- configuration (fault hypothesis) --------------------------------------
   void add_runnable(const RunnableMonitor& monitor);
+  /// Registers a virtual runnable: an auxiliary unit's channel (network
+  /// signal, resource, environment channel, mode machine, check rule). It
+  /// never executes, so no heartbeat/flow check is armed; it exists so the
+  /// TSI keeps an error-indication vector for it and the FMF treats its
+  /// faults exactly like task faults.
+  void add_virtual_runnable(RunnableId runnable, TaskId task,
+                            ApplicationId application, std::string name);
+  [[nodiscard]] bool is_virtual(RunnableId runnable) const {
+    return virtual_runnables_.contains(runnable);
+  }
   void add_flow_edge(RunnableId pred, RunnableId succ);
   void add_flow_entry_point(RunnableId runnable);
   /// Deadline supervision (extension): the elapsed time between the start
@@ -63,8 +77,10 @@ class SoftwareWatchdog {
   /// Entry point for auxiliary monitoring units (e.g. the communication
   /// monitoring unit): routes an externally detected error through the
   /// same listener + TSI path as the watchdog's own detections, so network
-  /// faults drive identical FMF treatment. The report's runnable must be
-  /// registered (add_runnable), or the TSI will ignore it.
+  /// faults drive identical FMF treatment. For a registered runnable the
+  /// report's task and application are taken from its registration; the
+  /// report of an unregistered runnable passes through unchanged, and the
+  /// TSI ignores it.
   void report_external_error(ErrorReport report);
 
   // --- runtime interface 2: reporting to the FMF -------------------------------
@@ -143,8 +159,7 @@ class SoftwareWatchdog {
   TaskStateIndicationUnit tsi_;
   RecoverySupervisionUnit recovery_;
 
-  // Mapping info for monitored runnables (needed for reports).
-  std::unordered_map<RunnableId, RunnableMonitor> monitors_;
+  std::unordered_set<RunnableId> virtual_runnables_;
   // Collaboration state (Figure 6): per task, the main-function cycle of
   // the most recent program flow error. Aliveness errors on such a task
   // are attributed to the flow fault (accumulated, reported once) — but
@@ -157,9 +172,6 @@ class SoftwareWatchdog {
   std::vector<TaskStateListener> task_state_listeners_;
   std::vector<ApplicationStateListener> app_state_listeners_;
   std::vector<EcuStateListener> ecu_state_listeners_;
-  bool task_state_fanout_installed_ = false;
-  bool app_state_fanout_installed_ = false;
-  bool ecu_state_fanout_installed_ = false;
   std::uint64_t cycles_ = 0;
   std::uint64_t errors_ = 0;
 

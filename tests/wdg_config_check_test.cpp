@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "wdg/config_check.hpp"
 #include "wdg/watchdog.hpp"
@@ -93,6 +95,35 @@ TEST(ConfigCheck, NothingMonitoredIsWarning) {
   const auto findings = ConfigChecker::check(wd);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].severity, FindingSeverity::kWarning);
+}
+
+TEST(ConfigCheck, VirtualRunnableYieldsNoFinding) {
+  SoftwareWatchdog wd(base_config());
+  wd.add_virtual_runnable(RunnableId(1), TaskId(0), ApplicationId(0),
+                          "com:speed");
+  EXPECT_TRUE(wd.is_virtual(RunnableId(1)));
+  EXPECT_TRUE(ConfigChecker::check(wd).empty());
+  EXPECT_TRUE(
+      ConfigChecker::check(wd, [](RunnableId) { return Duration::millis(10); })
+          .empty());
+}
+
+TEST(ConfigCheck, EnforceThrowsOnErrorNamingTheOwner) {
+  SoftwareWatchdog wd(base_config());
+  wd.add_runnable(monitor(1, 0, 4, 3, 10, /*flow=*/false));
+  const auto period = [](RunnableId) { return Duration::millis(50); };
+  try {
+    ConfigChecker::enforce(wd, period, "TestNode");
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("TestNode: watchdog configuration invalid\n", 0), 0u)
+        << what;
+    EXPECT_NE(what.find("ERROR [runnable"), std::string::npos) << what;
+  }
+  SoftwareWatchdog clean(base_config());
+  clean.add_runnable(monitor(1, 0, 4, /*min_hb=*/0, 5, /*flow=*/false));
+  EXPECT_NO_THROW(ConfigChecker::enforce(clean, {}, "TestNode"));  // warning
 }
 
 TEST(ConfigCheck, UnreachableFlowRunnableIsError) {

@@ -156,6 +156,32 @@ TEST_F(WatchdogTest, CollaborationSuppressesSecondaryAliveness) {
             1u);
 }
 
+// The collaboration window (aliveness period + 1 cycles) follows the
+// hypothesis installed by update_hypothesis: under the original 2-cycle
+// period a 4-cycle-old flow error no longer masks, under the updated
+// 4-cycle period it still does.
+TEST_F(WatchdogTest, CollaborationWindowFollowsUpdatedHypothesis) {
+  wd.add_runnable(monitor(1, 0, 0, /*cycles=*/2, /*min_hb=*/1));
+  wd.add_runnable(monitor(2, 0, 0, 2, 1));
+  wd.add_flow_entry_point(RunnableId(1));
+  wd.add_flow_edge(RunnableId(1), RunnableId(2));
+  wd.add_flow_edge(RunnableId(2), RunnableId(1));
+
+  wd.indicate_aliveness(RunnableId(1), TaskId(0), SimTime(0));
+  wd.indicate_aliveness(RunnableId(1), TaskId(0), SimTime(1));  // flow error
+  wd.update_hypothesis(RunnableId(1), 4, 1, 4, 10);
+  wd.update_hypothesis(RunnableId(2), 4, 1, 4, 10);
+  ticks(4);  // both windows expire at cycle 4, 4 cycles after the flow error
+
+  int accumulated = 0, plain = 0;
+  for (const auto& e : errors) {
+    if (e.type == ErrorType::kAccumulatedAliveness) ++accumulated;
+    if (e.type == ErrorType::kAliveness) ++plain;
+  }
+  EXPECT_EQ(accumulated, 1);
+  EXPECT_EQ(plain, 0);
+}
+
 TEST_F(WatchdogTest, AlivenessOnOtherTaskNotSuppressed) {
   wd.add_runnable(monitor(1, 0, 0, 2, 1));
   wd.add_runnable(monitor(2, 0, 0, 2, 1));
@@ -242,6 +268,51 @@ TEST_F(WatchdogTest, StateListenersFanOut) {
   ticks(6);  // 3 aliveness errors -> faulty
   EXPECT_EQ(task_calls, 2);
   EXPECT_EQ(app_calls, 1);
+}
+
+TEST_F(WatchdogTest, ExternalReportTakesTaskAndApplicationFromRegistration) {
+  wd.add_virtual_runnable(RunnableId(7), TaskId(3), ApplicationId(2),
+                          "com:speed");
+  for (int i = 0; i < 3; ++i) {
+    ErrorReport report;
+    report.runnable = RunnableId(7);
+    report.type = ErrorType::kCommunication;
+    report.time = SimTime(i);
+    report.detail = "e2e crc";
+    wd.report_external_error(std::move(report));
+  }
+  ASSERT_EQ(errors.size(), 3u);
+  for (const auto& e : errors) {
+    EXPECT_EQ(e.task, TaskId(3));
+    EXPECT_EQ(e.application, ApplicationId(2));
+    EXPECT_EQ(e.detail, "e2e crc");
+  }
+  EXPECT_EQ(wd.tsi_unit().error_count(RunnableId(7),
+                                      ErrorType::kCommunication),
+            3u);
+  EXPECT_EQ(wd.task_health(TaskId(3)), Health::kFaulty);
+  EXPECT_EQ(wd.application_health(ApplicationId(2)), Health::kFaulty);
+}
+
+TEST_F(WatchdogTest, ReportForUnregisteredRunnablePassesUnchanged) {
+  wd.add_runnable(monitor(1, 0, 0));
+  ErrorReport report;
+  report.runnable = RunnableId(99);
+  report.task = TaskId(5);
+  report.application = ApplicationId(6);
+  report.type = ErrorType::kDeadline;
+  report.time = SimTime(10);
+  wd.report_external_error(report);
+  ErrorReport bare;  // no runnable at all (e.g. NVM corruption)
+  bare.type = ErrorType::kNvmCorruption;
+  wd.report_external_error(bare);
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[0].runnable, RunnableId(99));
+  EXPECT_EQ(errors[0].task, TaskId(5));
+  EXPECT_EQ(errors[0].application, ApplicationId(6));
+  EXPECT_FALSE(errors[1].task.valid());
+  EXPECT_FALSE(errors[1].application.valid());
+  EXPECT_EQ(wd.task_health(TaskId(0)), Health::kOk);
 }
 
 TEST_F(WatchdogTest, ActivationStatusGatesMonitoring) {
