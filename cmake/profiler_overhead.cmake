@@ -3,8 +3,9 @@
 # Runs a harness-ported campaign binary REPS times without any profiling
 # flag (runtime-off: every instrumented site pays one thread-local load
 # and branch) and REPS times with --profile-shape (profiler fully
-# engaged), takes the minimum wall clock of each configuration from the
-# --timing-csv export, and fails if the profiled minimum exceeds the
+# engaged), alternating off and on so that a slow phase of the host hits
+# both sides. It takes the minimum wall clock of each configuration from
+# the --timing-csv export, and fails if the profiled minimum exceeds the
 # unprofiled minimum by more than 5% plus a small absolute allowance
 # (ABS_SLACK_US, default 30 ms) that absorbs scheduler noise on very
 # short campaigns.  Min-of-reps is the standard guard against one-off
@@ -44,31 +45,33 @@ function(wall_micros timing_file out_var)
   set(${out_var} ${micros} PARENT_SCOPE)
 endfunction()
 
-# Minimum wall clock over REPS runs of the binary with `extra` flags.
-function(min_wall_micros tag extra out_var)
+# One run of the binary with `extra` flags; lowers `best_var` (in the
+# caller's scope) to its wall clock if that is smaller.
+function(run_and_keep_min tag rep extra best_var)
   separate_arguments(extra_args UNIX_COMMAND "${extra}")
-  set(best "")
-  foreach(rep RANGE 1 ${REPS})
-    execute_process(
-      COMMAND ${EXE} ${common_args} --jobs 2
-        --csv ${OUT}_${tag}.csv
-        --timing-csv ${OUT}_${tag}.timing.csv
-        ${extra_args}
-      RESULT_VARIABLE rc
-      OUTPUT_QUIET)
-    if(NOT rc MATCHES "^[01]$")
-      message(FATAL_ERROR "${EXE} (${tag}, rep ${rep}) exited abnormally: ${rc}")
-    endif()
-    wall_micros(${OUT}_${tag}.timing.csv wall)
-    if(best STREQUAL "" OR wall LESS best)
-      set(best ${wall})
-    endif()
-  endforeach()
-  set(${out_var} ${best} PARENT_SCOPE)
+  execute_process(
+    COMMAND ${EXE} ${common_args} --jobs 2
+      --csv ${OUT}_${tag}.csv
+      --timing-csv ${OUT}_${tag}.timing.csv
+      ${extra_args}
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET)
+  if(NOT rc MATCHES "^[01]$")
+    message(FATAL_ERROR "${EXE} (${tag}, rep ${rep}) exited abnormally: ${rc}")
+  endif()
+  wall_micros(${OUT}_${tag}.timing.csv wall)
+  set(best "${${best_var}}")
+  if(best STREQUAL "" OR wall LESS best)
+    set(${best_var} ${wall} PARENT_SCOPE)
+  endif()
 endfunction()
 
-min_wall_micros(off "" off_us)
-min_wall_micros(on "--profile-shape ${OUT}_on.shape.csv" on_us)
+set(off_us "")
+set(on_us "")
+foreach(rep RANGE 1 ${REPS})
+  run_and_keep_min(off ${rep} "" off_us)
+  run_and_keep_min(on ${rep} "--profile-shape ${OUT}_on.shape.csv" on_us)
+endforeach()
 
 math(EXPR limit_us "${off_us} * 105 / 100 + ${ABS_SLACK_US}")
 message(STATUS

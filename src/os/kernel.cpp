@@ -37,14 +37,13 @@ ResourceId Kernel::create_resource(std::string name, Priority ceiling) {
 }
 
 CounterId Kernel::create_counter(CounterConfig config) {
-  counters_.push_back(Counter{std::move(config), 0, {}, {}});
-  const auto id = CounterId(
+  assert(!config.hardware_driven || config.tick > sim::Duration::zero());
+  // Counters created on a running system tick from their creation.
+  Counter& counter = counters_.emplace_back();
+  counter.config = std::move(config);
+  counter.origin = now();
+  return CounterId(
       static_cast<CounterId::underlying_type>(counters_.size() - 1));
-  // Counters created on a running system start ticking immediately.
-  if (started_ && counters_.back().config.hardware_driven) {
-    drive_counter(id);
-  }
-  return id;
 }
 
 AlarmId Kernel::create_alarm(CounterId counter, AlarmAction action,
@@ -67,9 +66,9 @@ void Kernel::start() {
     }
   }
   for (std::size_t i = 0; i < counters_.size(); ++i) {
-    if (counters_[i].config.hardware_driven) {
-      drive_counter(CounterId(static_cast<CounterId::underlying_type>(i)));
-    }
+    counters_[i].origin = now();
+    // Alarms set before start() expire relative to this origin.
+    rearm_counter(CounterId(static_cast<CounterId::underlying_type>(i)));
   }
 }
 
@@ -99,15 +98,15 @@ void Kernel::software_reset() {
   for (auto& r : resources_) r.holder = TaskId{};
   for (auto& c : counters_) {
     c.ticks = 0;
-    c.drive.cancel();
+    engine_.cancel(c.expiry);
+    c.expiry = 0;
   }
   for (auto& a : alarms_) {
     a.armed = false;
     a.expiry_tick = 0;
     a.cycle_ticks = 0;
   }
-  EASIS_LOG(util::LogLevel::kInfo, kLog) << "software reset (epoch "
-                                         << resets_ << ")";
+  EASIS_LOG(util::LogLevel::kInfo, kLog) << "software reset #" << resets_;
 }
 
 // --- helpers -----------------------------------------------------------------
@@ -530,32 +529,56 @@ bool Kernel::resource_held(ResourceId resource) const {
 
 // --- counters and alarms --------------------------------------------------------
 
-void Kernel::drive_counter(CounterId id) {
-  Counter& c = counters_[id.value()];
-  c.drive = engine_.every(
-      c.config.tick,
-      [this, id] {
-        Section section(*this);
-        counter_tick(counters_[id.value()], id);
-      },
-      sim::EventPriority::kKernel);
+std::uint64_t Kernel::elapsed_ticks(const Counter& counter) const {
+  if (!counter.config.hardware_driven) return counter.ticks;
+  if (!started_) return 0;
+  return static_cast<std::uint64_t>((now() - counter.origin).as_micros() /
+                                    counter.config.tick.as_micros());
 }
 
-void Kernel::counter_tick(Counter& counter, CounterId id) {
-  (void)id;
-  ++counter.ticks;
-  // Snapshot: an alarm action may attach further alarms to this counter.
-  const std::vector<AlarmId> armed_now = counter.alarms;
-  for (AlarmId alarm_id : armed_now) {
-    Alarm& a = alarms_[alarm_id.value()];
-    if (!a.armed || a.expiry_tick != counter.ticks) continue;
+void Kernel::fire_due_alarms(CounterId id) {
+  // By index, re-reading the tick each time: an action may create alarms
+  // or counters, or reset and restart the kernel.
+  for (std::size_t i = 0; i < counters_[id.value()].alarms.size(); ++i) {
+    const Counter& counter = counters_[id.value()];
+    Alarm& a = alarms_[counter.alarms[i].value()];
+    const std::uint64_t ticks = elapsed_ticks(counter);
+    if (!a.armed || a.expiry_tick != ticks) continue;
     if (a.cycle_ticks > 0) {
-      a.expiry_tick = counter.ticks + a.cycle_ticks;
+      a.expiry_tick = ticks + a.cycle_ticks;
     } else {
       a.armed = false;
     }
     fire_alarm(a);
   }
+}
+
+void Kernel::rearm_counter(CounterId id) {
+  Counter& c = counters_[id.value()];
+  if (!c.config.hardware_driven) return;
+  std::uint64_t next = UINT64_MAX;
+  for (AlarmId alarm_id : c.alarms) {
+    const Alarm& a = alarms_[alarm_id.value()];
+    if (a.armed) next = std::min(next, a.expiry_tick);
+  }
+  if (!started_ || next == UINT64_MAX) {
+    engine_.cancel(c.expiry);
+    c.expiry = 0;
+    return;
+  }
+  const sim::SimTime at =
+      c.origin + c.config.tick * static_cast<std::int64_t>(next);
+  if (c.expiry_at == at && engine_.is_pending(c.expiry)) return;
+  engine_.cancel(c.expiry);
+  c.expiry_at = at;
+  c.expiry = engine_.schedule_at(
+      at,
+      [this, id] {
+        Section section(*this);
+        fire_due_alarms(id);
+        rearm_counter(id);
+      },
+      sim::EventPriority::kKernel);
 }
 
 void Kernel::fire_alarm(Alarm& alarm) {
@@ -582,14 +605,15 @@ Status Kernel::increment_counter(CounterId counter) {
   if (c.config.hardware_driven) {
     return fail(Status::kAccess, "IncrementCounter");
   }
-  counter_tick(c, counter);
+  ++c.ticks;
+  fire_due_alarms(counter);
   return Status::kOk;
 }
 
 std::uint64_t Kernel::counter_ticks(CounterId counter) const {
   assert(counter.valid() && counter.value() < counters_.size());
   const Counter& c = counters_[counter.value()];
-  return c.ticks % (c.config.max_allowed_value + 1);
+  return elapsed_ticks(c) % (c.config.max_allowed_value + 1);
 }
 
 Status Kernel::set_rel_alarm(AlarmId alarm, std::uint64_t offset_ticks,
@@ -602,8 +626,9 @@ Status Kernel::set_rel_alarm(AlarmId alarm, std::uint64_t offset_ticks,
   Alarm& a = alarms_[alarm.value()];
   if (a.armed) return fail(Status::kState, "SetRelAlarm");
   a.armed = true;
-  a.expiry_tick = counters_[a.counter.value()].ticks + offset_ticks;
+  a.expiry_tick = elapsed_ticks(counters_[a.counter.value()]) + offset_ticks;
   a.cycle_ticks = cycle_ticks;
+  rearm_counter(a.counter);
   return Status::kOk;
 }
 
@@ -615,6 +640,7 @@ Status Kernel::cancel_alarm(AlarmId alarm) {
   Alarm& a = alarms_[alarm.value()];
   if (!a.armed) return fail(Status::kNoFunc, "CancelAlarm");
   a.armed = false;
+  rearm_counter(a.counter);
   return Status::kOk;
 }
 
@@ -630,7 +656,7 @@ util::Result<std::uint64_t, Status> Kernel::alarm_remaining_ticks(
   }
   const Alarm& a = alarms_[alarm.value()];
   if (!a.armed) return Status::kNoFunc;
-  const std::uint64_t now_ticks = counters_[a.counter.value()].ticks;
+  const std::uint64_t now_ticks = elapsed_ticks(counters_[a.counter.value()]);
   return a.expiry_tick > now_ticks ? a.expiry_tick - now_ticks
                                    : std::uint64_t{0};
 }

@@ -108,13 +108,13 @@ class Kernel {
   AlarmId create_alarm(CounterId counter, AlarmAction action,
                        std::string name = {});
 
-  /// Activates auto-start tasks and begins driving hardware counters.
+  /// Activates auto-start tasks and starts the hardware counters at tick 0.
   void start();
   [[nodiscard]] bool started() const { return started_; }
 
   /// ECU software reset: stops everything, clears all dynamic state
   /// (activations, alarms, counters, events, resources), cancels the
-  /// pending segment completions and counter ticks, and counts the reset.
+  /// pending segment completions and alarm expiries, and counts the reset.
   /// Static configuration (tasks, resources, counters, alarms) survives;
   /// call start() to boot again.
   void software_reset();
@@ -257,9 +257,13 @@ class Kernel {
 
   struct Counter {
     CounterConfig config;
-    std::uint64_t ticks = 0;
+    std::uint64_t ticks = 0;  // software counters; hardware ones derive it
+    sim::SimTime origin;      // hardware counters: the instant of tick 0
     std::vector<AlarmId> alarms;
-    sim::Timer drive;  // hardware tick series; stopped on software_reset
+    /// Hardware counters: the one pending event, at the earliest armed
+    /// alarm's expiry (none while no alarm is armed or the kernel is down).
+    sim::EventId expiry = 0;
+    sim::SimTime expiry_at;
   };
 
   /// RAII guard deferring dispatch to the outermost kernel entry.
@@ -326,8 +330,12 @@ class Kernel {
   void retire_job(Tcb& t);
   void build_job(Tcb& t);
   void release_all_resources(Tcb& t);
-  void drive_counter(CounterId id);
-  void counter_tick(Counter& counter, CounterId id);
+  /// Unwrapped tick count: elapsed ticks since origin for hardware counters.
+  [[nodiscard]] std::uint64_t elapsed_ticks(const Counter& counter) const;
+  /// Fires the counter's alarms due now, in creation order.
+  void fire_due_alarms(CounterId id);
+  /// Moves the counter's expiry event to its earliest armed alarm.
+  void rearm_counter(CounterId id);
   void fire_alarm(Alarm& alarm);
 
   template <typename Fn>

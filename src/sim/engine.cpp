@@ -80,6 +80,7 @@ bool Engine::cancel(EventId id) {
   // Lazy cancellation: settle the id now; skip its event when popped.
   settled_[id - 1] = true;
   ++cancelled_queued_;
+  ++cancelled_;
   return true;
 }
 

@@ -19,8 +19,9 @@ namespace easis::sim {
 using EventId = std::uint64_t;
 
 /// Scheduling priority of a simultaneous event; lower value fires first.
-/// The OS kernel uses kDispatch so that e.g. alarm expiries at time t are
-/// processed before user callbacks scheduled at t.
+/// The OS kernel schedules alarm expiries at kKernel and segment
+/// completions at kDispatch, so both run before user callbacks scheduled
+/// at the same instant.
 enum class EventPriority : int {
   kKernel = 0,
   kDispatch = 1,
@@ -97,6 +98,10 @@ class Engine {
 
   [[nodiscard]] std::size_t pending_events() const;
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
+  /// Events ever scheduled and ever cancelled: every scheduled event has
+  /// fired, is pending or was cancelled.
+  [[nodiscard]] std::uint64_t events_scheduled() const { return next_id_ - 1; }
+  [[nodiscard]] std::uint64_t events_cancelled() const { return cancelled_; }
 
  private:
   friend class Timer;
@@ -124,6 +129,7 @@ class Engine {
   SimTime now_;
   EventId next_id_ = 1;
   std::uint64_t fired_ = 0;
+  std::uint64_t cancelled_ = 0;
 
   struct Series {
     std::uint64_t key;

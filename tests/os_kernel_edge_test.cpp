@@ -313,5 +313,139 @@ TEST_F(KernelEdgeTest, PreemptionDuringOnStartOfSegment) {
   EXPECT_EQ(order, (std::vector<std::string>{"hi@50", "lo@150"}));
 }
 
+// --- tickless hardware counters ------------------------------------------------------------
+
+TEST_F(KernelEdgeTest, TickCountAndRemainingReadBetweenExpiries) {
+  const CounterId counter = kernel.create_counter(
+      {.name = "sys", .tick = Duration::millis(1)});
+  const AlarmId alarm =
+      kernel.create_alarm(counter, AlarmActionCallback{[] {}});
+  kernel.start();
+  kernel.set_rel_alarm(alarm, 10, 10);
+  engine.run_until(SimTime(3'500));
+  EXPECT_EQ(kernel.counter_ticks(counter), 3u);
+  EXPECT_EQ(kernel.alarm_remaining_ticks(alarm).value(), 7u);
+  engine.run_until(SimTime(13'999));
+  EXPECT_EQ(kernel.counter_ticks(counter), 13u);
+  EXPECT_EQ(kernel.alarm_remaining_ticks(alarm).value(), 7u);
+}
+
+TEST_F(KernelEdgeTest, TickCountAndRemainingAcrossWrap) {
+  const CounterId counter = kernel.create_counter(
+      {.name = "small", .tick = Duration::millis(1), .max_allowed_value = 9});
+  const AlarmId alarm =
+      kernel.create_alarm(counter, AlarmActionCallback{[] {}});
+  kernel.start();
+  engine.run_until(SimTime(8'500));
+  kernel.set_rel_alarm(alarm, 4, 0);  // expires at tick 12, value 2
+  EXPECT_EQ(kernel.counter_ticks(counter), 8u);
+  engine.run_until(SimTime(10'500));
+  EXPECT_EQ(kernel.counter_ticks(counter), 0u);
+  EXPECT_EQ(kernel.alarm_remaining_ticks(alarm).value(), 2u);
+  engine.run_until(SimTime(11'999));
+  EXPECT_TRUE(kernel.alarm_armed(alarm));
+  engine.run_until(SimTime(12'000));
+  EXPECT_FALSE(kernel.alarm_armed(alarm));
+  EXPECT_EQ(kernel.counter_ticks(counter), 2u);
+}
+
+TEST_F(KernelEdgeTest, IdleHardwareCounterSchedulesNothing) {
+  const CounterId counter = kernel.create_counter(
+      {.name = "sys", .tick = Duration::millis(1)});
+  const AlarmId alarm =
+      kernel.create_alarm(counter, AlarmActionCallback{[] {}});
+  kernel.start();
+  EXPECT_EQ(engine.pending_events(), 0u);
+  engine.run_until(SimTime(1'000'000));
+  EXPECT_EQ(engine.events_fired(), 0u);
+  EXPECT_EQ(kernel.counter_ticks(counter), 1000u % 0x10000u);
+  // A one-shot alarm costs one event, and the counter is idle again.
+  kernel.set_rel_alarm(alarm, 5, 0);
+  EXPECT_EQ(engine.pending_events(), 1u);
+  engine.run_until(SimTime(2'000'000));
+  EXPECT_EQ(engine.events_fired(), 1u);
+  EXPECT_EQ(engine.pending_events(), 0u);
+}
+
+TEST_F(KernelEdgeTest, CancellingEarliestAlarmMovesTheExpiry) {
+  std::vector<std::string> order;
+  const CounterId counter = kernel.create_counter(
+      {.name = "sys", .tick = Duration::millis(1)});
+  const AlarmId early = kernel.create_alarm(
+      counter, AlarmActionCallback{[&] { order.push_back("early"); }});
+  const AlarmId late = kernel.create_alarm(counter, AlarmActionCallback{[&] {
+    order.push_back("late@" + std::to_string(engine.now().as_micros()));
+  }});
+  kernel.start();
+  kernel.set_rel_alarm(early, 3, 0);
+  kernel.set_rel_alarm(late, 8, 0);
+  EXPECT_EQ(engine.pending_events(), 1u);  // one event per counter
+  EXPECT_EQ(kernel.cancel_alarm(early), Status::kOk);
+  EXPECT_EQ(engine.pending_events(), 1u);
+  engine.run_until(SimTime(7'999));
+  EXPECT_EQ(engine.events_fired(), 0u);  // nothing left at tick 3
+  engine.run_until(SimTime(20'000));
+  EXPECT_EQ(order, (std::vector<std::string>{"late@8000"}));
+  EXPECT_EQ(engine.events_fired(), 1u);
+}
+
+TEST_F(KernelEdgeTest, AlarmsDueOnTheSameTickFireInCreationOrder) {
+  std::vector<std::string> order;
+  const CounterId counter = kernel.create_counter(
+      {.name = "sys", .tick = Duration::millis(1)});
+  const AlarmId first = kernel.create_alarm(
+      counter, AlarmActionCallback{[&] { order.push_back("first"); }});
+  const AlarmId second = kernel.create_alarm(
+      counter, AlarmActionCallback{[&] { order.push_back("second"); }});
+  kernel.start();
+  // Armed in reverse order, with different periods meeting at tick 6.
+  kernel.set_rel_alarm(second, 2, 2);
+  kernel.set_rel_alarm(first, 3, 3);
+  engine.run_until(SimTime(6'000));
+  EXPECT_EQ(order, (std::vector<std::string>{"second", "first", "second",
+                                             "first", "second"}));
+}
+
+TEST_F(KernelEdgeTest, TicksRestartAtZeroAfterResetAndStart) {
+  int fires = 0;
+  const CounterId counter = kernel.create_counter(
+      {.name = "sys", .tick = Duration::millis(1)});
+  const AlarmId alarm = kernel.create_alarm(
+      counter, AlarmActionCallback{[&] { ++fires; }});
+  kernel.start();
+  kernel.set_rel_alarm(alarm, 10, 10);
+  engine.run_until(SimTime(25'500));
+  EXPECT_EQ(fires, 2);
+  kernel.software_reset();
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_EQ(kernel.counter_ticks(counter), 0u);
+  engine.run_until(SimTime(40'000));
+  EXPECT_EQ(kernel.counter_ticks(counter), 0u);  // stopped until start()
+  kernel.start();
+  kernel.set_rel_alarm(alarm, 10, 10);
+  engine.run_until(SimTime(44'000));
+  EXPECT_EQ(kernel.counter_ticks(counter), 4u);
+  engine.run_until(SimTime(50'000));
+  EXPECT_EQ(fires, 3);  // tick 10 of the new boot is 50 ms
+}
+
+TEST_F(KernelEdgeTest, CounterCreatedOnRunningKernelTicksFromCreation) {
+  std::vector<std::int64_t> fired_at;
+  kernel.start();
+  engine.run_until(SimTime(2'300));
+  const CounterId counter = kernel.create_counter(
+      {.name = "late", .tick = Duration::millis(1)});
+  const AlarmId alarm = kernel.create_alarm(counter, AlarmActionCallback{[&] {
+    fired_at.push_back(engine.now().as_micros());
+  }});
+  EXPECT_EQ(kernel.counter_ticks(counter), 0u);
+  kernel.set_rel_alarm(alarm, 2, 2);
+  engine.run_until(SimTime(3'299));
+  EXPECT_EQ(kernel.counter_ticks(counter), 0u);
+  engine.run_until(SimTime(7'000));
+  EXPECT_EQ(kernel.counter_ticks(counter), 4u);
+  EXPECT_EQ(fired_at, (std::vector<std::int64_t>{4'300, 6'300}));
+}
+
 }  // namespace
 }  // namespace easis::os

@@ -123,6 +123,8 @@ TEST_P(EngineConservation, EveryEventFiresPendsOrWasCancelled) {
     last = engine.now();
     ASSERT_EQ(engine.events_fired() + engine.pending_events() + cancels,
               ids.size() + series.size() + series_fires);
+    ASSERT_EQ(engine.events_scheduled(), ids.size() + series.size() + series_fires);
+    ASSERT_EQ(engine.events_cancelled(), cancels);
   }
   EXPECT_EQ(engine.events_fired(), fired.size() + series_fires);
 }
@@ -214,6 +216,157 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TaskSetParam{2, 11}, TaskSetParam{4, 22},
                       TaskSetParam{6, 33}, TaskSetParam{8, 44},
                       TaskSetParam{10, 55}));
+
+// --- tickless hardware counters against the 1 ms tick loop ---------------------------
+
+// Random SetRelAlarm/CancelAlarm/reset/start sequences on one hardware
+// counter must fire the same alarms at the same instants, in the same
+// order, as a reference tick loop that advances the counter every 1 ms
+// and scans its alarms in creation order. Two alarm actions call back
+// into the kernel from inside an expiry.
+class TicklessCounter : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TicklessCounter, FiresLikeTheTickLoop) {
+  constexpr std::size_t kAlarms = 4;
+  constexpr std::int64_t kTickUs = 1000;
+  constexpr std::uint64_t kModulo = 64;  // max_allowed_value 63
+  util::Rng rng(GetParam());
+  Engine engine;
+  os::Kernel kernel(engine);
+  const CounterId counter = kernel.create_counter(
+      {.name = "sys", .tick = Duration::micros(kTickUs),
+       .max_allowed_value = kModulo - 1});
+  using Firing = std::pair<std::int64_t, std::size_t>;  // (time us, alarm)
+  std::vector<Firing> got;
+  std::vector<AlarmId> alarms;
+  for (std::size_t i = 0; i < kAlarms; ++i) {
+    alarms.push_back(kernel.create_alarm(
+        counter, os::AlarmActionCallback{[&, i] {
+          got.emplace_back(engine.now().as_micros(), i);
+          if (i == 2 && !kernel.alarm_armed(alarms[1])) {
+            kernel.set_rel_alarm(alarms[1], 3, 0);
+          }
+          if (i == 3 && kernel.alarm_armed(alarms[0])) {
+            kernel.cancel_alarm(alarms[0]);
+          }
+        }}));
+  }
+
+  struct ModelAlarm {
+    bool armed = false;
+    std::uint64_t expiry = 0;
+    std::uint64_t cycle = 0;
+  };
+  struct Model {
+    bool started = false;
+    std::int64_t origin = 0;
+    std::uint64_t ticks = 0;
+    std::array<ModelAlarm, kAlarms> alarms{};
+    std::vector<Firing> fired;
+    std::uint64_t firing_ticks = 0;  // ticks that fired at least one alarm
+
+    void advance_to(std::int64_t now) {
+      if (!started) return;
+      while (origin + static_cast<std::int64_t>(ticks + 1) * kTickUs <= now) {
+        ++ticks;
+        bool any = false;
+        for (std::size_t i = 0; i < kAlarms; ++i) {
+          ModelAlarm& a = alarms[i];
+          if (!a.armed || a.expiry != ticks) continue;
+          any = true;
+          if (a.cycle > 0) {
+            a.expiry = ticks + a.cycle;
+          } else {
+            a.armed = false;
+          }
+          fired.emplace_back(origin + static_cast<std::int64_t>(ticks) * kTickUs,
+                             i);
+          if (i == 2 && !alarms[1].armed) alarms[1] = {true, ticks + 3, 0};
+          if (i == 3 && alarms[0].armed) alarms[0].armed = false;
+        }
+        if (any) ++firing_ticks;
+      }
+    }
+    [[nodiscard]] bool any_armed() const {
+      for (const ModelAlarm& a : alarms) {
+        if (a.armed) return true;
+      }
+      return false;
+    }
+  } model;
+
+  kernel.start();
+  model.started = true;
+  for (int step = 0; step < 600; ++step) {
+    const std::size_t pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kAlarms) - 1));
+    ModelAlarm& a = model.alarms[pick];
+    switch (rng.uniform_int(0, 19)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3:
+      case 4:
+      case 5: {
+        const auto offset = static_cast<std::uint64_t>(rng.uniform_int(1, 30));
+        const auto cycle = static_cast<std::uint64_t>(
+            rng.uniform_int(0, 1) == 0 ? 0 : rng.uniform_int(1, 20));
+        const os::Status expected =
+            a.armed ? os::Status::kState : os::Status::kOk;
+        if (!a.armed) a = {true, model.ticks + offset, cycle};
+        ASSERT_EQ(kernel.set_rel_alarm(alarms[pick], offset, cycle), expected);
+        break;
+      }
+      case 6:
+      case 7:
+      case 8: {
+        const os::Status expected =
+            a.armed ? os::Status::kOk : os::Status::kNoFunc;
+        a.armed = false;
+        ASSERT_EQ(kernel.cancel_alarm(alarms[pick]), expected);
+        break;
+      }
+      case 9:
+        if (model.started) {
+          kernel.software_reset();
+          model = Model{.fired = std::move(model.fired),
+                        .firing_ticks = model.firing_ticks};
+        } else {
+          kernel.start();
+          model.started = true;
+          model.origin = engine.now().as_micros();
+        }
+        break;
+      default:
+        engine.run_until(engine.now() +
+                         Duration::micros(rng.uniform_int(0, 15'000)));
+        model.advance_to(engine.now().as_micros());
+        break;
+    }
+    ASSERT_EQ(got, model.fired) << "step " << step;
+    ASSERT_EQ(kernel.counter_ticks(counter), model.ticks % kModulo);
+    for (std::size_t i = 0; i < kAlarms; ++i) {
+      const ModelAlarm& m = model.alarms[i];
+      ASSERT_EQ(kernel.alarm_armed(alarms[i]), m.armed);
+      if (m.armed) {
+        ASSERT_EQ(kernel.alarm_remaining_ticks(alarms[i]).value(),
+                  m.expiry - model.ticks);
+      }
+    }
+    // One engine event per tick that fires an alarm, at most one pending
+    // per counter, and every other scheduled expiry was cancelled.
+    ASSERT_EQ(engine.events_fired(), model.firing_ticks);
+    ASSERT_EQ(engine.pending_events(),
+              model.started && model.any_armed() ? 1u : 0u);
+    ASSERT_EQ(engine.events_fired() + engine.pending_events() +
+                  engine.events_cancelled(),
+              engine.events_scheduled());
+  }
+  EXPECT_GT(model.fired.size(), 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TicklessCounter,
+                         ::testing::Values(5u, 31u, 777u, 4096u, 123457u));
 
 // --- PFC: no false positives on random valid walks -------------------------------------
 
