@@ -205,8 +205,8 @@ harness::RunResult run_mode_fault(const std::string& fault_class,
             nullptr) {
       recorder.record("fault_memory", engine.now());
     }
-    if (node.rte().restart_count(railmon_app) > 0 || node.resets() > 0 ||
-        node.safe_state()) {
+    if (node.rte().restart_count(railmon_app) > 0 || node.resets_performed() > 0 ||
+        node.in_safe_state()) {
       recorder.record("treatment", engine.now());
     }
   });

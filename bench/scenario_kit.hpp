@@ -97,12 +97,7 @@ inline void shed_light_control_on_fault(validator::CentralNode& node) {
   fmf->set_degraded_mode(
       light_app,
       [&node, light_app] {
-        for (RunnableId runnable :
-             node.rte().runnables_of_application(light_app)) {
-          if (node.watchdog().heartbeat_unit().monitors(runnable)) {
-            node.watchdog().set_activation_status(runnable, false);
-          }
-        }
+        node.watchdog().set_application_active(light_app, false);
         node.rte().set_application_enabled(light_app, false);
       },
       [&node, light_app] {

@@ -117,28 +117,33 @@ void FaultManagementFramework::attach() {
 
 void FaultManagementFramework::set_application_policy(
     ApplicationId app, ApplicationPolicy policy) {
-  policies_[app] = policy;
+  applications_[app].policy = policy;
 }
 
 void FaultManagementFramework::add_fault_listener(FaultListener listener) {
   listeners_.push_back(std::move(listener));
 }
 
-ApplicationPolicy FaultManagementFramework::policy_of(
-    ApplicationId app) const {
-  auto it = policies_.find(app);
-  return it == policies_.end() ? ApplicationPolicy{} : it->second;
+const FaultManagementFramework::Application&
+FaultManagementFramework::application(ApplicationId app) const {
+  static const Application kNone;
+  auto it = applications_.find(app);
+  return it == applications_.end() ? kNone : it->second;
+}
+
+void FaultManagementFramework::record_fault(const FaultRecord& record) {
+  log_.push(record);
+  if (dtc_store_ != nullptr) dtc_store_->record(record.report);
+  // Inform the applications about the detected fault.
+  for (const auto& listener : listeners_) listener(record);
 }
 
 void FaultManagementFramework::on_error(const wdg::ErrorReport& report) {
   EASIS_PROFILE_SPAN("fmf.react");
   ++faults_;
   FaultRecord record{"swd", report, watchdog_.severity(report.type)};
-  log_.push(record);
   last_fault_ = record;  // candidate reset-cause evidence
-  if (dtc_store_ != nullptr) dtc_store_->record(report);
-  // Inform the applications about the detected fault.
-  for (const auto& listener : listeners_) listener(record);
+  record_fault(record);
 }
 
 void FaultManagementFramework::on_application_state(ApplicationId app,
@@ -161,7 +166,7 @@ void FaultManagementFramework::on_application_state(ApplicationId app,
   // treatments would fight the safe-state configuration.
   if (storm_latched_) return;
 
-  const ApplicationPolicy policy = policy_of(app);
+  const ApplicationPolicy policy = application(app).policy;
   switch (policy.on_faulty) {
     case TreatmentAction::kNone:
       break;
@@ -259,7 +264,6 @@ void FaultManagementFramework::request_reset(ResetCause cause,
 
 void FaultManagementFramework::latch_storm(const ResetCause& cause,
                                            sim::SimTime now) {
-  storm_latched_ = true;
   EASIS_LOG(util::LogLevel::kError, kLog)
       << "reboot storm: " << config_.storm_reset_limit << " resets within "
       << config_.storm_window << "; refusing further resets, entering "
@@ -271,57 +275,40 @@ void FaultManagementFramework::latch_storm(const ResetCause& cause,
   decision.detail = "reboot storm latched after " +
                     std::to_string(config_.storm_reset_limit) +
                     " resets; limp-home (" + decision.detail + ")";
-  record_reset_cause(decision);
-
-  wdg::ErrorReport storm_report;
-  storm_report.task = cause.task;
-  storm_report.application = cause.application;
-  storm_report.type = cause.error;
-  storm_report.time = now;
-  storm_report.detail = decision.detail;
-  FaultRecord record{"fmf.storm", storm_report, wdg::Severity::kCritical};
-  log_.push(record);
-  if (dtc_store_ != nullptr) dtc_store_->record(storm_report);
-  for (const auto& listener : listeners_) listener(record);
-
-  emit_fmf_event(telemetry::EventKind::kStormLatched, now, decision.detail,
-                 cause.application, cause.task);
-  persist();  // the latch itself must survive power cycles
-  if (nvm_ != nullptr) {
-    emit_fmf_event(telemetry::EventKind::kNvmCommit, now,
-                   "storm latch persisted");
-  }
-  if (safe_state_hook_) safe_state_hook_(decision);
+  park_in_safe_state(decision, "fmf.storm", "storm latch persisted");
 }
 
 void FaultManagementFramework::request_safe_state(ResetCause cause,
                                                   sim::SimTime now) {
   if (storm_latched_) return;  // already parked; the latch is terminal
-  storm_latched_ = true;
   EASIS_LOG(util::LogLevel::kError, kLog)
       << "controlled shutdown into safe state ("
       << to_string(cause.source) << "): " << cause.detail;
   ResetCause decision = std::move(cause);
   decision.time = now;
-  record_reset_cause(decision);
+  park_in_safe_state(decision, "fmf.shutdown",
+                     "safe-state decision persisted");
+}
 
+void FaultManagementFramework::park_in_safe_state(const ResetCause& decision,
+                                                  std::string source,
+                                                  std::string commit_note) {
+  storm_latched_ = true;
+  record_reset_cause(decision);
   wdg::ErrorReport report;
   report.task = decision.task;
   report.application = decision.application;
   report.type = decision.error;
-  report.time = now;
+  report.time = decision.time;
   report.detail = decision.detail;
-  FaultRecord record{"fmf.shutdown", report, wdg::Severity::kCritical};
-  log_.push(record);
-  if (dtc_store_ != nullptr) dtc_store_->record(report);
-  for (const auto& listener : listeners_) listener(record);
-
-  emit_fmf_event(telemetry::EventKind::kStormLatched, now, decision.detail,
-                 decision.application, decision.task);
-  persist();  // the shutdown decision must survive the power cycle
+  record_fault({std::move(source), std::move(report),
+                wdg::Severity::kCritical});
+  emit_fmf_event(telemetry::EventKind::kStormLatched, decision.time,
+                 decision.detail, decision.application, decision.task);
+  persist();  // the latch itself must survive power cycles
   if (nvm_ != nullptr) {
-    emit_fmf_event(telemetry::EventKind::kNvmCommit, now,
-                   "safe-state decision persisted");
+    emit_fmf_event(telemetry::EventKind::kNvmCommit, decision.time,
+                   std::move(commit_note));
   }
   if (safe_state_hook_) safe_state_hook_(decision);
 }
@@ -344,26 +331,22 @@ std::uint32_t FaultManagementFramework::recent_resets(sim::SimTime now) const {
 
 void FaultManagementFramework::clear_monitoring_state(ApplicationId app,
                                                       sim::SimTime now) {
+  // Also zeroes the HBM counters of the tasks' runnables.
   for (TaskId task : rte_.tasks_of_application(app)) {
     watchdog_.clear_task_state(task, now);
-  }
-  for (RunnableId runnable : rte_.runnables_of_application(app)) {
-    if (watchdog_.heartbeat_unit().monitors(runnable)) {
-      watchdog_.reset_runnable(runnable);
-    }
   }
 }
 
 void FaultManagementFramework::restart_application(ApplicationId app,
                                                    sim::SimTime now) {
-  ++restarts_[app];
-  restart_times_[app].push_back(now);
+  std::vector<sim::SimTime>& restarts = applications_[app].restarts;
+  restarts.push_back(now);
   EASIS_LOG(util::LogLevel::kWarn, kLog)
       << "restarting application " << rte_.application_name(app)
-      << " (restart #" << restarts_[app] << ")";
+      << " (restart #" << restarts.size() << ")";
   emit_fmf_event(telemetry::EventKind::kTreatmentAction, now,
                  "restart " + rte_.application_name(app) + " (#" +
-                     std::to_string(restarts_[app]) + ")",
+                     std::to_string(restarts.size()) + ")",
                  app);
   rte_.restart_application(app);
   // Clear monitoring state so the restarted application starts clean.
@@ -409,10 +392,7 @@ void FaultManagementFramework::on_recovery_result(
         << (app.valid() ? " (application scope)" : " (ECU scope)");
     return;
   }
-  FaultRecord record{"fmf.recovery", cause, wdg::Severity::kCritical};
-  log_.push(record);
-  if (dtc_store_ != nullptr) dtc_store_->record(cause);
-  for (const auto& listener : listeners_) listener(record);
+  record_fault({"fmf.recovery", cause, wdg::Severity::kCritical});
   if (app.valid()) {
     // The restart demonstrably did not fix it; skip the remaining restart
     // budget and terminate right away.
@@ -440,23 +420,18 @@ void FaultManagementFramework::set_degraded_mode(ApplicationId app,
   DegradedMode mode;
   mode.enter = std::move(enter);
   mode.exit = std::move(exit);
-  degraded_[app] = std::move(mode);
-}
-
-bool FaultManagementFramework::is_degraded(ApplicationId app) const {
-  auto it = degraded_.find(app);
-  return it != degraded_.end() && it->second.active;
+  applications_[app].degraded = std::move(mode);
 }
 
 void FaultManagementFramework::degrade_application(ApplicationId app,
                                                    sim::SimTime now) {
-  auto it = degraded_.find(app);
-  if (it == degraded_.end() || !it->second.enter) {
+  auto it = applications_.find(app);
+  if (it == applications_.end() || !it->second.degraded.enter) {
     // No degraded mode registered: fall back to restart semantics.
     restart_application(app, now);
     return;
   }
-  DegradedMode& mode = it->second;
+  DegradedMode& mode = it->second.degraded;
   if (mode.active) {
     // Fault while already degraded: the reconfiguration did not help.
     terminate_application(app, now);
@@ -475,9 +450,10 @@ void FaultManagementFramework::degrade_application(ApplicationId app,
 
 void FaultManagementFramework::recover_application(ApplicationId app,
                                                    sim::SimTime now) {
-  auto it = degraded_.find(app);
-  if (it == degraded_.end() || !it->second.active) return;
-  it->second.active = false;
+  auto it = applications_.find(app);
+  if (it == applications_.end() || !it->second.degraded.active) return;
+  DegradedMode& mode = it->second.degraded;
+  mode.active = false;
   EASIS_LOG(util::LogLevel::kInfo, kLog)
       << "recovering application " << rte_.application_name(app)
       << " from degraded mode";
@@ -485,24 +461,20 @@ void FaultManagementFramework::recover_application(ApplicationId app,
                  "recover " + rte_.application_name(app) +
                      " from degraded mode",
                  app);
-  if (it->second.exit) it->second.exit();
+  if (mode.exit) mode.exit();
   clear_monitoring_state(app, now);
 }
 
 void FaultManagementFramework::terminate_application(ApplicationId app,
                                                      sim::SimTime now) {
-  ++terminations_[app];
+  ++applications_[app].terminations;
   EASIS_LOG(util::LogLevel::kWarn, kLog)
       << "terminating application " << rte_.application_name(app);
   emit_fmf_event(telemetry::EventKind::kTreatmentAction, now,
                  "terminate " + rte_.application_name(app), app);
   // Deactivate monitoring first so the dead runnables do not keep
   // generating aliveness errors.
-  for (RunnableId runnable : rte_.runnables_of_application(app)) {
-    if (watchdog_.heartbeat_unit().monitors(runnable)) {
-      watchdog_.set_activation_status(runnable, false);
-    }
-  }
+  watchdog_.set_application_active(app, false);
   for (TaskId task : rte_.tasks_of_application(app)) {
     watchdog_.clear_task_state(task, now);
   }
@@ -606,34 +578,14 @@ void FaultManagementFramework::write_diagnostics(std::ostream& out) const {
   if (dtc_store_ != nullptr) dtc_store_->write(out);
 }
 
-std::uint32_t FaultManagementFramework::restarts_performed(
-    ApplicationId app) const {
-  auto it = restarts_.find(app);
-  return it == restarts_.end() ? 0 : it->second;
-}
-
 std::uint32_t FaultManagementFramework::restart_pressure(
     ApplicationId app, sim::SimTime now) const {
   if (config_.restart_aging.as_micros() <= 0) return restarts_performed(app);
-  auto it = restart_times_.find(app);
-  if (it == restart_times_.end()) return 0;
   std::uint32_t count = 0;
-  for (sim::SimTime t : it->second) {
+  for (sim::SimTime t : application(app).restarts) {
     if (now - t < config_.restart_aging) ++count;
   }
   return count;
-}
-
-std::uint32_t FaultManagementFramework::terminations_performed(
-    ApplicationId app) const {
-  auto it = terminations_.find(app);
-  return it == terminations_.end() ? 0 : it->second;
-}
-
-std::uint32_t FaultManagementFramework::degradations_performed(
-    ApplicationId app) const {
-  auto it = degraded_.find(app);
-  return it == degraded_.end() ? 0 : it->second.entries;
 }
 
 }  // namespace easis::fmf

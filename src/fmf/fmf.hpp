@@ -100,7 +100,9 @@ class FaultManagementFramework {
   /// recover_application()).
   void set_degraded_mode(ApplicationId app, std::function<void()> enter,
                          std::function<void()> exit = nullptr);
-  [[nodiscard]] bool is_degraded(ApplicationId app) const;
+  [[nodiscard]] bool is_degraded(ApplicationId app) const {
+    return application(app).degraded.active;
+  }
   /// Operator/diagnostic path: leaves degraded mode and clears the
   /// monitoring state of the application's tasks.
   void recover_application(ApplicationId app, sim::SimTime now);
@@ -197,13 +199,19 @@ class FaultManagementFramework {
   [[nodiscard]] const util::RingBuffer<FaultRecord>& fault_log() const {
     return log_;
   }
-  [[nodiscard]] std::uint32_t restarts_performed(ApplicationId app) const;
+  [[nodiscard]] std::uint32_t restarts_performed(ApplicationId app) const {
+    return static_cast<std::uint32_t>(application(app).restarts.size());
+  }
   /// Restarts currently counting against the escalation budget; equals
   /// restarts_performed() when aging is disabled.
   [[nodiscard]] std::uint32_t restart_pressure(ApplicationId app,
                                                sim::SimTime now) const;
-  [[nodiscard]] std::uint32_t terminations_performed(ApplicationId app) const;
-  [[nodiscard]] std::uint32_t degradations_performed(ApplicationId app) const;
+  [[nodiscard]] std::uint32_t terminations_performed(ApplicationId app) const {
+    return application(app).terminations;
+  }
+  [[nodiscard]] std::uint32_t degradations_performed(ApplicationId app) const {
+    return application(app).degraded.entries;
+  }
   [[nodiscard]] std::uint32_t ecu_resets_performed() const {
     return ecu_resets_;
   }
@@ -238,12 +246,17 @@ class FaultManagementFramework {
     bool active = false;
     std::uint32_t entries = 0;
   };
+  /// Per-application treatment state.
+  struct Application {
+    ApplicationPolicy policy;
+    /// Instants of the performed restarts: their count is the restart
+    /// counter, the recent ones the aging-window pressure.
+    std::vector<sim::SimTime> restarts;
+    std::uint32_t terminations = 0;
+    DegradedMode degraded;
+  };
 
-  std::unordered_map<ApplicationId, ApplicationPolicy> policies_;
-  std::unordered_map<ApplicationId, std::uint32_t> restarts_;
-  std::unordered_map<ApplicationId, std::vector<sim::SimTime>> restart_times_;
-  std::unordered_map<ApplicationId, std::uint32_t> terminations_;
-  std::unordered_map<ApplicationId, DegradedMode> degraded_;
+  std::unordered_map<ApplicationId, Application> applications_;
   std::uint32_t ecu_resets_ = 0;
   std::uint64_t faults_ = 0;
   std::vector<FaultListener> listeners_;
@@ -274,9 +287,17 @@ class FaultManagementFramework {
   void terminate_application(ApplicationId app, sim::SimTime now);
   void clear_monitoring_state(ApplicationId app, sim::SimTime now);
   void latch_storm(const ResetCause& cause, sim::SimTime now);
+  /// The persistent safe state both latches share: records the decision
+  /// as a reset cause and as a `source` fault, announces the latch,
+  /// persists it and runs the safe-state hook.
+  void park_in_safe_state(const ResetCause& decision, std::string source,
+                          std::string commit_note);
+  /// Fault log, DTC store, then the fault listeners.
+  void record_fault(const FaultRecord& record);
   void record_reset_cause(ResetCause cause);
   [[nodiscard]] std::uint32_t recent_resets(sim::SimTime now) const;
-  [[nodiscard]] ApplicationPolicy policy_of(ApplicationId app) const;
+  /// The application's record; a default one when nothing is recorded.
+  [[nodiscard]] const Application& application(ApplicationId app) const;
 };
 
 }  // namespace easis::fmf

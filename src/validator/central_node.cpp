@@ -1,10 +1,9 @@
 #include "validator/central_node.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <utility>
 
 #include "util/logging.hpp"
-#include "wdg/config_check.hpp"
 
 namespace easis::validator {
 
@@ -18,32 +17,14 @@ std::int64_t lcm64(std::int64_t a, std::int64_t b) {
   }
   return a / x * b;
 }
-
-std::uint64_t period_ticks(sim::Duration period) {
-  constexpr std::int64_t kTickMicros = 1000;  // 1 ms system counter
-  const std::int64_t p = period.as_micros();
-  if (p <= 0 || p % kTickMicros != 0) {
-    throw std::invalid_argument(
-        "CentralNode: task periods must be positive multiples of 1ms");
-  }
-  return static_cast<std::uint64_t>(p / kTickMicros);
-}
 }  // namespace
 
 CentralNode::CentralNode(sim::Engine& engine, CentralNodeConfig config)
-    : engine_(engine),
-      config_(config),
-      ecu_(engine, "CentralNode"),
-      watchdog_(config.watchdog),
-      thermal_model_(config.thermal) {
+    : NodeConfigHolder<CentralNodeConfig>{std::move(config)},
+      NodePlatform(engine, "CentralNode", config_),
+      thermal_model_(config_.thermal) {
   auto& kernel = ecu_.kernel();
   auto& rte = ecu_.rte();
-
-  // 1 ms system counter driving all periodic activations.
-  os::CounterConfig counter_config;
-  counter_config.name = "SystemTimer";
-  counter_config.tick = sim::Duration::millis(1);
-  counter_ = kernel.create_counter(counter_config);
 
   // --- application tasks -----------------------------------------------------
   os::TaskConfig ss_task;
@@ -113,34 +94,14 @@ CentralNode::CentralNode(sim::Engine& engine, CentralNodeConfig config)
   }
 
   // --- dependability services ---------------------------------------------------
-  service_ = std::make_unique<wdg::WatchdogService>(
-      kernel, rte, watchdog_, counter_, config_.watchdog_service);
+  add_watchdog_service();
 
-  if (config_.with_fmf) {
-    fmf_ = std::make_unique<fmf::FaultManagementFramework>(
-        rte, watchdog_, [this] { software_reset(); }, config_.fmf);
-    std::vector<std::string> frame_signals{"vehicle.speed_kmh",
-                                           "driver.demand",
-                                           "safespeed.max_speed_kmh"};
-    frame_signals.insert(frame_signals.end(),
-                         config_.extra_frame_signals.begin(),
-                         config_.extra_frame_signals.end());
-    dtc_ = std::make_unique<fmf::DtcStore>(
-        ecu_.signals(), std::move(frame_signals), config_.dtc_capacity);
-    fmf_->attach_dtc_store(dtc_.get());
-    if (config_.with_nvm) {
-      if (config_.external_nvm != nullptr) {
-        nvm_ = config_.external_nvm;
-      } else {
-        owned_nvm_ = std::make_unique<fmf::NvmStore>(config_.nvm_capacity);
-        nvm_ = owned_nvm_.get();
-      }
-      fmf_->attach_nvm(nvm_);
-    }
-    fmf_->set_safe_state_hook(
-        [this](const fmf::ResetCause& cause) { enter_safe_state(cause); });
-    fmf_->attach();
-  }
+  std::vector<std::string> frame_signals{"vehicle.speed_kmh", "driver.demand",
+                                         "safespeed.max_speed_kmh"};
+  frame_signals.insert(frame_signals.end(),
+                       config_.extra_frame_signals.begin(),
+                       config_.extra_frame_signals.end());
+  build_fault_memory(std::move(frame_signals), config_.dtc_capacity);
 
   if (config_.with_self_supervision) {
     wdg::SelfSupervisionConfig ss_config = config_.self_supervision;
@@ -163,28 +124,10 @@ void CentralNode::apply_policy_bindings() {
   // Per-role FMF treatment selection. Under the baseline policy every
   // role carries the FMF's default (restart, 3 restarts), so setting the
   // policies explicitly is behaviourally identical to not setting them.
-  if (fmf_) {
-    auto to_fmf = [](const policy::RoleTreatment& role) {
-      fmf::ApplicationPolicy app_policy;
-      app_policy.on_faulty = policy::to_fmf_action(role.on_faulty);
-      app_policy.max_restarts = role.max_restarts;
-      return app_policy;
-    };
-    fmf_->set_application_policy(safespeed_->application(),
-                                 to_fmf(pol.treatment.safety));
-    if (safelane_) {
-      fmf_->set_application_policy(safelane_->application(),
-                                   to_fmf(pol.treatment.assist));
-    }
-    if (light_) {
-      fmf_->set_application_policy(light_->application(),
-                                   to_fmf(pol.treatment.qm));
-    }
-    if (crash_) {
-      fmf_->set_application_policy(crash_->application(),
-                                   to_fmf(pol.treatment.qm));
-    }
-  }
+  bind_treatment(safespeed_->application(), pol.treatment.safety);
+  if (safelane_) bind_treatment(safelane_->application(), pol.treatment.assist);
+  if (light_) bind_treatment(light_->application(), pol.treatment.qm);
+  if (crash_) bind_treatment(crash_->application(), pol.treatment.qm);
   // HBM scale/tolerances over every heartbeat-monitored runnable. Guarded
   // so the baseline (scale 1, tolerances 0) leaves the hypotheses
   // untouched bit-for-bit.
@@ -246,99 +189,19 @@ sim::Duration CentralNode::nominal_period_of(RunnableId id) {
   return sim::Duration::zero();  // sporadic (crash detection)
 }
 
+std::pair<TaskId, ApplicationId> CentralNode::monitor_account() const {
+  if (light_) return {light_task_, light_->application()};
+  return {safespeed_task_, safespeed_->application()};
+}
+
 policy::CheckSupervisionUnit* CentralNode::attach_check_supervision() {
-  if (csu_) return csu_.get();
-  if (!config_.policy || config_.policy->checks.empty()) return nullptr;
-  // Check evaluations are accounted like the ESU channels: to a QM
-  // application when present, to the safety application otherwise.
-  TaskId account_task = safespeed_task_;
-  ApplicationId account_app = safespeed_->application();
-  if (light_) {
-    account_task = light_task_;
-    account_app = light_->application();
-  }
-  attach_process_supervision();
-  csu_ = std::make_unique<policy::CheckSupervisionUnit>(
-      watchdog_, *psu_, ecu_.signals(), account_task, account_app);
-  for (const policy::CheckRule& rule : config_.policy->checks) {
-    csu_->add_rule(rule);
-  }
-  return csu_.get();
-}
-
-void CentralNode::start() {
-  if (!ecu_.rte().finalized()) ecu_.rte().finalize();
-  if (started_once_ && kernel().started()) {
-    throw std::logic_error("CentralNode: already started");
-  }
-  if (!started_once_) {
-    wdg::ConfigChecker::enforce(
-        watchdog_, [this](RunnableId id) { return nominal_period_of(id); },
-        "CentralNode");
-  }
-  started_once_ = true;
-  boot();
-}
-
-void CentralNode::software_reset() {
-  ++resets_;
-  // The reset-cause record and the DTC store must survive the teardown.
-  if (fmf_) fmf_->persist();
-  if (self_supervision_) self_supervision_->stop();
-  kernel().software_reset();
-  watchdog_.reset(engine_.now());
-  timers_.cancel_all();
-  if (config_.reboot_delay.as_micros() > 0) {
-    // Reboot blackout: the ECU is dark, nothing runs until the delayed
-    // boot. The environment keeps its state and resumes with the boot.
-    rebooting_ = true;
-    timers_.add(engine_.schedule_in(config_.reboot_delay,
-                                    [this] { boot_after_reset(); }));
-    return;
-  }
-  boot_after_reset();
-}
-
-void CentralNode::boot_after_reset() {
-  rebooting_ = false;
-  boot();
-  // Post-reset recovery validation: the warm-up window supervises the
-  // re-announcement of every monitored runnable (no-op when disabled).
-  if (fmf_) fmf_->begin_ecu_recovery_window(engine_.now());
+  const auto [task, app] = monitor_account();
+  return supervise_checks(task, app);
 }
 
 diag::DiagServer& CentralNode::attach_diag(bus::CanBus& can,
                                            diag::DiagServerConfig config) {
-  diag::DiagBackend backend;
-  backend.dtcs = dtc_.get();
-  backend.fmf = fmf_.get();
-  backend.watchdog = &watchdog_;
-  backend.ecu_reset = [this] {
-    fmf::ResetCause cause;
-    cause.source = fmf::ResetSource::kDiagnosticRequest;
-    cause.time = engine_.now();
-    cause.detail = "commanded ECUReset (diagnostic service 0x11)";
-    if (fmf_) {
-      fmf_->request_reset(std::move(cause), engine_.now());
-      return;
-    }
-    software_reset();
-  };
-  backend.offline = [this] { return rebooting_; };
-  if (config_.policy) {
-    // The hash is content-derived and immutable for the node's lifetime,
-    // so it is computed once, not per request.
-    const std::uint32_t hash24 = policy::version_hash24(*config_.policy);
-    const std::uint32_t version = config_.policy->version;
-    backend.policy_hash = [hash24] { return hash24; };
-    backend.policy_version = [version] { return version; };
-  }
-  backend.environment = esu_.get();
-  backend.process = psu_.get();
-  backend.nvm = nvm_;
-  diag_ = std::make_unique<diag::DiagServer>(engine_, can, std::move(backend),
-                                             std::move(config));
-  return *diag_;
+  return open_diag(can, std::move(config), esu_.get());
 }
 
 wdg::ResourceSupervisionUnit& CentralNode::attach_resource_supervision() {
@@ -353,15 +216,7 @@ wdg::EnvironmentSupervisionUnit& CentralNode::attach_environment_supervision() {
   if (esu_) return *esu_;
   esu_ = std::make_unique<wdg::EnvironmentSupervisionUnit>(watchdog_,
                                                            ecu_.signals());
-  // The thermal channel's faults are accounted to a QM application when
-  // one is present (its FMF policy carries the sensor-fault treatment);
-  // the safety application only inherits them on a stripped-down node.
-  TaskId account_task = safespeed_task_;
-  ApplicationId account_app = safespeed_->application();
-  if (light_) {
-    account_task = light_task_;
-    account_app = light_->application();
-  }
+  const auto [account_task, account_app] = monitor_account();
   wdg::ThermalChannel thermal;
   thermal.id = RunnableId{2100};
   thermal.task = account_task;
@@ -401,22 +256,9 @@ wdg::EnvironmentSupervisionUnit& CentralNode::attach_environment_supervision() {
       fmf_->request_safe_state(std::move(cause), now);
       return;
     }
-    enter_safe_state(cause);
+    latch_safe_state(cause);
   });
   return *esu_;
-}
-
-wdg::ProcessSupervisionUnit& CentralNode::attach_process_supervision() {
-  if (psu_) return *psu_;
-  psu_ = std::make_unique<wdg::ProcessSupervisionUnit>(watchdog_);
-  if (fmf_) {
-    fmf_->attach_transgression_store(
-        [this] { return psu_->persisted_records(); },
-        [this](const std::vector<wdg::TransgressionRecord>& records) {
-          psu_->restore_records(records);
-        });
-  }
-  return *psu_;
 }
 
 void CentralNode::enter_thermal_derate(sim::SimTime now) {
@@ -448,7 +290,7 @@ void CentralNode::enter_thermal_derate(sim::SimTime now) {
 void CentralNode::exit_thermal_derate(sim::SimTime now) {
   if (!derated_) return;
   derated_ = false;
-  if (safe_state_) return;  // the safe state owns the configuration now
+  if (in_safe_state()) return;  // the safe state owns the configuration now
   EASIS_LOG(util::LogLevel::kInfo, "validator")
       << "thermal derate over: restoring HBM hypotheses, re-enabling QM "
       << "applications";
@@ -460,12 +302,7 @@ void CentralNode::exit_thermal_derate(sim::SimTime now) {
   stretched_.clear();
   auto unpark = [this, now](ApplicationId app) {
     ecu_.rte().set_application_enabled(app, true);
-    for (RunnableId runnable : ecu_.rte().runnables_of_application(app)) {
-      if (watchdog_.heartbeat_unit().monitors(runnable)) {
-        watchdog_.set_activation_status(runnable, true);
-        watchdog_.reset_runnable(runnable);
-      }
-    }
+    watchdog_.set_application_active(app, true);
     for (TaskId task : ecu_.rte().tasks_of_application(app)) {
       watchdog_.clear_task_state(task, now);
     }
@@ -494,8 +331,6 @@ void CentralNode::on_hw_watchdog_expired(sim::SimTime now) {
 }
 
 void CentralNode::enter_safe_state(const fmf::ResetCause& cause) {
-  if (safe_state_) return;
-  safe_state_ = true;
   EASIS_LOG(util::LogLevel::kError, "validator")
       << "entering limp-home safe state (" << fmf::to_string(cause.source)
       << "): SafeSpeed limp limit, assist applications disabled";
@@ -507,11 +342,7 @@ void CentralNode::enter_safe_state(const fmf::ResetCause& cause) {
 
 void CentralNode::park_qm_applications() {
   auto park = [this](ApplicationId app) {
-    for (RunnableId runnable : ecu_.rte().runnables_of_application(app)) {
-      if (watchdog_.heartbeat_unit().monitors(runnable)) {
-        watchdog_.set_activation_status(runnable, false);
-      }
-    }
+    watchdog_.set_application_active(app, false);
     ecu_.rte().set_application_enabled(app, false);
   };
   if (safelane_) park(safelane_->application());
@@ -538,14 +369,14 @@ void CentralNode::arm_alarms() {
   service_->arm();
 }
 
-void CentralNode::boot() {
-  kernel().start();
-  // Re-seed the fault memory from NVM before anything runs: the post-boot
-  // FMF/DTC view continues where the pre-reset ECU left off.
-  if (fmf_) fmf_->boot_from_nvm(engine_.now());
+void CentralNode::before_reset() {
+  if (self_supervision_) self_supervision_->stop();
+}
+
+void CentralNode::boot_node() {
   arm_alarms();
   if (crash_) crash_->start();
-  if (self_supervision_ && !safe_state_) self_supervision_->start();
+  if (self_supervision_ && !in_safe_state()) self_supervision_->start();
   timers_.add(
       engine_.every(config_.environment_step, [this] { step_environment(); }));
   const sim::Duration period = config_.watchdog.check_period;
@@ -559,10 +390,7 @@ void CentralNode::boot() {
         period,
         [this] {
           if (esu_) esu_->cycle(engine_.now());
-          // Check evaluations run before the process-supervision cycle so
-          // a window opened this cycle is not instantly reported overdue.
-          if (csu_) csu_->cycle(engine_.now());
-          if (psu_) psu_->cycle(engine_.now());
+          cycle_process_supervision(engine_.now());
         },
         sim::EventPriority::kMonitor));
   }

@@ -1,38 +1,17 @@
 #include "validator/railmon_node.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "diag/protocol.hpp"
 #include "util/logging.hpp"
-#include "wdg/config_check.hpp"
 
 namespace easis::validator {
 
-namespace {
-std::uint64_t period_ticks(sim::Duration period) {
-  constexpr std::int64_t kTickMicros = 1000;  // 1 ms system counter
-  const std::int64_t p = period.as_micros();
-  if (p <= 0 || p % kTickMicros != 0) {
-    throw std::invalid_argument(
-        "RailMonNode: task periods must be positive multiples of 1ms");
-  }
-  return static_cast<std::uint64_t>(p / kTickMicros);
-}
-}  // namespace
-
 RailMonNode::RailMonNode(sim::Engine& engine, RailMonNodeConfig config)
-    : engine_(engine),
-      config_(config),
-      ecu_(engine, "RailMonNode"),
-      watchdog_(config.watchdog) {
+    : NodeConfigHolder<RailMonNodeConfig>{std::move(config)},
+      NodePlatform(engine, "RailMonNode", config_) {
   auto& kernel = ecu_.kernel();
   auto& rte = ecu_.rte();
-
-  os::CounterConfig counter_config;
-  counter_config.name = "SystemTimer";
-  counter_config.tick = sim::Duration::millis(1);
-  counter_ = kernel.create_counter(counter_config);
 
   os::TaskConfig control_cfg;
   control_cfg.name = "Task_DutyCycler";
@@ -103,47 +82,19 @@ RailMonNode::RailMonNode(sim::Engine& engine, RailMonNodeConfig config)
     apply_mode_scheduling(transition.to);
   });
 
-  service_ = std::make_unique<wdg::WatchdogService>(
-      kernel, rte, watchdog_, counter_, config_.watchdog_service);
+  add_watchdog_service();
 
   // --- check rules (gated by the overlays' checks_enabled) --------------------
-  if (config_.policy && !config_.policy->checks.empty()) {
-    psu_ = std::make_unique<wdg::ProcessSupervisionUnit>(watchdog_);
-    csu_ = std::make_unique<policy::CheckSupervisionUnit>(
-        watchdog_, *psu_, ecu_.signals(), control_task_,
-        railmon_->application());
-    for (const policy::CheckRule& rule : config_.policy->checks) {
-      csu_->add_rule(rule);
-    }
-    mode_unit_->attach_check_unit(csu_.get());
+  if (policy::CheckSupervisionUnit* csu =
+          supervise_checks(control_task_, railmon_->application())) {
+    mode_unit_->attach_check_unit(csu);
   }
 
   // --- fault memory -----------------------------------------------------------
-  if (config_.with_fmf) {
-    fmf_ = std::make_unique<fmf::FaultManagementFramework>(
-        rte, watchdog_, [this] { software_reset(); }, config_.fmf);
-    dtc_ = std::make_unique<fmf::DtcStore>(
-        ecu_.signals(),
-        std::vector<std::string>{"railmon.journal_depth", "railmon.committed",
-                                 "railmon.uplinked", config_.mode.signal},
-        config_.dtc_capacity);
-    fmf_->attach_dtc_store(dtc_.get());
-    if (config_.with_nvm) {
-      if (config_.external_nvm != nullptr) {
-        nvm_ = config_.external_nvm;
-      } else {
-        owned_nvm_ = std::make_unique<fmf::NvmStore>(config_.nvm_capacity);
-        nvm_ = owned_nvm_.get();
-      }
-      fmf_->attach_nvm(nvm_);
-    }
-    if (psu_) {
-      fmf_->attach_transgression_store(
-          [this] { return psu_->persisted_records(); },
-          [this](const std::vector<wdg::TransgressionRecord>& records) {
-            psu_->restore_records(records);
-          });
-    }
+  build_fault_memory({"railmon.journal_depth", "railmon.committed",
+                      "railmon.uplinked", config_.mode.signal},
+                     config_.dtc_capacity);
+  if (fmf_) {
     // The active power mode rides in the NVM image: a node that reset
     // while asleep boots *into* Sleep, silence contract re-armed, instead
     // of defaulting to Run and heartbeating through a contracted silence.
@@ -153,9 +104,6 @@ RailMonNode::RailMonNode(sim::Engine& engine, RailMonNodeConfig config)
           const auto parsed = mode::parse_power_mode(persisted);
           if (parsed) manager_->reseed(*parsed, engine_.now());
         });
-    fmf_->set_safe_state_hook(
-        [this](const fmf::ResetCause& cause) { enter_safe_state(cause); });
-    fmf_->attach();
     // An application restart cannot un-hang an in-flight mode transition:
     // the swallowed grant lives in the mode machine, not in the restarted
     // runnables. Persistent hang reports while the transition is still
@@ -171,7 +119,7 @@ RailMonNode::RailMonNode(sim::Engine& engine, RailMonNodeConfig config)
       if (++hung_mode_reports_ < kHungModeResetThreshold) return;
       hung_mode_reports_ = 0;
       engine_.schedule_in(sim::Duration::millis(1), [this] {
-        if (rebooting_ || safe_state_ || !fmf_) return;
+        if (rebooting() || in_safe_state() || !fmf_) return;
         if (!manager_->transition_pending()) return;
         fmf::ResetCause cause;
         cause.source = fmf::ResetSource::kEcuFaulty;
@@ -184,60 +132,19 @@ RailMonNode::RailMonNode(sim::Engine& engine, RailMonNodeConfig config)
 
   // --- policy bindings --------------------------------------------------------
   if (config_.policy) {
-    if (fmf_) {
-      fmf::ApplicationPolicy app_policy;
-      app_policy.on_faulty =
-          policy::to_fmf_action(config_.policy->treatment.safety.on_faulty);
-      app_policy.max_restarts = config_.policy->treatment.safety.max_restarts;
-      fmf_->set_application_policy(railmon_->application(), app_policy);
-    }
+    bind_treatment(railmon_->application(), config_.policy->treatment.safety);
     mode_unit_->set_policy(config_.policy, engine_.now());
   }
 }
 
-void RailMonNode::start() {
-  if (!ecu_.rte().finalized()) ecu_.rte().finalize();
-  if (started_once_ && kernel().started()) {
-    throw std::logic_error("RailMonNode: already started");
+sim::Duration RailMonNode::nominal_period_of(RunnableId id) {
+  if (id == railmon_->duty_cycle_control()) {
+    return config_.railmon.control_period;
   }
-  if (!started_once_) {
-    wdg::ConfigChecker::enforce(
-        watchdog_,
-        [this](RunnableId id) {
-          if (id == railmon_->duty_cycle_control()) {
-            return config_.railmon.control_period;
-          }
-          if (id == railmon_->sample_sensor() ||
-              id == railmon_->uplink_process()) {
-            return config_.railmon.sample_period;
-          }
-          return sim::Duration::zero();
-        },
-        "RailMonNode");
+  if (id == railmon_->sample_sensor() || id == railmon_->uplink_process()) {
+    return config_.railmon.sample_period;
   }
-  started_once_ = true;
-  boot();
-}
-
-void RailMonNode::software_reset() {
-  ++resets_;
-  if (fmf_) fmf_->persist();
-  kernel().software_reset();
-  watchdog_.reset(engine_.now());
-  timers_.cancel_all();
-  if (config_.reboot_delay.as_micros() > 0) {
-    rebooting_ = true;
-    timers_.add(engine_.schedule_in(config_.reboot_delay,
-                                    [this] { boot_after_reset(); }));
-    return;
-  }
-  boot_after_reset();
-}
-
-void RailMonNode::boot_after_reset() {
-  rebooting_ = false;
-  boot();
-  if (fmf_) fmf_->begin_ecu_recovery_window(engine_.now());
+  return sim::Duration::zero();
 }
 
 void RailMonNode::arm_alarms() {
@@ -249,7 +156,7 @@ void RailMonNode::arm_alarms() {
 void RailMonNode::apply_mode_scheduling(mode::PowerMode mode) {
   auto& kernel = ecu_.kernel();
   (void)kernel.cancel_alarm(sensor_alarm_);
-  if (safe_state_) return;  // sensing chain stays parked
+  if (in_safe_state()) return;  // sensing chain stays parked
   switch (mode) {
     case mode::PowerMode::kSleep:
       // Deep sleep: the sensing task's heartbeats stop by contract.
@@ -263,27 +170,22 @@ void RailMonNode::apply_mode_scheduling(mode::PowerMode mode) {
   }
 }
 
-void RailMonNode::boot() {
-  kernel().start();
-  // Re-seeds the fault memory *and* the persisted power mode before
-  // anything runs; the reseed listener re-applies the mode's overlay and
-  // the node's scheduling contract, then arm_alarms() (idempotent: cancel
-  // + re-arm) fixes up whatever the current mode demands.
-  if (fmf_) fmf_->boot_from_nvm(engine_.now());
+void RailMonNode::boot_node() {
+  // The fault-memory re-seed before this restored the persisted power
+  // mode; its reseed listener re-applied the mode's overlay and the
+  // node's scheduling contract, and arm_alarms() (idempotent: cancel +
+  // re-arm) fixes up whatever the current mode demands.
   arm_alarms();
   timers_.add(engine_.every(
       config_.watchdog.check_period,
       [this] {
         mode_unit_->cycle(engine_.now());
-        if (csu_) csu_->cycle(engine_.now());
-        if (psu_) psu_->cycle(engine_.now());
+        cycle_process_supervision(engine_.now());
       },
       sim::EventPriority::kMonitor));
 }
 
 void RailMonNode::enter_safe_state(const fmf::ResetCause& cause) {
-  if (safe_state_) return;
-  safe_state_ = true;
   EASIS_LOG(util::LogLevel::kError, "validator")
       << "railmon safe state (" << fmf::to_string(cause.source)
       << "): duty cycle held, sensing chain parked";
@@ -299,42 +201,17 @@ void RailMonNode::enter_safe_state(const fmf::ResetCause& cause) {
 
 diag::DiagServer& RailMonNode::attach_diag(bus::CanBus& can,
                                            diag::DiagServerConfig config) {
-  diag::DiagBackend backend;
-  backend.dtcs = dtc_.get();
-  backend.fmf = fmf_.get();
-  backend.watchdog = &watchdog_;
-  backend.ecu_reset = [this] {
-    fmf::ResetCause cause;
-    cause.source = fmf::ResetSource::kDiagnosticRequest;
-    cause.time = engine_.now();
-    cause.detail = "commanded ECUReset (diagnostic service 0x11)";
-    if (fmf_) {
-      fmf_->request_reset(std::move(cause), engine_.now());
-      return;
-    }
-    software_reset();
-  };
-  backend.offline = [this] { return rebooting_; };
-  if (config_.policy) {
-    const std::uint32_t hash24 = policy::version_hash24(*config_.policy);
-    const std::uint32_t version = config_.policy->version;
-    backend.policy_hash = [hash24] { return hash24; };
-    backend.policy_version = [version] { return version; };
-  }
-  backend.process = psu_.get();
-  backend.nvm = nvm_;
-  diag_ = std::make_unique<diag::DiagServer>(engine_, can, std::move(backend),
-                                             std::move(config));
+  diag::DiagServer& server = open_diag(can, std::move(config));
   // Power-mode identifiers: the workshop tester can verify which mode the
   // node believes it is in and which overlay its supervision is bound to.
-  diag_->add_data_identifier(diag::kDidPowerMode, "power_mode", [this] {
+  server.add_data_identifier(diag::kDidPowerMode, "power_mode", [this] {
     return static_cast<double>(static_cast<std::uint8_t>(manager_->current()));
   });
-  diag_->add_data_identifier(
+  server.add_data_identifier(
       diag::kDidModeOverlayHash, "mode_overlay_hash", [this] {
         return static_cast<double>(mode_unit_->active_overlay_hash24());
       });
-  return *diag_;
+  return server;
 }
 
 }  // namespace easis::validator

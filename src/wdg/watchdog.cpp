@@ -266,6 +266,15 @@ bool SoftwareWatchdog::activation_status(RunnableId runnable) const {
   return hbm_.activation_status(runnable);
 }
 
+void SoftwareWatchdog::set_application_active(ApplicationId app,
+                                              bool active) {
+  for (RunnableId runnable : hbm_.monitored_runnables()) {
+    if (hbm_.config(runnable).application == app && !is_virtual(runnable)) {
+      hbm_.set_activation_status(runnable, active);
+    }
+  }
+}
+
 void SoftwareWatchdog::update_hypothesis(RunnableId runnable,
                                          std::uint32_t aliveness_cycles,
                                          std::uint32_t min_heartbeats,

@@ -92,6 +92,11 @@ class SoftwareWatchdog {
   // --- fault-treatment hooks -----------------------------------------------------
   void set_activation_status(RunnableId runnable, bool active);
   [[nodiscard]] bool activation_status(RunnableId runnable) const;
+  /// Sets the activation status of every heartbeat-supervised registration
+  /// of `app`; virtual runnables keep theirs. Parking, terminating and
+  /// shedding an application go through here; (re)activation starts fresh
+  /// monitoring periods.
+  void set_application_active(ApplicationId app, bool active);
   /// Dynamic reconfiguration (paper outlook): adapts the fault hypothesis
   /// of a monitored runnable, e.g. after switching an application into a
   /// degraded mode with relaxed timing.

@@ -185,7 +185,7 @@ TEST(RailMonNode, DutyCycleIsAlarmFree) {
   EXPECT_GT(f.node->mode_unit().rebinds(), 8u);
   EXPECT_GT(f.node->railmon().samples_taken(), 0u);
   EXPECT_GT(f.node->railmon().uplinked(), 0u);
-  EXPECT_EQ(f.node->resets(), 0u);
+  EXPECT_EQ(f.node->resets_performed(), 0u);
 }
 
 TEST(RailMonNode, RogueHeartbeatDuringSleepViolatesTheSilenceContract) {
@@ -243,7 +243,7 @@ TEST(RailMonNode, ResetWhileAsleepReseedsTheSleepMode) {
 
   f.engine.run_until(SimTime(1'000'000));
   ASSERT_TRUE(reset_done);
-  EXPECT_EQ(f.node->resets(), 1u);
+  EXPECT_EQ(f.node->resets_performed(), 1u);
   // The NVM-persisted mode was re-seeded: the node woke up *in* Sleep
   // with the silence contract re-armed, not in Run.
   EXPECT_EQ(f.node->mode_manager().current(), PowerMode::kSleep);
@@ -301,7 +301,7 @@ TEST(RailMonNode, HungTransitionDuringInjectionIsFlaggedAndTreated) {
   f.engine.run_until(SimTime(1'500'000));
   EXPECT_GT(f.mode_errors, 0u);
   f.engine.run_until(SimTime(5'000'000));
-  EXPECT_GE(f.node->resets(), 1u);
+  EXPECT_GE(f.node->resets_performed(), 1u);
   // After the injection lifted, the machine is either duty-cycling again
   // (the reset re-seed cleared the in-flight commit) or parked — but it
   // is never left hung in-flight while the FMF still had treatment left.
@@ -312,8 +312,8 @@ TEST(RailMonNode, HungTransitionDuringInjectionIsFlaggedAndTreated) {
       (f.engine.now() - f.node->mode_manager().pending_since()) >
           Duration::millis(50);
   if (stuck) {
-    EXPECT_TRUE(f.node->safe_state() ||
-                f.node->resets() >= f.node->config().fmf.max_ecu_resets);
+    EXPECT_TRUE(f.node->in_safe_state() ||
+                f.node->resets_performed() >= f.node->config().fmf.max_ecu_resets);
   }
 }
 

@@ -326,6 +326,26 @@ TEST_F(WatchdogTest, ActivationStatusGatesMonitoring) {
   EXPECT_EQ(errors.size(), 1u);
 }
 
+TEST_F(WatchdogTest, ApplicationActivationSparesVirtualAndForeignRunnables) {
+  wd.add_runnable(monitor(1, 0, 7));
+  wd.add_runnable(monitor(2, 0, 7));
+  wd.add_runnable(monitor(3, 1, 8));
+  wd.add_virtual_runnable(RunnableId(4), TaskId(0), ApplicationId(7), "chan");
+  wd.set_application_active(ApplicationId(7), false);
+  EXPECT_FALSE(wd.activation_status(RunnableId(1)));
+  EXPECT_FALSE(wd.activation_status(RunnableId(2)));
+  EXPECT_TRUE(wd.activation_status(RunnableId(3)));
+  EXPECT_TRUE(wd.activation_status(RunnableId(4)));
+  // A virtual runnable parked on its own stays parked through the
+  // application's re-activation.
+  wd.set_activation_status(RunnableId(4), false);
+  wd.set_application_active(ApplicationId(7), true);
+  EXPECT_TRUE(wd.activation_status(RunnableId(1)));
+  EXPECT_TRUE(wd.activation_status(RunnableId(2)));
+  EXPECT_TRUE(wd.activation_status(RunnableId(3)));
+  EXPECT_FALSE(wd.activation_status(RunnableId(4)));
+}
+
 TEST_F(WatchdogTest, ResetClearsAllState) {
   wd.add_runnable(monitor(1, 0, 0, 2, 1));
   ticks(6);
