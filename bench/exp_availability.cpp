@@ -13,7 +13,6 @@
 #include <iostream>
 
 #include "inject/faults.hpp"
-#include "util/logging.hpp"
 #include "inject/injector.hpp"
 #include "sim/engine.hpp"
 #include "validator/central_node.hpp"
@@ -89,7 +88,6 @@ const char* name_of(fmf::TreatmentAction action) {
 }  // namespace
 
 int main() {
-  util::Logger::instance().set_level(util::LogLevel::kOff);
   std::cout << "=== Fault treatment effectiveness (§3.2.3) ===\n"
             << "12 transient task hangs over 60 s; availability = share of\n"
             << "10 ms slots with a completed SafeSpeed sensor execution\n\n"

@@ -13,7 +13,6 @@
 
 #include "bus/can.hpp"
 #include "sim/engine.hpp"
-#include "util/logging.hpp"
 #include "util/stats.hpp"
 #include "validator/node_supervisor.hpp"
 #include "validator/remote_node.hpp"
@@ -97,8 +96,6 @@ Sweep run_sweep(std::int64_t heartbeat_ms) {
 }  // namespace
 
 int main() {
-  // The halt/resume churn is intentional; keep the log quiet.
-  util::Logger::instance().set_level(util::LogLevel::kOff);
   std::cout << "=== Node-level supervision over CAN (extension) ===\n"
             << "4 remote nodes, each halted for 1 s in turn\n\n"
             << "heartbeat_ms  missing  recovered  mean_detect_ms  "

@@ -35,7 +35,6 @@
 #include "inject/faults.hpp"
 #include "inject/injector.hpp"
 #include "sim/engine.hpp"
-#include "util/logging.hpp"
 #include "validator/central_node.hpp"
 
 using namespace easis;
@@ -142,8 +141,6 @@ std::vector<std::string> to_row(Policy policy, const Outcome& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Logger::instance().set_level(util::LogLevel::kOff);
-
   harness::CampaignCli cli(
       "exp_reset_storm",
       "reboot-storm policy comparison (naive / storm / recovery)",

@@ -7,7 +7,9 @@
 #   - any file a campaign wrote (CSVs, event log, metrics, flight dumps)
 #     that differs byte-for-byte or exists on one side only,
 #   - any difference in a campaign's or example's stderr, compared as
-#     sorted lines (two workers interleave their log lines),
+#     sorted lines (two workers interleave their log lines); the distinct
+#     lines whose count differs are printed with both counts, at most
+#     20 per binary,
 #   - any difference in an example's stdout.
 # A campaign's stdout is not compared: it ends with a wall-clock line.
 # A run that exits abnormally (neither 0 nor 1) fails on either side.
@@ -70,11 +72,61 @@ macro(require_same_file a b what)
   endif()
 endmacro()
 
+# Prints each distinct line of lines_a / lines_b (the caller's sorted
+# lines) whose count differs between the two, with both counts, at most
+# 20 of them. Counts are kept in variables keyed by the line's MD5, so a
+# large stderr costs one pass per side.
+function(print_line_counts what)
+  set(distinct "")
+  foreach(side a b)
+    foreach(line IN LISTS lines_${side})
+      string(MD5 key "${line}")
+      if(NOT DEFINED seen_${key})
+        set(seen_${key} 1)
+        list(APPEND distinct "${line}")
+      endif()
+      if(DEFINED n_${side}_${key})
+        math(EXPR n_${side}_${key} "${n_${side}_${key}} + 1")
+      else()
+        set(n_${side}_${key} 1)
+      endif()
+    endforeach()
+  endforeach()
+  message("  ${what}: lines whose count differs")
+  set(cap 20)
+  set(differing 0)
+  foreach(line IN LISTS distinct)
+    string(MD5 key "${line}")
+    foreach(side a b)
+      set(n_${side} 0)
+      if(DEFINED n_${side}_${key})
+        set(n_${side} ${n_${side}_${key}})
+      endif()
+    endforeach()
+    if(n_a EQUAL n_b)
+      continue()
+    endif()
+    math(EXPR differing "${differing} + 1")
+    if(differing GREATER cap)
+      continue()
+    endif()
+    string(REPLACE "<sc>" ";" line "${line}")
+    string(REPLACE "<lb>" "[" line "${line}")
+    string(REPLACE "<rb>" "]" line "${line}")
+    message("    parent ${n_a}x, change ${n_b}x: ${line}")
+  endforeach()
+  if(differing GREATER cap)
+    math(EXPR more "${differing} - ${cap}")
+    message("    ... and ${more} more distinct line(s)")
+  endif()
+endfunction()
+
 macro(require_same_sorted a b what)
   sorted_lines(${a} lines_a)
   sorted_lines(${b} lines_b)
   if(NOT lines_a STREQUAL lines_b)
     list(APPEND failures "${what}")
+    print_line_counts("${what}")
   endif()
 endmacro()
 

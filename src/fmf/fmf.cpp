@@ -6,13 +6,10 @@
 
 #include "profile/profiler.hpp"
 #include "telemetry/event_bus.hpp"
-#include "util/logging.hpp"
 
 namespace easis::fmf {
 
 namespace {
-
-constexpr std::string_view kLog = "fmf";
 
 void emit_fmf_event(telemetry::EventKind kind, sim::SimTime now,
                     std::string detail,
@@ -226,9 +223,6 @@ void FaultManagementFramework::request_reset(ResetCause cause,
                      (cause.detail.empty() ? "" : ": " + cause.detail),
                  cause.application, cause.task);
   if (storm_latched_) {
-    EASIS_LOG(util::LogLevel::kError, kLog)
-        << "reset requested (" << to_string(cause.source)
-        << ") but reboot storm is latched; staying in safe state";
     emit_fmf_event(telemetry::EventKind::kResetRefused, now,
                    "reboot storm latched; staying in safe state",
                    cause.application, cause.task);
@@ -239,23 +233,18 @@ void FaultManagementFramework::request_reset(ResetCause cause,
     return;
   }
   if (ecu_resets_ >= config_.max_ecu_resets) {
-    EASIS_LOG(util::LogLevel::kError, kLog)
-        << "ECU faulty but reset budget exhausted; staying faulty";
     emit_fmf_event(telemetry::EventKind::kResetRefused, now,
                    "reset budget exhausted", cause.application, cause.task);
     return;
   }
   ++ecu_resets_;
-  EASIS_LOG(util::LogLevel::kWarn, kLog)
-      << "ECU software reset #" << ecu_resets_ << " ("
-      << to_string(cause.source) << "): " << cause.detail;
   emit_fmf_event(telemetry::EventKind::kResetPerformed, now,
                  "reset #" + std::to_string(ecu_resets_) + " (" +
                      std::string(to_string(cause.source)) + ")",
                  cause.application, cause.task);
   record_reset_cause(std::move(cause));
-  persist();  // the reset-cause record must survive the reset it explains
-  if (nvm_ != nullptr) {
+  // The reset-cause record must survive the reset it explains.
+  if (persist()) {
     emit_fmf_event(telemetry::EventKind::kNvmCommit, now,
                    "reset-cause record persisted");
   }
@@ -264,10 +253,6 @@ void FaultManagementFramework::request_reset(ResetCause cause,
 
 void FaultManagementFramework::latch_storm(const ResetCause& cause,
                                            sim::SimTime now) {
-  EASIS_LOG(util::LogLevel::kError, kLog)
-      << "reboot storm: " << config_.storm_reset_limit << " resets within "
-      << config_.storm_window << "; refusing further resets, entering "
-      << "limp-home safe state";
   // Document the decision: a reset-cause record (not a performed reset)
   // and a fault-log entry / DTC explaining why the ECU is parked.
   ResetCause decision = cause;
@@ -281,9 +266,6 @@ void FaultManagementFramework::latch_storm(const ResetCause& cause,
 void FaultManagementFramework::request_safe_state(ResetCause cause,
                                                   sim::SimTime now) {
   if (storm_latched_) return;  // already parked; the latch is terminal
-  EASIS_LOG(util::LogLevel::kError, kLog)
-      << "controlled shutdown into safe state ("
-      << to_string(cause.source) << "): " << cause.detail;
   ResetCause decision = std::move(cause);
   decision.time = now;
   park_in_safe_state(decision, "fmf.shutdown",
@@ -305,8 +287,7 @@ void FaultManagementFramework::park_in_safe_state(const ResetCause& decision,
                 wdg::Severity::kCritical});
   emit_fmf_event(telemetry::EventKind::kStormLatched, decision.time,
                  decision.detail, decision.application, decision.task);
-  persist();  // the latch itself must survive power cycles
-  if (nvm_ != nullptr) {
+  if (persist()) {  // the latch itself must survive power cycles
     emit_fmf_event(telemetry::EventKind::kNvmCommit, decision.time,
                    std::move(commit_note));
   }
@@ -341,9 +322,6 @@ void FaultManagementFramework::restart_application(ApplicationId app,
                                                    sim::SimTime now) {
   std::vector<sim::SimTime>& restarts = applications_[app].restarts;
   restarts.push_back(now);
-  EASIS_LOG(util::LogLevel::kWarn, kLog)
-      << "restarting application " << rte_.application_name(app)
-      << " (restart #" << restarts.size() << ")";
   emit_fmf_event(telemetry::EventKind::kTreatmentAction, now,
                  "restart " + rte_.application_name(app) + " (#" +
                      std::to_string(restarts.size()) + ")",
@@ -386,19 +364,11 @@ void FaultManagementFramework::begin_ecu_recovery_window(sim::SimTime now) {
 void FaultManagementFramework::on_recovery_result(
     bool ok, ApplicationId app, const wdg::ErrorReport& cause,
     sim::SimTime now) {
-  if (ok) {
-    EASIS_LOG(util::LogLevel::kInfo, kLog)
-        << "post-reset recovery validated clean"
-        << (app.valid() ? " (application scope)" : " (ECU scope)");
-    return;
-  }
+  if (ok) return;
   record_fault({"fmf.recovery", cause, wdg::Severity::kCritical});
   if (app.valid()) {
     // The restart demonstrably did not fix it; skip the remaining restart
     // budget and terminate right away.
-    EASIS_LOG(util::LogLevel::kWarn, kLog)
-        << "recovery validation failed for application "
-        << rte_.application_name(app) << "; escalating to termination";
     terminate_application(app, now);
     return;
   }
@@ -439,9 +409,6 @@ void FaultManagementFramework::degrade_application(ApplicationId app,
   }
   mode.active = true;
   ++mode.entries;
-  EASIS_LOG(util::LogLevel::kWarn, kLog)
-      << "reconfiguring application " << rte_.application_name(app)
-      << " into degraded mode";
   emit_fmf_event(telemetry::EventKind::kTreatmentAction, now,
                  "degrade " + rte_.application_name(app), app);
   mode.enter();
@@ -454,9 +421,6 @@ void FaultManagementFramework::recover_application(ApplicationId app,
   if (it == applications_.end() || !it->second.degraded.active) return;
   DegradedMode& mode = it->second.degraded;
   mode.active = false;
-  EASIS_LOG(util::LogLevel::kInfo, kLog)
-      << "recovering application " << rte_.application_name(app)
-      << " from degraded mode";
   emit_fmf_event(telemetry::EventKind::kTreatmentAction, now,
                  "recover " + rte_.application_name(app) +
                      " from degraded mode",
@@ -468,8 +432,6 @@ void FaultManagementFramework::recover_application(ApplicationId app,
 void FaultManagementFramework::terminate_application(ApplicationId app,
                                                      sim::SimTime now) {
   ++applications_[app].terminations;
-  EASIS_LOG(util::LogLevel::kWarn, kLog)
-      << "terminating application " << rte_.application_name(app);
   emit_fmf_event(telemetry::EventKind::kTreatmentAction, now,
                  "terminate " + rte_.application_name(app), app);
   // Deactivate monitoring first so the dead runnables do not keep
@@ -481,8 +443,8 @@ void FaultManagementFramework::terminate_application(ApplicationId app,
   rte_.set_application_enabled(app, false);
 }
 
-void FaultManagementFramework::persist() {
-  if (nvm_ == nullptr) return;
+bool FaultManagementFramework::persist() {
+  if (nvm_ == nullptr) return false;
   NvmImage image;
   image.reset_count = ecu_resets_;
   image.storm_latched = storm_latched_;
@@ -502,17 +464,11 @@ void FaultManagementFramework::persist() {
   nvm_evictions_ += evicted;
   nvm_->count_overflows(evicted);
   const std::uint32_t overflows_seen = nvm_->overflows();
-  if (nvm_->commit(image)) return;
-  if (nvm_->overflows() > overflows_seen) {
-    EASIS_LOG(util::LogLevel::kError, kLog)
-        << "NVM commit failed: image exceeds bank capacity even after "
-        << "evicting all expendable fault-memory entries";
-    return;
-  }
-  // Wear-out or transient write fault: nothing to evict will help.
-  ++nvm_write_failures_;
-  EASIS_LOG(util::LogLevel::kError, kLog)
-      << "NVM commit failed: write error (flash wear or fault)";
+  if (nvm_->commit(image)) return true;
+  // A refusal that is no overflow is a wear-out or transient write fault:
+  // nothing to evict will help.
+  if (nvm_->overflows() == overflows_seen) ++nvm_write_failures_;
+  return false;
 }
 
 void FaultManagementFramework::boot_from_nvm(sim::SimTime now) {
@@ -541,8 +497,6 @@ void FaultManagementFramework::boot_from_nvm(sim::SimTime now) {
       // The latch is persistent: a power cycle must not re-enter the
       // naive reset loop. Re-enter the safe state right at boot.
       storm_latched_ = true;
-      EASIS_LOG(util::LogLevel::kError, kLog)
-          << "NVM carries a latched reboot storm; re-entering safe state";
       if (safe_state_hook_) {
         safe_state_hook_(last_reset_cause_ ? *last_reset_cause_
                                            : ResetCause{});

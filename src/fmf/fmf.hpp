@@ -146,8 +146,9 @@ class FaultManagementFramework {
   /// transgression records are never dropped. The victims are chosen in
   /// one pass over exact byte sizes and the image is committed once; each
   /// eviction counts as one NVM overflow, as if the oversize image had
-  /// been offered before it.
-  void persist();
+  /// been offered before it. Returns whether the commit succeeded (false
+  /// without NVM).
+  bool persist();
 
   /// Connects the supervised-process transgression records to fault
   /// memory: `snapshot` feeds persist(), `restore` is replayed by

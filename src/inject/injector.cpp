@@ -5,13 +5,10 @@
 #include <utility>
 
 #include "telemetry/event_bus.hpp"
-#include "util/logging.hpp"
 
 namespace easis::inject {
 
 namespace {
-
-constexpr std::string_view kLog = "inject";
 
 void emit_injection_event(telemetry::EventKind kind,
                           const Injection& injection, sim::SimTime now) {
@@ -57,8 +54,6 @@ void ErrorInjector::arm() {
     engine_.schedule_at(
         injection.start,
         [this, &injection] {
-          EASIS_LOG(util::LogLevel::kInfo, kLog)
-              << "apply " << injection.name << " at " << engine_.now();
           ++applied_;
           emit_injection_event(telemetry::EventKind::kFaultApplied, injection,
                                engine_.now());
@@ -66,8 +61,6 @@ void ErrorInjector::arm() {
           if (injection.duration > sim::Duration::zero() &&
               injection.revert) {
             engine_.schedule_in(injection.duration, [this, &injection] {
-              EASIS_LOG(util::LogLevel::kInfo, kLog)
-                  << "revert " << injection.name << " at " << engine_.now();
               ++reverted_;
               emit_injection_event(telemetry::EventKind::kFaultReverted,
                                    injection, engine_.now());

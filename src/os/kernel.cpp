@@ -4,13 +4,8 @@
 #include <cassert>
 
 #include "profile/profiler.hpp"
-#include "util/logging.hpp"
 
 namespace easis::os {
-
-namespace {
-constexpr std::string_view kLog = "os";
-}
 
 Kernel::Kernel(sim::Engine& engine) : engine_(engine) {}
 
@@ -106,7 +101,6 @@ void Kernel::software_reset() {
     a.expiry_tick = 0;
     a.cycle_ticks = 0;
   }
-  EASIS_LOG(util::LogLevel::kInfo, kLog) << "software reset #" << resets_;
 }
 
 // --- helpers -----------------------------------------------------------------
@@ -827,8 +821,6 @@ void Kernel::reclaim_task_resources(TaskId task) {
   assert(t != nullptr);
   handles_in_use_ -= std::min(handles_in_use_, t->resource_usage.handles);
   t->resource_usage = TaskResourceUsage{};
-  EASIS_LOG(util::LogLevel::kInfo, kLog)
-      << "reclaimed resources of task " << t->config.name;
 }
 
 sim::Duration Kernel::cpu_busy_time() const {

@@ -252,9 +252,6 @@ void Rte::restart_application(ApplicationId app) {
       kernel_.activate_task(task);
     }
   }
-  EASIS_LOG(util::LogLevel::kInfo, kLog)
-      << "restarted application " << entry.name << " (restart #"
-      << entry.restarts << ")";
 }
 
 std::uint32_t Rte::restart_count(ApplicationId app) const {

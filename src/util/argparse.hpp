@@ -70,8 +70,7 @@ class ArgParser {
 /// register_flags() adds them to a parser; after a successful parse, call
 /// apply_log_level() to push --log-level into the global Logger.
 struct TelemetryFlags {
-  /// Logger level name; empty = leave the process default untouched
-  /// (benches that silence logging before parsing rely on that).
+  /// Logger level name; empty = leave the process default untouched.
   std::string log_level;
   /// Structured event log path; empty = skip the export.
   std::string events_out;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/logging.hpp"
-
 namespace easis::validator {
 
 namespace {
@@ -247,16 +245,16 @@ wdg::EnvironmentSupervisionUnit& CentralNode::attach_environment_supervision() {
       [this](sim::SimTime now) { enter_thermal_derate(now); },
       [this](sim::SimTime now) { exit_thermal_derate(now); });
   esu_->set_shutdown_hook([this](sim::SimTime now) {
+    if (!fmf_) {
+      latch_safe_state();
+      return;
+    }
     fmf::ResetCause cause;
     cause.source = fmf::ResetSource::kThermalShutdown;
     cause.error = wdg::ErrorType::kThermal;
     cause.time = now;
     cause.detail = "thermal ladder reached shutdown stage";
-    if (fmf_) {
-      fmf_->request_safe_state(std::move(cause), now);
-      return;
-    }
-    latch_safe_state(cause);
+    fmf_->request_safe_state(std::move(cause), now);
   });
   return *esu_;
 }
@@ -264,9 +262,6 @@ wdg::EnvironmentSupervisionUnit& CentralNode::attach_environment_supervision() {
 void CentralNode::enter_thermal_derate(sim::SimTime now) {
   if (derated_) return;
   derated_ = true;
-  EASIS_LOG(util::LogLevel::kWarn, "validator")
-      << "thermal derate: parking QM applications, stretching HBM "
-      << "hypotheses x" << config_.derate_hbm_stretch;
   park_qm_applications();  // reversible, unlike the safe state
   // Stretch the HBM hypotheses of the runnables that keep running: the
   // derated (slower) node must not trip aliveness monitoring.
@@ -291,9 +286,6 @@ void CentralNode::exit_thermal_derate(sim::SimTime now) {
   if (!derated_) return;
   derated_ = false;
   if (in_safe_state()) return;  // the safe state owns the configuration now
-  EASIS_LOG(util::LogLevel::kInfo, "validator")
-      << "thermal derate over: restoring HBM hypotheses, re-enabling QM "
-      << "applications";
   for (const auto& [runnable, cfg] : stretched_) {
     watchdog_.update_hypothesis(runnable, cfg.aliveness_cycles,
                                 cfg.min_heartbeats, cfg.arrival_cycles,
@@ -314,9 +306,6 @@ void CentralNode::exit_thermal_derate(sim::SimTime now) {
 
 void CentralNode::on_hw_watchdog_expired(sim::SimTime now) {
   ++hw_resets_;
-  EASIS_LOG(util::LogLevel::kError, "validator")
-      << "hardware watchdog expired at " << now
-      << ": software watchdog task hung, starved or corrupted";
   fmf::ResetCause cause;
   cause.source = fmf::ResetSource::kHardwareWatchdog;
   cause.task = service_->task();
@@ -330,10 +319,7 @@ void CentralNode::on_hw_watchdog_expired(sim::SimTime now) {
   software_reset();
 }
 
-void CentralNode::enter_safe_state(const fmf::ResetCause& cause) {
-  EASIS_LOG(util::LogLevel::kError, "validator")
-      << "entering limp-home safe state (" << fmf::to_string(cause.source)
-      << "): SafeSpeed limp limit, assist applications disabled";
+void CentralNode::enter_safe_state() {
   // The HW watchdog must not reset the parked node.
   if (self_supervision_) self_supervision_->stop();
   safespeed_->set_limp_home(true);

@@ -215,7 +215,7 @@ class CentralNode : private NodeConfigHolder<CentralNodeConfig>,
   // watchdog stops before the kernel goes down.
   void boot_node() override;
   sim::Duration nominal_period_of(RunnableId id) override;
-  void enter_safe_state(const fmf::ResetCause& cause) override;
+  void enter_safe_state() override;
   void before_reset() override;
 };
 

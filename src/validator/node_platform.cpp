@@ -64,7 +64,7 @@ void NodePlatform::build_fault_memory(std::vector<std::string> frame_signals,
         if (psu_) psu_->restore_records(records);
       });
   fmf_->set_safe_state_hook(
-      [this](const fmf::ResetCause& cause) { latch_safe_state(cause); });
+      [this](const fmf::ResetCause&) { latch_safe_state(); });
   fmf_->attach();
 }
 
@@ -184,10 +184,10 @@ void NodePlatform::boot() {
   boot_node();
 }
 
-void NodePlatform::latch_safe_state(const fmf::ResetCause& cause) {
+void NodePlatform::latch_safe_state() {
   if (safe_state_) return;
   safe_state_ = true;
-  enter_safe_state(cause);
+  enter_safe_state();
 }
 
 }  // namespace easis::validator

@@ -137,7 +137,7 @@ class NodePlatform {
   /// Applies a policy role's FMF treatment to `app` (no-op without FMF).
   void bind_treatment(ApplicationId app, const policy::RoleTreatment& role);
   /// Latches the safe state once and runs the node's enter_safe_state().
-  void latch_safe_state(const fmf::ResetCause& cause);
+  void latch_safe_state();
   /// One check-supervision then process-supervision cycle: evaluations
   /// run first so a window opened this cycle is not instantly overdue.
   void cycle_process_supervision(sim::SimTime now);
@@ -175,7 +175,7 @@ class NodePlatform {
   /// Nominal activation period of a runnable (zero = sporadic/unknown).
   virtual sim::Duration nominal_period_of(RunnableId id) = 0;
   /// The node's limp-home configuration (runs once).
-  virtual void enter_safe_state(const fmf::ResetCause& cause) = 0;
+  virtual void enter_safe_state() = 0;
   /// Teardown before the kernel reset.
   virtual void before_reset() {}
 };

@@ -3,13 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "util/logging.hpp"
-
 namespace easis::validator {
-
-namespace {
-constexpr std::string_view kLog = "nodesup";
-}
 
 NodeSupervisor::NodeSupervisor(sim::Engine& engine, bus::CanBus& can,
                                NodeSupervisorConfig config)
@@ -70,8 +64,6 @@ void NodeSupervisor::on_frame(const bus::Frame& frame, sim::SimTime now) {
   if (n.state == NodeState::kMissing) {
     n.state = NodeState::kAlive;
     ++n.recoveries;
-    EASIS_LOG(util::LogLevel::kInfo, kLog)
-        << "node " << n.name << " recovered";
     if (on_state_) on_state_(it->second, NodeState::kAlive, now);
   }
 }
@@ -88,8 +80,6 @@ void NodeSupervisor::cycle() {
                   n.consecutive_misses >= config_.missing_threshold) {
                 n.state = NodeState::kMissing;
                 ++n.missing_events;
-                EASIS_LOG(util::LogLevel::kWarn, kLog)
-                    << "node " << n.name << " missing";
                 if (on_state_) on_state_(id, NodeState::kMissing, now);
               }
             });

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "diag/protocol.hpp"
-#include "util/logging.hpp"
 
 namespace easis::validator {
 
@@ -185,10 +184,7 @@ void RailMonNode::boot_node() {
       sim::EventPriority::kMonitor));
 }
 
-void RailMonNode::enter_safe_state(const fmf::ResetCause& cause) {
-  EASIS_LOG(util::LogLevel::kError, "validator")
-      << "railmon safe state (" << fmf::to_string(cause.source)
-      << "): duty cycle held, sensing chain parked";
+void RailMonNode::enter_safe_state() {
   railmon_->set_duty_hold(true);
   (void)ecu_.kernel().cancel_alarm(sensor_alarm_);
   for (RunnableId runnable :

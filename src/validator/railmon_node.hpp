@@ -88,7 +88,7 @@ class RailMonNode : private NodeConfigHolder<RailMonNodeConfig>,
   // the safe state holds the duty cycle and parks the sensing chain.
   void boot_node() override;
   sim::Duration nominal_period_of(RunnableId id) override;
-  void enter_safe_state(const fmf::ResetCause& cause) override;
+  void enter_safe_state() override;
 };
 
 }  // namespace easis::validator

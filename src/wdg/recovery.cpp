@@ -1,13 +1,8 @@
 #include "wdg/recovery.hpp"
 
 #include "telemetry/event_bus.hpp"
-#include "util/logging.hpp"
 
 namespace easis::wdg {
-
-namespace {
-constexpr std::string_view kLog = "wdg.recovery";
-}
 
 void RecoverySupervisionUnit::begin(std::vector<RunnableId> required,
                                     ApplicationId scope_app,
@@ -17,11 +12,7 @@ void RecoverySupervisionUnit::begin(std::vector<RunnableId> required,
   required_ = std::move(required);
   announced_.clear();
   cycles_left_ = cycles;
-  started_at_ = now;
   ++started_;
-  EASIS_LOG(util::LogLevel::kInfo, kLog)
-      << "warm-up window opened: " << required_.size() << " runnables, "
-      << cycles << " cycles";
   if (telemetry::enabled()) {
     telemetry::Event event;
     event.time = now;
@@ -74,9 +65,6 @@ void RecoverySupervisionUnit::finish(bool ok, const ErrorReport& cause,
   } else {
     ++failed_;
   }
-  EASIS_LOG(ok ? util::LogLevel::kInfo : util::LogLevel::kWarn, kLog)
-      << "warm-up window " << (ok ? "passed" : "FAILED") << " after "
-      << (now - started_at_) << (ok ? "" : ": " + cause.detail);
   if (telemetry::enabled()) {
     telemetry::Event event;
     event.time = now;

@@ -60,7 +60,6 @@ class RecoverySupervisionUnit {
   std::vector<RunnableId> required_;
   std::unordered_set<RunnableId> announced_;
   std::uint32_t cycles_left_ = 0;
-  sim::SimTime started_at_;
   std::uint32_t started_ = 0;
   std::uint32_t passed_ = 0;
   std::uint32_t failed_ = 0;

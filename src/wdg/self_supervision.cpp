@@ -2,13 +2,8 @@
 
 #include "util/crc8.hpp"
 #include "telemetry/event_bus.hpp"
-#include "util/logging.hpp"
 
 namespace easis::wdg {
-
-namespace {
-constexpr std::string_view kLog = "wdg.selfsup";
-}
 
 WatchdogSelfSupervision::WatchdogSelfSupervision(sim::Engine& engine,
                                                  SelfSupervisionConfig config)
@@ -43,9 +38,6 @@ void WatchdogSelfSupervision::service(std::uint64_t cycle, std::uint8_t token,
   const bool stale = any_accepted_ && cycle <= last_cycle_;
   if (stale || token != token_for(cycle)) {
     ++token_violations_;
-    EASIS_LOG(util::LogLevel::kWarn, kLog)
-        << "refused watchdog service at " << now << ": "
-        << (stale ? "cycle counter did not advance" : "bad response token");
     if (telemetry::enabled()) {
       telemetry::Event event;
       event.time = now;

@@ -4,13 +4,10 @@
 
 #include "profile/profiler.hpp"
 #include "telemetry/event_bus.hpp"
-#include "util/logging.hpp"
 
 namespace easis::wdg {
 
 namespace {
-
-constexpr std::string_view kLog = "wdg";
 
 /// Which monitoring unit an error class originates from, for telemetry.
 telemetry::Component detector_component(ErrorType type) {
@@ -213,9 +210,6 @@ void SoftwareWatchdog::emit(ErrorReport report) {
     report.application = m.application;
   }
   ++errors_;
-  EASIS_LOG(util::LogLevel::kDebug, kLog)
-      << to_string(report.type) << " error, runnable " << report.runnable
-      << " task " << report.task << " at " << report.time;
   if (telemetry::enabled()) {
     // Single funnel for every detection in the stack, so one emit site
     // covers HBM/ARM/PFC/deadline/com-monitor and external reports.

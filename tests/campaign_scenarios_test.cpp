@@ -1,6 +1,6 @@
 // The class x detector campaign scenarios: each family's fault-class table
 // rejects an unknown class by name, names every class once, and a run
-// reduces to exactly the family's declared detectors.
+// reduces to exactly the family's declared detectors, without logging.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,9 +8,11 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign_scenarios.hpp"
+#include "util/logging.hpp"
 
 namespace easis::bench {
 namespace {
@@ -76,6 +78,35 @@ TEST(CampaignScenarios, RunReducesToTheDeclaredDetectors) {
               std::vector<std::string>{family.classes().front()})
         << family.name;
   }
+}
+
+// Every in-run fact is a telemetry event or a counter, so a run logs no
+// WARN or ERROR line at the default level. Mode and environment are the
+// families with the most FMF treatments per run.
+TEST(CampaignScenarios, ModeAndEnvironmentRunsDoNotLog) {
+  util::Logger& logger = util::Logger::instance();
+  std::vector<std::string> lines;
+  const util::Logger::Sink old_sink = logger.set_sink(
+      [&lines](util::LogLevel level, std::string_view component,
+               std::string_view message) {
+        if (level >= util::LogLevel::kWarn) {
+          lines.push_back(std::string(component) + ": " +
+                          std::string(message));
+        }
+      });
+  const util::LogLevel old_level = logger.level();
+  logger.set_level(util::LogLevel::kWarn);
+  for (const Family& family : families()) {
+    const std::string_view name = family.name;
+    if (name != "mode" && name != "environment") continue;
+    for (const std::string& fault_class : family.classes()) {
+      (void)family.run(fault_class);
+    }
+  }
+  logger.set_level(old_level);
+  logger.set_sink(old_sink);
+  EXPECT_TRUE(lines.empty()) << lines.size() << " lines, the first: "
+                             << (lines.empty() ? "" : lines.front());
 }
 
 }  // namespace

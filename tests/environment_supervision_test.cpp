@@ -7,7 +7,9 @@
 // ReadDataByIdentifier round trip against injected values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "rte/signal_bus.hpp"
 #include "sim/engine.hpp"
 #include "sim/thermal.hpp"
+#include "telemetry/event_bus.hpp"
 #include "util/random.hpp"
 #include "wdg/env_monitor.hpp"
 #include "wdg/process_supervisor.hpp"
@@ -581,6 +584,45 @@ TEST_F(FmfNvmPressureTest, PersistCountsWriteFailuresWithoutEvicting) {
   EXPECT_EQ(nvm.commits(), 0u);
   fmf.persist();
   EXPECT_EQ(nvm.commits(), 1u);
+}
+
+// An nvm_commit event claims the record reached NVM: a reset whose commit
+// hit a write fault emits reset_performed but no nvm_commit, and counts
+// the failure instead.
+TEST_F(FmfNvmPressureTest, ResetEmitsNvmCommitOnlyWhenTheCommitSucceeded) {
+  fmf::NvmStore nvm(4096);
+  fmf.attach_nvm(&nvm);
+  using telemetry::EventKind;
+  struct Emitted {
+    std::ptrdiff_t resets = 0;
+    std::ptrdiff_t commits = 0;
+  };
+  const auto request_reset = [this](SimTime now) {
+    std::vector<EventKind> kinds;
+    telemetry::EventBus bus;
+    bus.add_sink([&kinds](const telemetry::Event& event) {
+      kinds.push_back(event.kind);
+    });
+    telemetry::EventScope scope(bus);
+    fmf::ResetCause cause;
+    cause.source = fmf::ResetSource::kEcuFaulty;
+    fmf.request_reset(cause, now);
+    return Emitted{
+        std::count(kinds.begin(), kinds.end(), EventKind::kResetPerformed),
+        std::count(kinds.begin(), kinds.end(), EventKind::kNvmCommit)};
+  };
+
+  nvm.inject_write_faults(1);
+  const Emitted failed = request_reset(SimTime(1'000));
+  EXPECT_EQ(failed.resets, 1);
+  EXPECT_EQ(failed.commits, 0);
+  EXPECT_EQ(fmf.nvm_write_failures(), 1u);
+
+  const Emitted healthy = request_reset(SimTime(2'000));
+  EXPECT_EQ(healthy.resets, 1);
+  EXPECT_EQ(healthy.commits, 1);
+  EXPECT_EQ(fmf.nvm_write_failures(), 1u);
+  EXPECT_EQ(ecu_resets, 2);
 }
 
 // --- one-pass eviction ladder vs the per-entry reference ---------------------
