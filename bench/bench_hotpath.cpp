@@ -46,9 +46,17 @@ wdg::RunnableMonitor make_monitor(std::uint32_t id) {
 }
 
 /// sim::Engine step loop: one self-rescheduling event fired per iteration
-/// (the dispatch primitive every simulated workload reduces to).
+/// (the dispatch primitive every simulated workload reduces to), over
+/// range(0) background events that stay pending, so each push and pop
+/// sifts through a heap of that depth.
 void BM_EngineStepLoop(benchmark::State& state) {
   sim::Engine engine;
+  const auto background = state.range(0);
+  for (std::int64_t i = 0; i < background; ++i) {
+    engine.schedule_at(sim::SimTime(std::int64_t{1} << 60) +
+                           sim::Duration::micros(i),
+                       [] {});
+  }
   std::function<void()> tick = [&] {
     engine.schedule_in(sim::Duration::micros(1), tick);
   };
@@ -59,7 +67,7 @@ void BM_EngineStepLoop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EngineStepLoop);
+BENCHMARK(BM_EngineStepLoop)->Arg(0)->Arg(64)->Arg(1024);
 
 /// Telemetry event-bus publication with one attached sink (the campaign
 /// capture configuration: flight recorder + event log behind one lambda).

@@ -23,13 +23,14 @@ void HardwareWatchdog::start() {
 
 void HardwareWatchdog::stop() {
   running_ = false;
-  expiry_.cancel();
+  engine_.cancel(expiry_);
 }
 
 void HardwareWatchdog::arm() {
-  expiry_.cancel();
-  expiry_ = engine_.every(timeout_, [this] { expire(); },
-                          sim::EventPriority::kMonitor);
+  // A one-shot: every expiry and every kick re-arms it.
+  engine_.cancel(expiry_);
+  expiry_ = engine_.schedule_in(timeout_, [this] { expire(); },
+                                sim::EventPriority::kMonitor);
 }
 
 void HardwareWatchdog::expire() {

@@ -44,7 +44,7 @@ class HardwareWatchdog {
   ExpireCallback on_expire_;
   bool running_ = false;
   sim::SimTime last_kick_;
-  sim::Timer expiry_;
+  sim::EventId expiry_ = 0;  // the pending expiry
   std::uint32_t expirations_ = 0;
   std::uint32_t early_kicks_ = 0;
 

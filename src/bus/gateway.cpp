@@ -2,13 +2,7 @@
 
 #include <stdexcept>
 
-#include "util/logging.hpp"
-
 namespace easis::bus {
-
-namespace {
-constexpr std::string_view kLog = "gateway";
-}
 
 Gateway::Gateway(sim::Engine& engine, sim::Duration processing_latency)
     : engine_(engine), latency_(processing_latency) {}
@@ -58,11 +52,7 @@ void Gateway::route(const std::string& domain, const Frame& frame) {
   auto it = routes_.find(key);
   if (it == routes_.end()) {
     ++dropped_;
-    if (++dropped_by_route_[key] == 1) {
-      EASIS_LOG(util::LogLevel::kWarn, kLog)
-          << "no route for frame id 0x" << std::hex << frame.id << std::dec
-          << " from domain '" << domain << "'; dropping (logged once)";
-    }
+    ++dropped_by_route_[key];
     return;
   }
   for (const RouteTarget& target : it->second) {

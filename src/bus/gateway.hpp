@@ -6,9 +6,9 @@
 // configurable processing latency. The gateway is itself an endpoint on
 // each bus it bridges.
 //
-// Drops are observable: the first unrouted frame per (domain, id) is
-// logged, and delivered/dropped counts are kept per route key so a silent
-// routing hole shows up in diagnostics instead of as a missing signal.
+// Drops are observable: delivered/dropped counts are kept per route key so
+// a silent routing hole shows up in diagnostics instead of as a missing
+// signal.
 #pragma once
 
 #include <cstdint>

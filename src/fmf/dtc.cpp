@@ -71,6 +71,14 @@ void DtcStore::set_passive(const DtcKey& key) {
   if (it != entries_.end()) it->second.active = false;
 }
 
+void DtcStore::set_application_passive(ApplicationId app) {
+  // Keys order by application first, and kAliveness is the lowest type.
+  auto it = entries_.lower_bound(DtcKey{app});
+  for (; it != entries_.end() && it->first.application == app; ++it) {
+    it->second.active = false;
+  }
+}
+
 void DtcStore::clear() { entries_.clear(); }
 
 void DtcStore::restore(const std::vector<DtcEntry>& entries) {

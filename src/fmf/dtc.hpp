@@ -73,6 +73,8 @@ class DtcStore {
 
   /// Marks a DTC passive (fault healed); occurrence history is retained.
   void set_passive(const DtcKey& key);
+  /// Marks every DTC of one application passive.
+  void set_application_passive(ApplicationId app);
   /// Workshop "clear DTCs": removes everything.
   void clear();
 

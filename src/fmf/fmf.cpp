@@ -148,12 +148,7 @@ void FaultManagementFramework::on_application_state(ApplicationId app,
                                                     sim::SimTime now) {
   if (health != wdg::Health::kFaulty) {
     // Application healed: its DTCs become passive (history retained).
-    if (dtc_store_ != nullptr) {
-      for (std::size_t t = 0; t < wdg::kErrorTypeCount; ++t) {
-        dtc_store_->set_passive(
-            DtcKey{app, static_cast<wdg::ErrorType>(t)});
-      }
-    }
+    if (dtc_store_ != nullptr) dtc_store_->set_application_passive(app);
     return;
   }
   // If the global ECU state is faulty the ECU-level treatment takes over

@@ -188,12 +188,15 @@ std::vector<RunnableId> Rte::runnables_of_application(
 }
 
 std::vector<TaskId> Rte::tasks_of_application(ApplicationId app) const {
+  assert(app.valid() && app.value() < applications_.size());
   std::vector<TaskId> tasks;
-  for (RunnableId r : runnables_of_application(app)) {
-    const TaskId t = task_of(r);
-    if (!t.valid()) continue;
-    if (std::find(tasks.begin(), tasks.end(), t) == tasks.end()) {
-      tasks.push_back(t);
+  for (ComponentId c : applications_[app.value()].components) {
+    for (RunnableId r : components_[c.value()].runnables) {
+      const TaskId t = task_of(r);
+      if (!t.valid()) continue;
+      if (std::find(tasks.begin(), tasks.end(), t) == tasks.end()) {
+        tasks.push_back(t);
+      }
     }
   }
   return tasks;

@@ -14,7 +14,18 @@ EventId Engine::schedule_at(SimTime at, Action action, EventPriority priority) {
   }
   const EventId id = next_id_++;
   settled_.push_back(false);
-  queue_.push(Event{at, static_cast<int>(priority), id, std::move(action)});
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(actions_.size());
+    actions_.push_back(std::move(action));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    actions_[slot] = std::move(action);
+  }
+  heap_.push_back(
+      Key{at, static_cast<std::uint64_t>(priority) << kIdBits | id, slot});
+  std::push_heap(heap_.begin(), heap_.end(), fires_later);
   return id;
 }
 
@@ -88,26 +99,34 @@ bool Engine::is_pending(EventId id) const {
   return id != 0 && id < next_id_ && !settled_[id - 1];
 }
 
+Engine::Key Engine::pop_top() {
+  std::pop_heap(heap_.begin(), heap_.end(), fires_later);
+  const Key key = heap_.back();
+  heap_.pop_back();
+  free_slots_.push_back(key.slot);
+  return key;
+}
+
 bool Engine::drop_cancelled_top() {
-  if (!settled_[queue_.top().id - 1]) return false;
-  queue_.pop();
+  if (!settled_[(heap_.front().order & kIdMask) - 1]) return false;
+  actions_[pop_top().slot] = nullptr;
   --cancelled_queued_;
   return true;
 }
 
 void Engine::fire_top() {
-  // Move the action out instead of copying it: Later reads only at,
-  // priority and id, which the move leaves intact for the pop.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
-  settled_[ev.id - 1] = true;
-  now_ = ev.at;
+  const Key key = pop_top();
+  // Move the action out of its slot: it may schedule events that reuse the
+  // slot or grow actions_.
+  Action action = std::move(actions_[key.slot]);
+  settled_[(key.order & kIdMask) - 1] = true;
+  now_ = key.at;
   ++fired_;
-  ev.action();
+  action();
 }
 
 bool Engine::fire_next() {
-  while (!queue_.empty()) {
+  while (!heap_.empty()) {
     if (drop_cancelled_top()) continue;
     fire_top();
     EASIS_PROFILE_COUNT("sim.events_fired", 1);
@@ -121,10 +140,10 @@ bool Engine::step() { return fire_next(); }
 void Engine::run_until(SimTime until) {
   EASIS_PROFILE_SPAN("sim.run_until");
   const std::uint64_t fired_before = fired_;
-  while (!queue_.empty()) {
+  while (!heap_.empty()) {
     // Peek past cancelled events without firing.
     if (drop_cancelled_top()) continue;
-    if (queue_.top().at > until) break;
+    if (heap_.front().at > until) break;
     fire_top();
   }
   if (now_ < until) now_ = until;
@@ -138,7 +157,7 @@ void Engine::run_all() {
 }
 
 std::size_t Engine::pending_events() const {
-  return queue_.size() - cancelled_queued_;
+  return heap_.size() - cancelled_queued_;
 }
 
 void TimerGroup::add(EventId id) {

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -106,25 +105,34 @@ class Engine {
  private:
   friend class Timer;
 
-  struct Event {
+  /// A queued event, ordered by (at, order): `order` packs the priority
+  /// above the id, so one integer compare settles both tie-breaks. The
+  /// action lives apart in actions_[slot], so a heap sift moves only
+  /// these trivially copyable keys.
+  struct Key {
     SimTime at;
-    int priority;
-    EventId id;  // also the insertion sequence number
-    Action action;
+    std::uint64_t order;  // priority << kIdBits | id
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.id > b.id;
-    }
-  };
+  static constexpr unsigned kIdBits = 60;
+  static constexpr std::uint64_t kIdMask = (std::uint64_t{1} << kIdBits) - 1;
+  /// Heap order: the key that fires later sorts lower, so the heap's front
+  /// is the next event.
+  static bool fires_later(const Key& a, const Key& b) {
+    return a.at != b.at ? a.at > b.at : a.order > b.order;
+  }
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Binary min-heap on (at, order); ids are unique, so the pop sequence is
+  /// fully determined.
+  std::vector<Key> heap_;
+  /// The action of each queued key; a slot is reused (free_slots_) once its
+  /// key is popped, whether it fires or was cancelled.
+  std::vector<Action> actions_;
+  std::vector<std::uint32_t> free_slots_;
   /// Per id (index id - 1): fired or cancelled. Ids are sequential, so a
   /// dense bit per scheduled event holds the state without hashing.
   std::vector<bool> settled_;
-  /// Cancelled events still sitting in the queue (skipped when popped).
+  /// Cancelled events still sitting in the heap (skipped when popped).
   std::size_t cancelled_queued_ = 0;
   SimTime now_;
   EventId next_id_ = 1;
@@ -150,9 +158,11 @@ class Engine {
   bool cancel_series(std::uint64_t key);
 
   bool fire_next();
-  /// Pops and runs the queue head, which must not be cancelled.
+  /// Removes the heap head and frees its slot; returns its key.
+  Key pop_top();
+  /// Pops and runs the heap head, which must not be cancelled.
   void fire_top();
-  /// Pops the queue head if it was cancelled; true if it did.
+  /// Pops the heap head if it was cancelled; true if it did.
   bool drop_cancelled_top();
 };
 

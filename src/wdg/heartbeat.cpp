@@ -148,6 +148,16 @@ void HeartbeatMonitoringUnit::reset_runnable(RunnableId id) {
   s.ccar = 0;
 }
 
+void HeartbeatMonitoringUnit::reset_task(TaskId task) {
+  for (auto& [id, s] : states_) {
+    if (s.config.task != task) continue;
+    s.ac = 0;
+    s.arc = 0;
+    s.cca = 0;
+    s.ccar = 0;
+  }
+}
+
 void HeartbeatMonitoringUnit::reset() {
   for (RunnableId id : order_) {
     State& s = state(id);

@@ -58,6 +58,8 @@ class HeartbeatMonitoringUnit {
 
   /// Clears the dynamic counters of one runnable (after fault treatment).
   void reset_runnable(RunnableId id);
+  /// Clears the dynamic counters of every runnable of `task`.
+  void reset_task(TaskId task);
   /// Clears all dynamic state (ECU reset).
   void reset();
 

@@ -38,6 +38,9 @@ class TaskStateIndicationUnit {
 
   explicit TaskStateIndicationUnit(Thresholds thresholds,
                                    std::uint32_t ecu_faulty_task_limit);
+  // Each task record points at its elements inside elements_.
+  TaskStateIndicationUnit(const TaskStateIndicationUnit&) = delete;
+  TaskStateIndicationUnit& operator=(const TaskStateIndicationUnit&) = delete;
 
   /// Registers a monitored runnable with its mapping info.
   void add_runnable(RunnableId runnable, TaskId task,
@@ -68,23 +71,59 @@ class TaskStateIndicationUnit {
 
  private:
   struct Element {
-    TaskId task;
-    ApplicationId application;
+    std::uint32_t task;         // index into tasks_
+    std::uint32_t application;  // index into apps_
     std::array<std::uint32_t, kErrorTypeCount> counts{};
+    /// One error class at or over its non-zero threshold.
+    bool tripped = false;
+  };
+  /// A task's or an application's state, with the number of its tripped
+  /// elements.
+  template <typename Id>
+  struct Group {
+    Id id;
+    Health health = Health::kOk;
+    std::uint32_t tripped = 0;
+    [[nodiscard]] Health derived() const {
+      return tripped > 0 ? Health::kFaulty : Health::kOk;
+    }
+  };
+  struct TaskGroup : Group<TaskId> {
+    std::vector<Element*> elements;  // nodes of elements_, which never move
+  };
+  /// The state a derive is to give tasks_[index] or apps_[index].
+  struct Target {
+    std::uint32_t index;
+    Health health;
   };
 
   Thresholds thresholds_;
   std::uint32_t ecu_faulty_task_limit_;
   std::unordered_map<RunnableId, Element> elements_;
-  std::vector<RunnableId> order_;
-  std::unordered_map<TaskId, Health> task_health_;
-  std::unordered_map<ApplicationId, Health> app_health_;
+  /// Dense records in registration order, and the index of each id.
+  std::vector<TaskGroup> tasks_;
+  std::vector<Group<ApplicationId>> apps_;
+  std::unordered_map<TaskId, std::uint32_t> task_index_;
+  std::unordered_map<ApplicationId, std::uint32_t> app_index_;
+  /// The indices in the iteration order of the two index maps, the order
+  /// in which state-change callbacks fire.
+  std::vector<std::uint32_t> task_order_;
+  std::vector<std::uint32_t> app_order_;
   Health ecu_health_ = Health::kOk;
+  /// The snapshots of the derives in progress, innermost last: a derive
+  /// nested in a callback pushes above its caller's entries and pops them
+  /// before it returns, so the buffers are reused without allocating.
+  std::vector<Target> task_targets_;
+  std::vector<Target> app_targets_;
 
   TaskStateCallback task_cb_;
   ApplicationStateCallback app_cb_;
   EcuStateCallback ecu_cb_;
 
+  /// Zeroes one element's vector and untrips it.
+  void clear_element(Element& e);
+  /// Rolls the tripped counts up to task, application and ECU states and
+  /// announces each change.
   void derive_states(sim::SimTime now);
 };
 

@@ -287,9 +287,7 @@ void SoftwareWatchdog::clear_task_state(TaskId task, sim::SimTime now) {
   pfc_.task_boundary(task);
   last_flow_error_cycle_.erase(task);
   accumulated_reported_.erase(task);
-  for (RunnableId runnable : hbm_.monitored_runnables()) {
-    if (hbm_.config(runnable).task == task) hbm_.reset_runnable(runnable);
-  }
+  hbm_.reset_task(task);
 }
 
 void SoftwareWatchdog::reset_runnable(RunnableId runnable) {

@@ -2,11 +2,15 @@
 // parameter sweeps, using parameterized gtest suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "apps/monitor_hypothesis.hpp"
@@ -20,6 +24,7 @@
 #include "wdg/config_check.hpp"
 #include "wdg/pfc.hpp"
 #include "wdg/service.hpp"
+#include "wdg/tsi.hpp"
 #include "wdg/watchdog.hpp"
 
 namespace easis {
@@ -367,6 +372,588 @@ TEST_P(TicklessCounter, FiresLikeTheTickLoop) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TicklessCounter,
                          ::testing::Values(5u, 31u, 777u, 4096u, 123457u));
+
+// --- engine firing order against a sorted reference queue ------------------------
+
+// Random schedule_at/schedule_in/cancel/every/every_from/TimerGroup/run/step
+// sequences must fire the same events in the same (time, priority, id)
+// order as a reference queue kept sorted in the test, and agree on every
+// id's is_pending and on the pending, scheduled, cancelled and fired counts
+// after each operation. When they fire, some one-shots cancel an id (their
+// own, a series' queued firing or one not issued yet), cancel the whole
+// group or schedule a child; some series stop themselves.
+class EngineOrder : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EngineOrder, FiresLikeASortedQueue) {
+  using sim::EventId;
+  util::Rng rng(GetParam());
+  Engine engine;
+  sim::TimerGroup group(engine);
+
+  // One scheduled one-shot or series, named by its index (its tag).
+  struct Item {
+    bool series = false;
+    std::int64_t period = 0;
+    int priority = 0;
+    EventId cancel = 0;             // one-shot: cancel this id when fired
+    bool cancel_group = false;      // one-shot: cancel_all when fired
+    std::size_t child = 0;          // one-shot: schedule this tag when fired
+    std::int64_t child_delay = 0;
+    std::uint32_t stop_after = 0;   // series: stop itself at this firing
+    std::uint32_t engine_firings = 0;
+    sim::Timer timer;
+    // Reference side of a series.
+    std::uint32_t model_firings = 0;
+    bool live = false;
+    bool stopped = false;
+    EventId next = 0;  // queued firing; 0 while the action runs
+  };
+  std::vector<Item> items;
+
+  struct Entry {
+    std::int64_t at;
+    int priority;
+    EventId id;
+    std::size_t tag;
+    auto operator<=>(const Entry&) const = default;
+  };
+  struct Model {
+    std::int64_t now = 0;
+    EventId next_id = 1;
+    std::uint64_t fired = 0;
+    std::uint64_t cancelled = 0;
+    std::vector<Entry> queue;  // sorted by (at, priority, id)
+    std::vector<EventId> group_events;
+    std::vector<std::size_t> group_series;
+  } model;
+
+  using Firing = std::pair<std::int64_t, std::size_t>;  // (time us, tag)
+  std::vector<Firing> got;
+  std::vector<Firing> want;
+  std::vector<bool> got_results;  // return values of in-action cancels
+  std::vector<bool> want_results;
+
+  // --- reference queue -------------------------------------------------------
+  auto model_schedule = [&](std::size_t tag, std::int64_t at, int priority) {
+    const Entry entry{at, priority, model.next_id++, tag};
+    model.queue.insert(
+        std::upper_bound(model.queue.begin(), model.queue.end(), entry),
+        entry);
+    return entry.id;
+  };
+  auto model_cancel = [&](EventId id) {
+    const auto it = std::find_if(model.queue.begin(), model.queue.end(),
+                                 [id](const Entry& e) { return e.id == id; });
+    if (it == model.queue.end()) return false;
+    model.queue.erase(it);
+    ++model.cancelled;
+    return true;
+  };
+  auto model_stop = [&](std::size_t tag) {
+    Item& item = items[tag];
+    if (!item.live || item.stopped) return false;
+    if (item.next == 0) {
+      item.stopped = true;
+    } else {
+      model_cancel(item.next);
+      item.live = false;
+    }
+    return true;
+  };
+  auto model_cancel_all = [&] {
+    for (const EventId id : model.group_events) model_cancel(id);
+    for (const std::size_t tag : model.group_series) model_stop(tag);
+    model.group_events.clear();
+    model.group_series.clear();
+  };
+  auto model_fire_front = [&] {
+    const Entry entry = model.queue.front();
+    model.queue.erase(model.queue.begin());
+    model.now = entry.at;
+    ++model.fired;
+    want.emplace_back(entry.at, entry.tag);
+    Item& item = items[entry.tag];
+    if (item.series) {
+      item.next = 0;
+      if (++item.model_firings == item.stop_after) {
+        want_results.push_back(model_stop(entry.tag));
+      }
+      if (item.stopped) {
+        item.live = false;
+      } else {
+        item.next = model_schedule(entry.tag, model.now + item.period,
+                                   item.priority);
+      }
+      return;
+    }
+    if (item.cancel != 0) want_results.push_back(model_cancel(item.cancel));
+    if (item.cancel_group) model_cancel_all();
+    if (item.child != 0) {
+      model_schedule(item.child, model.now + item.child_delay,
+                     items[item.child].priority);
+    }
+  };
+
+  // --- engine actions --------------------------------------------------------
+  std::function<void(std::size_t)> engine_fire = [&](std::size_t tag) {
+    got.emplace_back(engine.now().as_micros(), tag);
+    Item& item = items[tag];
+    if (item.series) {
+      if (++item.engine_firings == item.stop_after) {
+        got_results.push_back(item.timer.cancel());
+      }
+      return;
+    }
+    if (item.cancel != 0) got_results.push_back(engine.cancel(item.cancel));
+    if (item.cancel_group) group.cancel_all();
+    if (item.child != 0) {
+      engine.schedule_in(Duration::micros(item.child_delay),
+                         [&engine_fire, child = item.child] {
+                           engine_fire(child);
+                         },
+                         static_cast<sim::EventPriority>(
+                             items[item.child].priority));
+    }
+  };
+
+  items.emplace_back();  // tag 0 names no item
+  auto new_one_shot = [&] {
+    Item item;
+    item.priority = static_cast<int>(rng.uniform_int(0, 3));
+    if (rng.bernoulli(0.25)) {
+      item.cancel = static_cast<EventId>(
+          rng.uniform_int(1, static_cast<std::int64_t>(model.next_id) + 3));
+    }
+    item.cancel_group = rng.bernoulli(0.05);
+    items.push_back(item);
+    const std::size_t tag = items.size() - 1;
+    if (rng.bernoulli(0.2)) {
+      Item child;
+      child.priority = static_cast<int>(rng.uniform_int(0, 3));
+      items.push_back(child);
+      items[tag].child = items.size() - 1;
+      items[tag].child_delay = rng.uniform_int(0, 3);
+    }
+    return tag;
+  };
+
+  for (int step = 0; step < 800; ++step) {
+    switch (rng.uniform_int(0, 11)) {
+      case 0:
+      case 1:
+      case 2: {
+        const std::size_t tag = new_one_shot();
+        const std::int64_t delay = rng.uniform_int(0, 50);
+        const auto priority =
+            static_cast<sim::EventPriority>(items[tag].priority);
+        auto action = [&engine_fire, tag] { engine_fire(tag); };
+        const bool absolute = rng.bernoulli(0.5);
+        const EventId id =
+            absolute ? engine.schedule_at(engine.now() + Duration::micros(delay),
+                                          action, priority)
+                     : engine.schedule_in(Duration::micros(delay), action,
+                                          priority);
+        ASSERT_EQ(id, model_schedule(tag, model.now + delay,
+                                     items[tag].priority));
+        if (rng.bernoulli(0.3)) {
+          group.add(id);
+          model.group_events.push_back(id);
+        }
+        break;
+      }
+      case 3: {
+        const auto id = static_cast<EventId>(rng.uniform_int(
+            0, static_cast<std::int64_t>(model.next_id) + 1));
+        ASSERT_EQ(engine.cancel(id), model_cancel(id));
+        break;
+      }
+      case 4: {
+        Item item;
+        item.series = true;
+        item.period = rng.uniform_int(1, 20);
+        item.priority = static_cast<int>(rng.uniform_int(0, 3));
+        item.stop_after = static_cast<std::uint32_t>(rng.uniform_int(0, 6));
+        item.live = true;
+        items.push_back(item);
+        const std::size_t tag = items.size() - 1;
+        const auto priority = static_cast<sim::EventPriority>(item.priority);
+        auto action = [&engine_fire, tag] { engine_fire(tag); };
+        std::int64_t first = model.now + item.period;
+        if (rng.bernoulli(0.5)) {
+          items[tag].timer =
+              engine.every(Duration::micros(item.period), action, priority);
+        } else {
+          first = model.now + rng.uniform_int(0, 20);
+          items[tag].timer =
+              engine.every_from(SimTime(first), Duration::micros(item.period),
+                                action, priority);
+        }
+        items[tag].next = model_schedule(tag, first, item.priority);
+        if (rng.bernoulli(0.3)) {
+          group.add(items[tag].timer);
+          model.group_series.push_back(tag);
+        }
+        break;
+      }
+      case 5: {
+        std::vector<std::size_t> series;
+        for (std::size_t tag = 1; tag < items.size(); ++tag) {
+          if (items[tag].series) series.push_back(tag);
+        }
+        if (series.empty()) break;
+        const std::size_t tag = series[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(series.size()) - 1))];
+        ASSERT_EQ(items[tag].timer.cancel(), model_stop(tag));
+        break;
+      }
+      case 6:
+        group.cancel_all();
+        model_cancel_all();
+        break;
+      case 7:
+      case 8: {
+        const bool fired = engine.step();
+        ASSERT_EQ(fired, !model.queue.empty());
+        if (fired) model_fire_front();
+        break;
+      }
+      default: {
+        const std::int64_t until = model.now + rng.uniform_int(0, 40);
+        engine.run_until(SimTime(until));
+        while (!model.queue.empty() && model.queue.front().at <= until) {
+          model_fire_front();
+        }
+        model.now = std::max(model.now, until);
+        break;
+      }
+    }
+    ASSERT_EQ(got, want) << "step " << step;
+    ASSERT_EQ(got_results, want_results) << "step " << step;
+    ASSERT_EQ(engine.now().as_micros(), model.now);
+    ASSERT_EQ(engine.pending_events(), model.queue.size());
+    ASSERT_EQ(engine.events_scheduled(), model.next_id - 1);
+    ASSERT_EQ(engine.events_cancelled(), model.cancelled);
+    ASSERT_EQ(engine.events_fired(), model.fired);
+    for (EventId id = 0; id <= model.next_id + 1; ++id) {
+      const bool queued =
+          std::any_of(model.queue.begin(), model.queue.end(),
+                      [id](const Entry& e) { return e.id == id; });
+      ASSERT_EQ(engine.is_pending(id), queued) << "id " << id;
+    }
+  }
+  EXPECT_GT(want.size(), 300u);
+  EXPECT_GT(model.cancelled, 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineOrder,
+                         ::testing::Values(2u, 19u, 808u, 31337u, 271828u));
+
+// --- TSI state roll-up against the full re-derive ------------------------------------
+
+// The TSI's semantics as a full re-derive: on every report, clear and
+// reset it copies both state maps, rescans every runnable's vector and
+// announces each changed state, tasks first, then applications, then the
+// ECU, in map order. A callback may clear a task, which derives again from
+// inside the outer call; the outer call then compares its stale snapshot
+// with what the nested call left. A change to these semantics edits this
+// reference on purpose.
+class ReferenceTsi {
+ public:
+  using Thresholds = wdg::TaskStateIndicationUnit::Thresholds;
+  using Health = wdg::Health;
+
+  ReferenceTsi(Thresholds thresholds, std::uint32_t ecu_faulty_task_limit)
+      : thresholds_(thresholds), ecu_faulty_task_limit_(ecu_faulty_task_limit) {}
+
+  void add_runnable(RunnableId runnable, TaskId task, ApplicationId app) {
+    elements_.emplace(runnable, Element{task, app, {}});
+    order_.push_back(runnable);
+    task_health_.try_emplace(task, Health::kOk);
+    app_health_.try_emplace(app, Health::kOk);
+  }
+  void report_error(RunnableId runnable, wdg::ErrorType type, SimTime now) {
+    auto it = elements_.find(runnable);
+    if (it == elements_.end()) return;
+    ++it->second.counts[static_cast<std::size_t>(type)];
+    derive_states(now);
+  }
+  void clear_task(TaskId task, SimTime now) {
+    for (RunnableId id : order_) {
+      Element& e = elements_.at(id);
+      if (e.task == task) e.counts.fill(0);
+    }
+    derive_states(now);
+  }
+  void reset(SimTime now) {
+    for (RunnableId id : order_) elements_.at(id).counts.fill(0);
+    derive_states(now);
+  }
+  [[nodiscard]] Health task_health(TaskId task) const {
+    auto it = task_health_.find(task);
+    return it == task_health_.end() ? Health::kOk : it->second;
+  }
+  [[nodiscard]] Health application_health(ApplicationId app) const {
+    auto it = app_health_.find(app);
+    return it == app_health_.end() ? Health::kOk : it->second;
+  }
+  [[nodiscard]] Health ecu_health() const { return ecu_health_; }
+  [[nodiscard]] std::vector<TaskId> faulty_tasks() const {
+    std::vector<TaskId> out;
+    for (const auto& [task, health] : task_health_) {
+      if (health == Health::kFaulty) out.push_back(task);
+    }
+    return out;
+  }
+  void set_task_state_callback(
+      wdg::TaskStateIndicationUnit::TaskStateCallback cb) {
+    task_cb_ = std::move(cb);
+  }
+  void set_application_state_callback(
+      wdg::TaskStateIndicationUnit::ApplicationStateCallback cb) {
+    app_cb_ = std::move(cb);
+  }
+  void set_ecu_state_callback(
+      wdg::TaskStateIndicationUnit::EcuStateCallback cb) {
+    ecu_cb_ = std::move(cb);
+  }
+
+ private:
+  struct Element {
+    TaskId task;
+    ApplicationId application;
+    std::array<std::uint32_t, wdg::kErrorTypeCount> counts{};
+  };
+
+  void derive_states(SimTime now) {
+    std::unordered_map<TaskId, Health> new_task = task_health_;
+    for (auto& [task, health] : new_task) health = Health::kOk;
+    std::unordered_map<ApplicationId, Health> new_app = app_health_;
+    for (auto& [app, health] : new_app) health = Health::kOk;
+    for (RunnableId id : order_) {
+      const Element& e = elements_.at(id);
+      for (std::size_t t = 0; t < wdg::kErrorTypeCount; ++t) {
+        if (thresholds_.by_type[t] == 0) continue;
+        if (e.counts[t] >= thresholds_.by_type[t]) {
+          new_task[e.task] = Health::kFaulty;
+          new_app[e.application] = Health::kFaulty;
+        }
+      }
+    }
+    std::uint32_t faulty_count = 0;
+    for (const auto& [task, health] : new_task) {
+      if (health == Health::kFaulty) ++faulty_count;
+    }
+    const Health new_ecu = faulty_count >= ecu_faulty_task_limit_
+                               ? Health::kFaulty
+                               : Health::kOk;
+    for (const auto& [task, health] : new_task) {
+      if (task_health_.at(task) != health) {
+        task_health_[task] = health;
+        if (task_cb_) task_cb_(task, health, now);
+      }
+    }
+    for (const auto& [app, health] : new_app) {
+      if (app_health_.at(app) != health) {
+        app_health_[app] = health;
+        if (app_cb_) app_cb_(app, health, now);
+      }
+    }
+    if (new_ecu != ecu_health_) {
+      ecu_health_ = new_ecu;
+      if (ecu_cb_) ecu_cb_(new_ecu, now);
+    }
+  }
+
+  Thresholds thresholds_;
+  std::uint32_t ecu_faulty_task_limit_;
+  std::unordered_map<RunnableId, Element> elements_;
+  std::vector<RunnableId> order_;
+  std::unordered_map<TaskId, Health> task_health_;
+  std::unordered_map<ApplicationId, Health> app_health_;
+  Health ecu_health_ = Health::kOk;
+  wdg::TaskStateIndicationUnit::TaskStateCallback task_cb_;
+  wdg::TaskStateIndicationUnit::ApplicationStateCallback app_cb_;
+  wdg::TaskStateIndicationUnit::EcuStateCallback ecu_cb_;
+};
+
+/// One announced state change: 't'ask, 'a'pplication or 'e'cu.
+struct Transition {
+  char kind;
+  std::uint32_t id;
+  wdg::Health health;
+  std::int64_t time;
+  bool operator==(const Transition&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Transition& t) {
+  return os << t.kind << t.id << '=' << wdg::to_string(t.health) << '@'
+            << t.time;
+}
+
+/// A TSI (the unit or the reference) whose callbacks log each transition
+/// and sometimes treat it re-entrantly, as FMF does: a faulty task has one
+/// task cleared (itself or another), a faulty application has each of its
+/// tasks cleared, a faulty ECU is reset. What to treat is a hash of the
+/// log length and the id, so two TSIs that announce the same sequence
+/// treat it the same way.
+template <typename Tsi>
+struct TreatedTsi {
+  TreatedTsi(const typename ReferenceTsi::Thresholds& thresholds,
+             std::uint32_t ecu_limit,
+             const std::map<ApplicationId, std::vector<TaskId>>& tasks_of,
+             std::uint64_t salt)
+      : tsi(thresholds, ecu_limit), tasks_of(tasks_of), salt(salt) {
+    for (const auto& [app, tasks] : tasks_of) {
+      all_tasks.insert(all_tasks.end(), tasks.begin(), tasks.end());
+    }
+    tsi.set_task_state_callback([this](TaskId task, wdg::Health h,
+                                       SimTime now) {
+      log.push_back({'t', task.value(), h, now.as_micros()});
+      if (treat(h, task.value())) {
+        const std::uint64_t pick = hash(task.value()) % all_tasks.size();
+        ++depth;
+        tsi.clear_task(all_tasks[pick], now);
+        --depth;
+      }
+    });
+    tsi.set_application_state_callback([this](ApplicationId app,
+                                              wdg::Health h, SimTime now) {
+      log.push_back({'a', app.value(), h, now.as_micros()});
+      if (treat(h, app.value())) {
+        ++depth;
+        for (const TaskId task : this->tasks_of.at(app)) {
+          tsi.clear_task(task, now);
+        }
+        --depth;
+      }
+    });
+    tsi.set_ecu_state_callback([this](wdg::Health h, SimTime now) {
+      log.push_back({'e', 0, h, now.as_micros()});
+      if (treat(h, 0)) {
+        ++depth;
+        tsi.reset(now);
+        --depth;
+      }
+    });
+  }
+  TreatedTsi(const TreatedTsi&) = delete;
+  TreatedTsi& operator=(const TreatedTsi&) = delete;
+
+  [[nodiscard]] std::uint64_t hash(std::uint64_t id) const {
+    return util::splitmix64(salt ^ (log.size() << 8) ^ id);
+  }
+  bool treat(wdg::Health h, std::uint64_t id) {
+    if (h != wdg::Health::kFaulty || depth >= 3) return false;
+    const bool yes = hash(id + 1) % 3 == 0;
+    treated += yes ? 1 : 0;
+    return yes;
+  }
+
+  Tsi tsi;
+  const std::map<ApplicationId, std::vector<TaskId>>& tasks_of;
+  std::vector<TaskId> all_tasks;
+  std::uint64_t salt;
+  std::vector<Transition> log;
+  int depth = 0;
+  int treated = 0;
+};
+
+// Random report/clear/reset sequences over 2-4 applications and 2-6 tasks,
+// with random per-type thresholds (zero disables a type), must leave the
+// incremental TSI in the same task, application and ECU states as the full
+// re-derive after every operation, having announced the same transitions
+// in the same order, with callbacks that treat some of them re-entrantly.
+class TsiDerive : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TsiDerive, MatchesTheFullRederive) {
+  util::Rng rng(GetParam());
+  const auto app_count = static_cast<std::uint32_t>(rng.uniform_int(2, 4));
+  const auto task_count = static_cast<std::uint32_t>(rng.uniform_int(2, 6));
+  ReferenceTsi::Thresholds thresholds;
+  for (std::uint32_t& t : thresholds.by_type) {
+    t = static_cast<std::uint32_t>(rng.uniform_int(0, 4));
+  }
+  const auto ecu_limit =
+      static_cast<std::uint32_t>(rng.uniform_int(1, task_count));
+
+  // Sparse ids, so the maps hash them into a non-trivial order.
+  auto task_id = [](std::uint32_t t) { return TaskId(7 + 13 * t); };
+  auto app_id = [](std::uint32_t a) { return ApplicationId(100 + 29 * a); };
+  std::vector<ApplicationId> app_of_task;
+  std::map<ApplicationId, std::vector<TaskId>> tasks_of;
+  for (std::uint32_t a = 0; a < app_count; ++a) tasks_of[app_id(a)];
+  for (std::uint32_t t = 0; t < task_count; ++t) {
+    const ApplicationId app =
+        app_id(t < app_count ? t : static_cast<std::uint32_t>(
+                                        rng.uniform_int(0, app_count - 1)));
+    app_of_task.push_back(app);
+    tasks_of[app].push_back(task_id(t));
+  }
+
+  const std::uint64_t salt = util::splitmix64(GetParam());
+  TreatedTsi<wdg::TaskStateIndicationUnit> unit(thresholds, ecu_limit,
+                                                tasks_of, salt);
+  TreatedTsi<ReferenceTsi> ref(thresholds, ecu_limit, tasks_of, salt);
+
+  // Every task has a runnable; some tasks more. A few runnables name an
+  // application other than their task's.
+  const auto runnable_count = static_cast<std::uint32_t>(
+      rng.uniform_int(task_count, 3 * task_count));
+  for (std::uint32_t r = 0; r < runnable_count; ++r) {
+    const std::uint32_t t =
+        r < task_count ? r
+                       : static_cast<std::uint32_t>(
+                             rng.uniform_int(0, task_count - 1));
+    const ApplicationId app =
+        rng.bernoulli(0.15)
+            ? app_id(static_cast<std::uint32_t>(
+                  rng.uniform_int(0, app_count - 1)))
+            : app_of_task[t];
+    unit.tsi.add_runnable(RunnableId(3 + 5 * r), task_id(t), app);
+    ref.tsi.add_runnable(RunnableId(3 + 5 * r), task_id(t), app);
+  }
+
+  std::int64_t now = 0;
+  for (int step = 0; step < 1000; ++step) {
+    now += rng.uniform_int(0, 1000);
+    const std::int64_t op = rng.uniform_int(0, 19);
+    if (op < 15) {
+      // One id past the last runnable is unknown and ignored.
+      const RunnableId runnable(
+          3 + 5 * static_cast<std::uint32_t>(
+                      rng.uniform_int(0, runnable_count)));
+      const auto type = static_cast<wdg::ErrorType>(
+          rng.uniform_int(0, wdg::kErrorTypeCount - 1));
+      unit.tsi.report_error(runnable, type, SimTime(now));
+      ref.tsi.report_error(runnable, type, SimTime(now));
+    } else if (op < 19) {
+      const TaskId task =
+          task_id(static_cast<std::uint32_t>(rng.uniform_int(0, task_count)));
+      unit.tsi.clear_task(task, SimTime(now));
+      ref.tsi.clear_task(task, SimTime(now));
+    } else {
+      unit.tsi.reset(SimTime(now));
+      ref.tsi.reset(SimTime(now));
+    }
+    ASSERT_EQ(unit.log, ref.log) << "step " << step;
+    ASSERT_EQ(unit.tsi.ecu_health(), ref.tsi.ecu_health()) << "step " << step;
+    ASSERT_EQ(unit.tsi.faulty_tasks(), ref.tsi.faulty_tasks());
+    for (std::uint32_t t = 0; t <= task_count; ++t) {
+      ASSERT_EQ(unit.tsi.task_health(task_id(t)),
+                ref.tsi.task_health(task_id(t)));
+    }
+    for (std::uint32_t a = 0; a <= app_count; ++a) {
+      ASSERT_EQ(unit.tsi.application_health(app_id(a)),
+                ref.tsi.application_health(app_id(a)));
+    }
+  }
+  EXPECT_GT(unit.log.size(), 20u);
+  EXPECT_GT(unit.treated, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TsiDerive,
+                         ::testing::Values(1u, 8u, 64u, 4242u, 99991u, 314159u,
+                                           2718281u, 16180339u));
 
 // --- PFC: no false positives on random valid walks -------------------------------------
 
