@@ -1,8 +1,9 @@
 // Hot-path micro-benchmarks (DESIGN.md §15, ROADMAP item 2).
 //
 // One benchmark per per-run hot-path primitive the campaign profiler
-// attributes cost to: the sim::Engine step loop, telemetry event-bus
-// publication, the HBM window check, the PFC pair lookup, SignalBus
+// attributes cost to: the sim::Engine step loop, one kernel task
+// activation through segment completion, telemetry event-bus publication,
+// the HBM window check, the PFC pair lookup, SignalBus publication and
 // enqueue/drain, and DTC store insertion — plus the profiler's own span
 // overhead (installed and uninstalled), so the <5% campaign-overhead
 // budget has a per-site number behind it.
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "fmf/dtc.hpp"
+#include "os/kernel.hpp"
 #include "profile/profiler.hpp"
 #include "rte/signal_bus.hpp"
 #include "sim/engine.hpp"
@@ -68,6 +70,43 @@ void BM_EngineStepLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EngineStepLoop)->Arg(0)->Arg(64)->Arg(1024);
+
+/// One kernel task activation through its segment's completion, with one
+/// KernelObserver attached: job build, dispatch, the completion event and
+/// termination, each notifying the observer.
+void BM_KernelActivateComplete(benchmark::State& state) {
+  struct Counting : os::KernelObserver {
+    std::uint64_t seen = 0;
+    void on_segment_complete(TaskId, RunnableId, sim::SimTime) override {
+      ++seen;
+    }
+  } observer;
+  sim::Engine engine;
+  os::Kernel kernel(engine);
+  os::TaskConfig config;
+  config.name = "task";
+  config.priority = 1;
+  const TaskId task = kernel.create_task(config);
+  std::uint64_t completed = 0;
+  kernel.set_job_factory(task, [&completed](os::Job& job) {
+    os::Segment& segment = job.emplace_back();
+    segment.cost = sim::Duration::micros(1);
+    segment.runnable = RunnableId(0);
+    segment.on_complete = [&completed] { ++completed; };
+  });
+  kernel.add_observer(&observer);
+  kernel.start();
+  for (auto _ : state) {
+    kernel.activate_task(task);
+    engine.run_for(sim::Duration::micros(1));
+  }
+  if (completed != static_cast<std::uint64_t>(state.iterations()) ||
+      observer.seen != completed) {
+    state.SkipWithError("a job did not complete within its iteration");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KernelActivateComplete);
 
 /// Telemetry event-bus publication with one attached sink (the campaign
 /// capture configuration: flight recorder + event log behind one lambda).
@@ -124,6 +163,25 @@ void BM_PfcPairLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PfcPairLookup)->Arg(4)->Arg(32);
+
+/// SignalBus publication of an existing signal, named by a literal the
+/// way runnables name their ports: "speed" fits the small-string buffer,
+/// "safespeed.speed_measured" (24 bytes) does not. The bus holds 14
+/// signals, as an environment-campaign node's does.
+void BM_SignalPublish(benchmark::State& state, const char* name) {
+  rte::SignalBus bus;
+  for (int i = 0; i < 13; ++i) {
+    bus.publish("node.signal." + std::to_string(i), 0.0, sim::SimTime(0));
+  }
+  std::int64_t t = 0;
+  for (auto _ : state) {
+    bus.publish(name, 100.0, sim::SimTime(t));
+    t += 1000;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_SignalPublish, short_name, "speed");
+BENCHMARK_CAPTURE(BM_SignalPublish, long_name, "safespeed.speed_measured");
 
 /// SignalBus bounded-queue enqueue + drain pair (the RTE delivery path the
 /// queue-overflow monitor supervises).

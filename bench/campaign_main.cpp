@@ -12,10 +12,12 @@
 // Harness-ported: runs shard across --jobs workers, the per-run seed is
 // derive_seed(--seed, run_index), and every CSV and telemetry export is
 // byte-identical for any --jobs value (the *_jobs_determinism_* gates).
+#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "campaign_scenarios.hpp"
@@ -217,6 +219,22 @@ constexpr const CampaignFamily& family_named(std::string_view program) {
 
 constexpr const CampaignFamily& kFamily = family_named(EASIS_CAMPAIGN);
 
+#ifdef EASIS_QUARANTINE_PROBE
+// Test build of the driver for the shape_rejects_fail_fast_* gates: the
+// first run blocks until the hang supervisor cancels it, so the quarantine
+// those gates assert happens however fast the other runs are.
+harness::RunResult run_first_until_cancelled(const harness::RunContext& ctx) {
+  if (ctx.spec().run_index != 0) return kFamily.run(ctx);
+  while (!ctx.cancelled()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return {};
+}
+constexpr auto kRun = run_first_until_cancelled;
+#else
+constexpr auto kRun = kFamily.run;
+#endif
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -235,7 +253,7 @@ int main(int argc, char** argv) {
     specs[i].label = classes[i / runs_per_class];
   }
 
-  harness::CampaignRunner runner(cli.config(), kFamily.run);
+  harness::CampaignRunner runner(cli.config(), kRun);
   const harness::CampaignOutcome outcome = runner.run(specs);
   const harness::CampaignReport report(specs, outcome);
 

@@ -53,10 +53,9 @@ Outcome run_with_margin(std::uint32_t margin, std::uint64_t seed) {
   jitter_config.priority = 60;  // above SafeSpeed (50), below watchdog
   jitter_config.max_pending_activations = 2;
   const TaskId jitter = node.kernel().create_task(jitter_config);
-  node.kernel().set_job_factory(jitter, [&rng] {
-    os::Segment s;
-    s.cost = sim::Duration::micros(rng.uniform_int(500, 6'000));
-    return os::Job{s};
+  node.kernel().set_job_factory(jitter, [&rng](os::Job& job) {
+    job.emplace_back().cost =
+        sim::Duration::micros(rng.uniform_int(500, 6'000));
   });
   const AlarmId jitter_alarm = node.kernel().create_alarm(
       node.system_counter(), os::AlarmActionActivateTask{jitter});

@@ -33,8 +33,11 @@ struct Segment {
 
 using Job = std::vector<Segment>;
 
-/// Builds a fresh job for each task activation. Factories let the RTE
-/// compose runnable sequences and let the error injector rewrite them.
-using JobFactory = std::function<Job()>;
+/// Fills the job of each task activation. The kernel hands the factory an
+/// empty job whose storage it recycles from retired jobs, so a factory that
+/// only appends segments allocates nothing in steady state. Factories let
+/// the RTE compose runnable sequences and let the error injector rewrite
+/// them.
+using JobFactory = std::function<void(Job&)>;
 
 }  // namespace easis::os

@@ -320,14 +320,29 @@ void Kernel::finish_job(Tcb& t) {
 void Kernel::retire_job(Tcb& t) {
   // A segment callback of this job may still be executing on the stack;
   // park the job until the outermost kernel section unwinds (see Section).
-  retired_jobs_.push_back(std::move(t.job));
+  if (t.job.capacity() != 0) retired_jobs_.push_back(std::move(t.job));
   t.job.clear();
   t.segment_index = 0;
   t.segment_entered = false;
 }
 
+void Kernel::recycle_retired_jobs() {
+  // Every callback frame has unwound: destroying the segments is safe, and
+  // their storage serves the next activations.
+  for (Job& job : retired_jobs_) {
+    job.clear();
+    spare_jobs_.push_back(std::move(job));
+  }
+  retired_jobs_.clear();
+}
+
 void Kernel::build_job(Tcb& t) {
-  t.job = t.factory ? t.factory() : Job{};
+  assert(t.job.empty());
+  if (t.job.capacity() == 0 && !spare_jobs_.empty()) {
+    t.job = std::move(spare_jobs_.back());
+    spare_jobs_.pop_back();
+  }
+  if (t.factory) t.factory(t.job);
   t.segment_index = 0;
   t.segment_entered = false;
 }
@@ -665,11 +680,10 @@ TaskId Kernel::create_isr(std::string name, sim::Duration cost,
   config.preemptable = false;  // interrupts run to completion here
   config.max_pending_activations = 8;
   const TaskId id = create_task(config);
-  set_job_factory(id, [cost, handler = std::move(handler)] {
-    Segment segment;
+  set_job_factory(id, [cost, handler = std::move(handler)](Job& job) {
+    Segment& segment = job.emplace_back();
     segment.cost = cost;
     segment.on_complete = handler;
-    return Job{segment};
   });
   return id;
 }
@@ -700,8 +714,22 @@ void Kernel::add_observer(KernelObserver* observer) {
 }
 
 void Kernel::remove_observer(KernelObserver* observer) {
-  observers_.erase(std::remove(observers_.begin(), observers_.end(), observer),
-                   observers_.end());
+  if (notify_depth_ == 0) {
+    observers_.erase(
+        std::remove(observers_.begin(), observers_.end(), observer),
+        observers_.end());
+    return;
+  }
+  std::replace(observers_.begin(), observers_.end(), observer,
+               static_cast<KernelObserver*>(nullptr));
+  observers_removed_ = true;
+}
+
+void Kernel::compact_observers() {
+  observers_removed_ = false;
+  observers_.erase(
+      std::remove(observers_.begin(), observers_.end(), nullptr),
+      observers_.end());
 }
 
 const std::string& Kernel::task_name(TaskId task) const {

@@ -273,9 +273,7 @@ class Kernel {
     ~Section() {
       if (--kernel_.section_depth_ == 0) {
         if (kernel_.pending_dispatch_) kernel_.do_dispatch();
-        // Jobs retired while their own segment callbacks were executing
-        // are only destroyed here, once every callback frame has unwound.
-        kernel_.retired_jobs_.clear();
+        kernel_.recycle_retired_jobs();
       }
     }
     Section(const Section&) = delete;
@@ -300,6 +298,8 @@ class Kernel {
   /// that job might still be on the call stack; destroying them
   /// immediately would free the executing std::function (see Section).
   std::vector<Job> retired_jobs_;
+  /// Cleared retired jobs whose storage the next build_job reuses.
+  std::vector<Job> spare_jobs_;
   bool started_ = false;
   std::uint32_t resets_ = 0;
   std::uint32_t handle_pool_capacity_ = 0;  // zero = unlimited
@@ -308,7 +308,11 @@ class Kernel {
   std::function<void(TaskId)> pre_task_hook_;
   std::function<void(TaskId)> post_task_hook_;
   std::function<void(Status, std::string_view)> error_hook_;
+  /// Slots of observers removed during a notification are null until the
+  /// outermost notification compacts the list.
   std::vector<KernelObserver*> observers_;
+  int notify_depth_ = 0;
+  bool observers_removed_ = false;
 
   [[nodiscard]] Tcb* tcb(TaskId id);
   [[nodiscard]] const Tcb* tcb(TaskId id) const;
@@ -328,6 +332,8 @@ class Kernel {
   void advance_job(Tcb& t);
   void finish_job(Tcb& t);
   void retire_job(Tcb& t);
+  /// Clears the retired jobs into the spare pool (outermost Section end).
+  void recycle_retired_jobs();
   void build_job(Tcb& t);
   void release_all_resources(Tcb& t);
   /// Unwrapped tick count: elapsed ticks since origin for hardware counters.
@@ -338,12 +344,19 @@ class Kernel {
   void rearm_counter(CounterId id);
   void fire_alarm(Alarm& alarm);
 
+  /// Calls every observer in place. An observer added from a callback is
+  /// first called by the next notification; one removed from a callback
+  /// is not called again (its slot is null until the list is compacted).
   template <typename Fn>
   void notify(Fn&& fn) {
-    // Copy: observers may unsubscribe from within a callback.
-    auto observers = observers_;
-    for (auto* o : observers) fn(*o);
+    ++notify_depth_;
+    const std::size_t count = observers_.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      if (KernelObserver* o = observers_[i]) fn(*o);
+    }
+    if (--notify_depth_ == 0 && observers_removed_) compact_observers();
   }
+  void compact_observers();
 };
 
 }  // namespace easis::os

@@ -22,7 +22,7 @@ sim::Duration scale(sim::Duration d, double factor) {
 Rte::Rte(os::Kernel& kernel) : kernel_(kernel) {}
 
 ApplicationId Rte::register_application(std::string name) {
-  applications_.push_back(ApplicationEntry{std::move(name), {}, true, 0});
+  applications_.push_back(ApplicationEntry{std::move(name), {}, {}, true, 0});
   return ApplicationId(
       static_cast<ApplicationId::underlying_type>(applications_.size() - 1));
 }
@@ -63,6 +63,19 @@ void Rte::map_runnable(RunnableId runnable, TaskId task) {
   }
   entry.task = task;
   task_sequences_[task].push_back(runnable);
+  // Re-derive the application's task list in first-appearance order over
+  // its components and their runnables (the order clear_task_state runs).
+  ApplicationEntry& app = applications_[application_of(runnable).value()];
+  app.tasks.clear();
+  for (ComponentId c : app.components) {
+    for (RunnableId r : components_[c.value()].runnables) {
+      const TaskId t = task_of(r);
+      if (t.valid() &&
+          std::find(app.tasks.begin(), app.tasks.end(), t) == app.tasks.end()) {
+        app.tasks.push_back(t);
+      }
+    }
+  }
 }
 
 void Rte::configure_task_execution(TaskId task, TaskExecutionConfig config) {
@@ -73,48 +86,53 @@ void Rte::finalize() {
   if (finalized_) throw std::logic_error("Rte::finalize: already finalized");
   finalized_ = true;
   for (const auto& [task, _] : task_sequences_) {
-    kernel_.set_job_factory(task, [this, task] { return build_job(task); });
+    kernel_.set_job_factory(
+        task, [this, task](os::Job& job) { build_job(task, job); });
   }
   EASIS_LOG(util::LogLevel::kInfo, kLog)
       << "finalized: " << runnables_.size() << " runnables on "
       << task_sequences_.size() << " tasks";
 }
 
-os::Job Rte::build_job(TaskId task) {
+void Rte::append_segment(os::Job& job, RunnableId id, TaskId task) {
+  const RunnableEntry& entry = runnables_[id.value()];
+  os::Segment& segment = job.emplace_back();
+  segment.runnable = id;
+  segment.cost = scale(entry.spec.execution_time, entry.control.time_scale);
+  segment.on_complete = [this, id, task] {
+    RunnableEntry& e = runnables_[id.value()];
+    ++e.executions;
+    if (e.spec.body && !e.control.skip_body) e.spec.body();
+    // Auto-generated glue: aliveness indication to the watchdog.
+    if (!e.control.suppress_heartbeat) emit_heartbeat(id, task);
+  };
+}
+
+void Rte::build_job(TaskId task, os::Job& job) {
   auto it = task_sequences_.find(task);
   assert(it != task_sequences_.end());
 
   // Base sequence: enabled applications only, honouring repeat controls.
+  // Only an injection hook (invalid execution branches / reordering) needs
+  // it as a runnable sequence; otherwise segments are appended directly.
+  auto tr = transformers_.find(task);
+  const bool transformed = tr != transformers_.end() && tr->second;
   std::vector<RunnableId> sequence;
-  sequence.reserve(it->second.size());
   for (RunnableId id : it->second) {
     const RunnableEntry& entry = runnables_[id.value()];
     if (!application_enabled(application_of(id))) continue;
     for (std::uint32_t i = 0; i < entry.control.repeat; ++i) {
-      sequence.push_back(id);
+      if (transformed) {
+        sequence.push_back(id);
+      } else {
+        append_segment(job, id, task);
+      }
     }
   }
-  // Injection hook: invalid execution branches / reordering.
-  if (auto tr = transformers_.find(task);
-      tr != transformers_.end() && tr->second) {
-    sequence = tr->second(std::move(sequence));
-  }
-
-  os::Job job;
-  job.reserve(sequence.size() + 1);
-  for (RunnableId id : sequence) {
-    RunnableEntry& entry = runnables_[id.value()];
-    os::Segment segment;
-    segment.runnable = id;
-    segment.cost = scale(entry.spec.execution_time, entry.control.time_scale);
-    segment.on_complete = [this, id, task] {
-      RunnableEntry& e = runnables_[id.value()];
-      ++e.executions;
-      if (e.spec.body && !e.control.skip_body) e.spec.body();
-      // Auto-generated glue: aliveness indication to the watchdog.
-      if (!e.control.suppress_heartbeat) emit_heartbeat(id, task);
-    };
-    job.push_back(std::move(segment));
+  if (transformed) {
+    for (RunnableId id : tr->second(std::move(sequence))) {
+      append_segment(job, id, task);
+    }
   }
 
   // Event-driven execution: prepend the wait point, optionally chain the
@@ -123,13 +141,11 @@ os::Job Rte::build_job(TaskId task) {
       cfg != execution_configs_.end() && !job.empty()) {
     job.front().wait_mask = cfg->second.wait_before;
     if (cfg->second.chain_self) {
-      os::Segment chain;
+      os::Segment& chain = job.emplace_back();
       chain.cost = sim::Duration::zero();
       chain.on_complete = [this, task] { kernel_.chain_task(task); };
-      job.push_back(std::move(chain));
     }
   }
-  return job;
 }
 
 void Rte::emit_heartbeat(RunnableId runnable, TaskId task) {
@@ -187,19 +203,10 @@ std::vector<RunnableId> Rte::runnables_of_application(
   return out;
 }
 
-std::vector<TaskId> Rte::tasks_of_application(ApplicationId app) const {
+const std::vector<TaskId>& Rte::tasks_of_application(
+    ApplicationId app) const {
   assert(app.valid() && app.value() < applications_.size());
-  std::vector<TaskId> tasks;
-  for (ComponentId c : applications_[app.value()].components) {
-    for (RunnableId r : components_[c.value()].runnables) {
-      const TaskId t = task_of(r);
-      if (!t.valid()) continue;
-      if (std::find(tasks.begin(), tasks.end(), t) == tasks.end()) {
-        tasks.push_back(t);
-      }
-    }
-  }
-  return tasks;
+  return applications_[app.value()].tasks;
 }
 
 std::uint64_t Rte::executions(RunnableId id) const {

@@ -68,8 +68,9 @@ class Rte {
       TaskId task) const;
   [[nodiscard]] std::vector<RunnableId> runnables_of_application(
       ApplicationId app) const;
-  /// Tasks hosting at least one runnable of `app`.
-  [[nodiscard]] std::vector<TaskId> tasks_of_application(
+  /// Tasks hosting at least one runnable of `app`, in first-appearance
+  /// order over its components and runnables.
+  [[nodiscard]] const std::vector<TaskId>& tasks_of_application(
       ApplicationId app) const;
   [[nodiscard]] std::size_t runnable_count() const { return runnables_.size(); }
   [[nodiscard]] std::size_t application_count() const {
@@ -114,6 +115,8 @@ class Rte {
   struct ApplicationEntry {
     std::string name;
     std::vector<ComponentId> components;
+    /// tasks_of_application, re-derived by every map_runnable.
+    std::vector<TaskId> tasks;
     bool enabled = true;
     std::uint32_t restarts = 0;
   };
@@ -128,7 +131,9 @@ class Rte {
   std::vector<HeartbeatListener> listeners_;
   bool finalized_ = false;
 
-  [[nodiscard]] os::Job build_job(TaskId task);
+  /// Job factory of a mapped task: fills the kernel's recycled `job`.
+  void build_job(TaskId task, os::Job& job);
+  void append_segment(os::Job& job, RunnableId id, TaskId task);
   void emit_heartbeat(RunnableId runnable, TaskId task);
 };
 

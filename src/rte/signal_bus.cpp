@@ -15,16 +15,22 @@ const char* to_string(SignalQualifier qualifier) {
   return "?";
 }
 
-void SignalBus::publish(const std::string& name, double value,
+void SignalBus::publish(std::string_view name, double value,
                         sim::SimTime at) {
   EASIS_PROFILE_SPAN("rte.signal_publish");
   EASIS_PROFILE_COUNT("rte.signals_published", 1);
-  Entry& e = entries_[name];
+  auto entry = entries_.find(name);
+  if (entry == entries_.end()) {
+    entry = entries_.emplace(std::string(name), Entry{}).first;
+  }
+  Entry& e = entry->second;
   e.value = value;
   e.updated_at = at;
   ++e.updates;
   e.invalid = false;
-  if (auto it = queues_.find(name); it != queues_.end()) {
+  // A transparent lookup always hashes the name: skip it without queues.
+  auto it = queues_.empty() ? queues_.end() : queues_.find(name);
+  if (it != queues_.end()) {
     QueueState& q = it->second;
     if (q.capacity != 0 && q.depth >= q.capacity) {
       ++q.overflows;
@@ -34,31 +40,31 @@ void SignalBus::publish(const std::string& name, double value,
       q.peak_depth = std::max(q.peak_depth, q.depth);
     }
   }
-  for (const auto& observer : observers_) observer(name, value, at);
+  // Observers see the stored name (stable: map nodes never move).
+  for (const auto& observer : observers_) observer(entry->first, value, at);
 }
 
-void SignalBus::invalidate(const std::string& name, sim::SimTime at) {
-  Entry& e = entries_[name];
-  e.invalid = true;
+void SignalBus::invalidate(std::string_view name, sim::SimTime at) {
+  slot(entries_, name).invalid = true;
   // Not an update: updated_at stays at the last *good* reception so the
   // timeout keeps measuring the age of trusted data.
   (void)at;
 }
 
-void SignalBus::set_reception_policy(const std::string& name,
+void SignalBus::set_reception_policy(std::string_view name,
                                      ReceptionPolicy policy,
                                      sim::SimTime now) {
-  policies_[name] = Policy{policy, now};
+  slot(policies_, name) = Policy{policy, now};
 }
 
 std::optional<ReceptionPolicy> SignalBus::reception_policy(
-    const std::string& name) const {
+    std::string_view name) const {
   auto it = policies_.find(name);
   if (it == policies_.end()) return std::nullopt;
   return it->second.policy;
 }
 
-SignalQualifier SignalBus::qualifier(const std::string& name,
+SignalQualifier SignalBus::qualifier(std::string_view name,
                                      sim::SimTime now) const {
   auto entry_it = entries_.find(name);
   if (entry_it != entries_.end() && entry_it->second.invalid) {
@@ -76,7 +82,7 @@ SignalQualifier SignalBus::qualifier(const std::string& name,
   return SignalQualifier::kValid;
 }
 
-SignalBus::QualifiedValue SignalBus::read_qualified(const std::string& name,
+SignalBus::QualifiedValue SignalBus::read_qualified(std::string_view name,
                                                     sim::SimTime now,
                                                     double fallback) const {
   QualifiedValue out;
@@ -104,24 +110,24 @@ SignalBus::QualifiedValue SignalBus::read_qualified(const std::string& name,
   return out;
 }
 
-std::optional<double> SignalBus::read(const std::string& name) const {
+std::optional<double> SignalBus::read(std::string_view name) const {
   auto it = entries_.find(name);
   if (it == entries_.end() || it->second.updates == 0) return std::nullopt;
   return it->second.value;
 }
 
-double SignalBus::read_or(const std::string& name, double fallback) const {
+double SignalBus::read_or(std::string_view name, double fallback) const {
   return read(name).value_or(fallback);
 }
 
 std::optional<SignalBus::Entry> SignalBus::entry(
-    const std::string& name) const {
+    std::string_view name) const {
   auto it = entries_.find(name);
   if (it == entries_.end()) return std::nullopt;
   return it->second;
 }
 
-bool SignalBus::has(const std::string& name) const {
+bool SignalBus::has(std::string_view name) const {
   return entries_.contains(name);
 }
 
@@ -136,14 +142,14 @@ void SignalBus::add_observer(Observer observer) {
   observers_.push_back(std::move(observer));
 }
 
-void SignalBus::configure_queue(const std::string& name,
+void SignalBus::configure_queue(std::string_view name,
                                 std::uint32_t capacity) {
   QueueState q;
   q.capacity = capacity;
-  queues_[name] = q;
+  slot(queues_, name) = q;
 }
 
-std::uint32_t SignalBus::drain(const std::string& name, std::uint32_t count) {
+std::uint32_t SignalBus::drain(std::string_view name, std::uint32_t count) {
   auto it = queues_.find(name);
   if (it == queues_.end()) return 0;
   QueueState& q = it->second;
@@ -154,7 +160,7 @@ std::uint32_t SignalBus::drain(const std::string& name, std::uint32_t count) {
   return drained;
 }
 
-void SignalBus::clear_queue(const std::string& name) {
+void SignalBus::clear_queue(std::string_view name) {
   auto it = queues_.find(name);
   if (it == queues_.end()) return;
   const std::uint32_t capacity = it->second.capacity;
@@ -163,7 +169,7 @@ void SignalBus::clear_queue(const std::string& name) {
 }
 
 std::optional<SignalBus::QueueState> SignalBus::queue_state(
-    const std::string& name) const {
+    std::string_view name) const {
   auto it = queues_.find(name);
   if (it == queues_.end()) return std::nullopt;
   return it->second;

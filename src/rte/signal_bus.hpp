@@ -2,7 +2,9 @@
 //
 // Models the RTE's sender-receiver ports between runnables and the
 // data path towards sensors/actuators and the communication gateway.
-// Signals are named doubles with update metadata.
+// Signals are named doubles with update metadata. Names are looked up as
+// std::string_view through a transparent hash, so a lookup builds no
+// temporary string; a name is copied once, when its signal is created.
 //
 // Signals crossing the vehicle network additionally carry a *qualifier*:
 // a receiver registers a ReceptionPolicy (deadline + substitute-value
@@ -16,6 +18,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -67,39 +70,39 @@ class SignalBus {
       std::function<void(const std::string&, double, sim::SimTime)>;
 
   /// Writes a signal (creates it on first write); clears kInvalid.
-  void publish(const std::string& name, double value, sim::SimTime at);
+  void publish(std::string_view name, double value, sim::SimTime at);
 
   /// Marks the signal invalid (its producer received damaged data) without
   /// touching the last good value. Cleared by the next publish.
-  void invalidate(const std::string& name, sim::SimTime at);
+  void invalidate(std::string_view name, sim::SimTime at);
 
   /// Registers the receiver-side policy; the deadline is armed from `now`
   /// so a signal that never arrives at all still times out.
-  void set_reception_policy(const std::string& name, ReceptionPolicy policy,
+  void set_reception_policy(std::string_view name, ReceptionPolicy policy,
                             sim::SimTime now);
   [[nodiscard]] std::optional<ReceptionPolicy> reception_policy(
-      const std::string& name) const;
+      std::string_view name) const;
 
   /// Classifies the signal at time `now` against its reception policy.
   /// Signals without a policy are kValid whenever they exist.
-  [[nodiscard]] SignalQualifier qualifier(const std::string& name,
+  [[nodiscard]] SignalQualifier qualifier(std::string_view name,
                                           sim::SimTime now) const;
 
   /// Policy-aware read: a kValid signal reads as its value; a degraded one
   /// reads as the substitute the policy prescribes. `fallback` covers
   /// signals that never arrived and hold-last with no last value.
-  [[nodiscard]] QualifiedValue read_qualified(const std::string& name,
+  [[nodiscard]] QualifiedValue read_qualified(std::string_view name,
                                               sim::SimTime now,
                                               double fallback) const;
 
   /// Last written value, if the signal exists.
-  [[nodiscard]] std::optional<double> read(const std::string& name) const;
+  [[nodiscard]] std::optional<double> read(std::string_view name) const;
 
   /// Last written value or `fallback` for missing signals (initial ticks).
-  [[nodiscard]] double read_or(const std::string& name, double fallback) const;
+  [[nodiscard]] double read_or(std::string_view name, double fallback) const;
 
-  [[nodiscard]] std::optional<Entry> entry(const std::string& name) const;
-  [[nodiscard]] bool has(const std::string& name) const;
+  [[nodiscard]] std::optional<Entry> entry(std::string_view name) const;
+  [[nodiscard]] bool has(std::string_view name) const;
   [[nodiscard]] std::vector<std::string> names() const;
 
   /// Observers see every publish (tracing, gateway bridging).
@@ -125,14 +128,14 @@ class SignalBus {
 
   /// Gives `name` a bounded queue of `capacity` entries (re-configuring
   /// resets the queue state).
-  void configure_queue(const std::string& name, std::uint32_t capacity);
+  void configure_queue(std::string_view name, std::uint32_t capacity);
   /// Consumer side: removes up to `count` queued entries; returns how many
   /// were actually drained.
-  std::uint32_t drain(const std::string& name, std::uint32_t count = 1);
+  std::uint32_t drain(std::string_view name, std::uint32_t count = 1);
   /// Empties the queue and clears peak/overflow counters (task restart).
-  void clear_queue(const std::string& name);
+  void clear_queue(std::string_view name);
   [[nodiscard]] std::optional<QueueState> queue_state(
-      const std::string& name) const;
+      std::string_view name) const;
   [[nodiscard]] std::vector<std::string> queued_signal_names() const;
 
  private:
@@ -141,9 +144,31 @@ class SignalBus {
     sim::SimTime armed_at;
   };
 
-  std::unordered_map<std::string, Entry> entries_;
-  std::unordered_map<std::string, Policy> policies_;
-  std::unordered_map<std::string, QueueState> queues_;
+  /// Hashes std::string and std::string_view alike (heterogeneous lookup).
+  /// Deliberately not noexcept: libstdc++ then caches each node's hash, as
+  /// it does for std::hash<std::string>, so walking a bucket compares
+  /// cached codes instead of rehashing the neighbouring names.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  template <typename V>
+  using NameMap =
+      std::unordered_map<std::string, V, NameHash, std::equal_to<>>;
+
+  /// The map's value for `name`, created (name copied) on first use.
+  template <typename V>
+  static V& slot(NameMap<V>& map, std::string_view name) {
+    auto it = map.find(name);
+    if (it == map.end()) it = map.emplace(std::string(name), V{}).first;
+    return it->second;
+  }
+
+  NameMap<Entry> entries_;
+  NameMap<Policy> policies_;
+  NameMap<QueueState> queues_;
   std::vector<Observer> observers_;
 };
 

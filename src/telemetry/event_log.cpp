@@ -10,6 +10,9 @@ void EventLog::push_back(const Event& event) {
   if (event.detail.size() > kArenaLimit - arena_.size()) {
     throw std::length_error("EventLog: detail arena exceeds 4 GiB");
   }
+  if (event.detail.size() > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::length_error("EventLog: event detail exceeds 64 KiB");
+  }
   records_.push_back(Record{event.seq,
                             event.time.as_micros(),
                             event.injection.value(),
@@ -17,7 +20,7 @@ void EventLog::push_back(const Event& event) {
                             event.task.value(),
                             event.application.value(),
                             static_cast<std::uint32_t>(arena_.size()),
-                            static_cast<std::uint32_t>(event.detail.size()),
+                            static_cast<std::uint16_t>(event.detail.size()),
                             event.component,
                             event.kind});
   arena_ += event.detail;

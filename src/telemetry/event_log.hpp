@@ -79,11 +79,14 @@ class EventLog {
     std::uint32_t task = 0;
     std::uint32_t application = 0;
     std::uint32_t detail_offset = 0;
-    std::uint32_t detail_length = 0;
+    std::uint16_t detail_length = 0;
     Component component = Component::kHarness;
     EventKind kind = EventKind::kErrorDetected;
   };
-  static_assert(sizeof(Record) <= 48, "an event record must stay compact");
+  // A campaign keeps every run's log until its exports, so the record size
+  // scales its memory (~400 events per environment run, ~1,700 per mode
+  // run).
+  static_assert(sizeof(Record) <= 40, "an event record must stay compact");
 
   std::vector<Record> records_;
   /// Every event's detail, back to back in append order.

@@ -18,11 +18,10 @@ RemoteNode::RemoteNode(sim::Engine& engine, bus::CanBus& can,
   task_config.name = config_.name + "_heartbeat";
   task_config.priority = 1;
   task_ = kernel_.create_task(task_config);
-  kernel_.set_job_factory(task_, [this] {
-    os::Segment segment;
+  kernel_.set_job_factory(task_, [this](os::Job& job) {
+    os::Segment& segment = job.emplace_back();
     segment.cost = config_.task_cost;
     segment.on_complete = [this] { send_heartbeat(); };
-    return os::Job{segment};
   });
   alarm_ = kernel_.create_alarm(counter_, os::AlarmActionActivateTask{task_},
                                 config_.name + "_alarm");

@@ -183,6 +183,9 @@ class EnvironmentSupervisionUnit {
  private:
   struct ThermalState {
     ThermalChannel config;
+    /// Freeze-frame signal names, built once at registration.
+    std::string temp_signal;
+    std::string stage_signal;
     ThermalStage stage = ThermalStage::kNormal;
     double last_c = 0.0;
     bool have_last = false;
@@ -194,6 +197,8 @@ class EnvironmentSupervisionUnit {
   };
   struct FilesystemState {
     FilesystemChannel config;
+    std::string fill_signal;
+    std::string wear_signal;
     std::uint32_t above_watermark = 0;
     std::uint64_t last_write_errors = 0;
     std::uint64_t last_overflows = 0;

@@ -1,5 +1,7 @@
 #include "wdg/pfc.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace easis::wdg {
@@ -34,9 +36,9 @@ void ProgramFlowCheckingUnit::on_execution(RunnableId runnable, TaskId task,
   if (it == monitored_.end()) return;
   ++checks_;
 
-  auto ctx = contexts_.find(task);
-  const RunnableId predecessor =
-      ctx == contexts_.end() ? RunnableId{} : ctx->second;
+  assert(task.valid());
+  if (task.value() >= contexts_.size()) contexts_.resize(task.value() + 1);
+  const RunnableId predecessor = contexts_[task.value()];
 
   bool ok = false;
   if (!predecessor.valid()) {
@@ -50,14 +52,16 @@ void ProgramFlowCheckingUnit::on_execution(RunnableId runnable, TaskId task,
   }
 
   if (!ok && on_error) on_error(runnable, predecessor, task, now);
-  contexts_[task] = runnable;
+  contexts_[task.value()] = runnable;
 }
 
 void ProgramFlowCheckingUnit::task_boundary(TaskId task) {
-  contexts_.erase(task);
+  if (task.value() < contexts_.size()) contexts_[task.value()] = RunnableId{};
 }
 
-void ProgramFlowCheckingUnit::reset() { contexts_.clear(); }
+void ProgramFlowCheckingUnit::reset() {
+  std::fill(contexts_.begin(), contexts_.end(), RunnableId{});
+}
 
 bool ProgramFlowCheckingUnit::edge_allowed(RunnableId pred,
                                            RunnableId succ) const {
@@ -106,8 +110,8 @@ TaskId ProgramFlowCheckingUnit::task_of(RunnableId runnable) const {
 }
 
 RunnableId ProgramFlowCheckingUnit::flow_context(TaskId task) const {
-  auto it = contexts_.find(task);
-  return it == contexts_.end() ? RunnableId{} : it->second;
+  return task.value() < contexts_.size() ? contexts_[task.value()]
+                                         : RunnableId{};
 }
 
 }  // namespace easis::wdg

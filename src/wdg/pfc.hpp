@@ -64,7 +64,9 @@ class ProgramFlowCheckingUnit {
   std::unordered_map<RunnableId, std::unordered_set<RunnableId>> successors_;
   /// Per-task permitted entry points (the task of the entry runnable).
   std::unordered_map<TaskId, std::unordered_set<RunnableId>> entry_points_;
-  std::unordered_map<TaskId, RunnableId> contexts_;
+  /// Flow context per task, indexed by the TaskId value; an invalid
+  /// RunnableId means "no context" (the next runnable starts a job).
+  std::vector<RunnableId> contexts_;
   std::uint64_t checks_ = 0;
 };
 

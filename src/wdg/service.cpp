@@ -30,10 +30,10 @@ WatchdogService::WatchdogService(os::Kernel& kernel, rte::Rte& rte,
   task_config.preemptable = false;  // the check runs atomically
   task_ = kernel_.create_task(task_config);
 
-  kernel_.set_job_factory(task_, [this] {
+  kernel_.set_job_factory(task_, [this](os::Job& job) {
     const auto monitored =
         watchdog_.heartbeat_unit().monitored_runnables().size();
-    os::Segment segment;
+    os::Segment& segment = job.emplace_back();
     segment.cost =
         config_.base_cost +
         config_.per_runnable_cost * static_cast<std::int64_t>(monitored);
@@ -42,7 +42,7 @@ WatchdogService::WatchdogService(os::Kernel& kernel, rte::Rte& rte,
       // realistic horizon, so no main-function cycle (and no HW service
       // call) happens. Only the hardware layer below can catch this.
       segment.cost = sim::Duration::seconds(3600);
-      return os::Job{segment};
+      return;
     }
     segment.on_complete = [this] {
       watchdog_.main_function(kernel_.now());
@@ -53,7 +53,6 @@ WatchdogService::WatchdogService(os::Kernel& kernel, rte::Rte& rte,
         self_supervision_->service(cycle, token, kernel_.now());
       }
     };
-    return os::Job{segment};
   });
 
   alarm_ = kernel_.create_alarm(

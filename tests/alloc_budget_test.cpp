@@ -1,0 +1,138 @@
+// Heap-allocation budget of a campaign run.
+//
+// The kernel -> RTE -> signal path allocates nothing in steady state: job
+// storage is recycled, observers are notified in place and signal names
+// are looked up as string views. This test replaces the global operator
+// new with a counting version, armed only around the measured call, and
+// runs the first committed run of every environment and mode fault class
+// (the runs `exp_{environment,mode}_coverage` make first for each class
+// at their default seed). A run's count includes building its world, so
+// the bound is per run, not per event.
+//
+// Each class has its own bound: the count measured when it was set, plus
+// 25% headroom (kEnvironmentBudgets, kModeBudgets). Sanitizer builds
+// install their own allocator, so CMake registers this test only for
+// unsanitized configurations.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "campaign_scenarios.hpp"
+#include "util/random.hpp"
+
+namespace {
+
+std::atomic<bool> g_armed{false};
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  if (g_armed.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace easis::bench {
+namespace {
+
+/// Heap allocations made by `fn`, and nothing else.
+template <typename Fn>
+std::uint64_t allocations_of(Fn&& fn) {
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_armed.store(true, std::memory_order_relaxed);
+  fn();
+  g_armed.store(false, std::memory_order_relaxed);
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+/// Seed of the first run of class `index` in the committed campaign
+/// (default seed, default 25 runs per class).
+std::uint64_t committed_seed(std::uint64_t campaign_seed, std::size_t index) {
+  constexpr std::uint64_t kRunsPerClass = 25;
+  return util::derive_seed(campaign_seed, index * kRunsPerClass);
+}
+
+/// A fault class and the allocations its committed run made when the
+/// budget was set (RelWithDebInfo, GCC 12 / libstdc++). The bound is that
+/// count plus 25%. Before the allocation-free hot path the same runs
+/// allocated 24,640-44,131 times (environment) and 15,922-31,076 times
+/// (mode). What is left is mostly world building, FMF persist copies of
+/// the NVM image (flash_fill, flash_wear) and error-report and telemetry
+/// detail strings (mode).
+struct Budget {
+  const char* fault_class;
+  std::uint64_t measured;
+};
+
+constexpr Budget kEnvironmentBudgets[] = {
+    {"thermal_ramp", 732},    {"thermal_runaway", 897},
+    {"sensor_stuck", 727},    {"sensor_implausible", 734},
+    {"flash_fill", 13'613},   {"nvm_write_errors", 731},
+    {"flash_wear", 3'319},    {"deadline_transgression", 941},
+};
+
+constexpr Budget kModeBudgets[] = {
+    {"stuck_in_sleep", 3'094},       {"sleep_refusal", 3'423},
+    {"wake_storm_overrun", 2'981},   {"heartbeat_during_silence", 3'135},
+    {"mode_transition_hang", 3'878}, {"flash_write_overrun", 3'327},
+};
+
+/// Runs the committed first run of every class of a family and checks
+/// each against its budget, in campaign order.
+template <std::size_t N, typename RunFn>
+void expect_within_budget(const std::vector<std::string>& classes,
+                          const Budget (&budgets)[N],
+                          std::uint64_t campaign_seed, RunFn run) {
+  ASSERT_EQ(classes.size(), N);
+  for (std::size_t i = 0; i < N; ++i) {
+    ASSERT_EQ(classes[i], budgets[i].fault_class);
+    harness::RunResult result;
+    const std::uint64_t count = allocations_of([&] {
+      result = run(classes[i], committed_seed(campaign_seed, i));
+    });
+    EXPECT_EQ(result.status, harness::RunStatus::kRunOk) << classes[i];
+    EXPECT_LE(count, budgets[i].measured * 5 / 4)
+        << classes[i] << " (measured " << budgets[i].measured << ")";
+  }
+}
+
+TEST(AllocationBudget, CountsOnlyTheArmedCall) {
+  const std::uint64_t none = allocations_of([] {});
+  EXPECT_EQ(none, 0u);
+  // A direct call: a new-expression may be elided.
+  const std::uint64_t one =
+      allocations_of([] { ::operator delete(::operator new(8)); });
+  EXPECT_EQ(one, 1u);
+}
+
+TEST(AllocationBudget, EnvironmentRunsStayWithinBudget) {
+  expect_within_budget(environment_fault_classes(), kEnvironmentBudgets,
+                       0xE541, [](const std::string& c, std::uint64_t seed) {
+                         return run_environment_fault(c, seed);
+                       });
+}
+
+TEST(AllocationBudget, ModeRunsStayWithinBudget) {
+  expect_within_budget(mode_fault_classes(), kModeBudgets, 0x30DE,
+                       [](const std::string& c, std::uint64_t seed) {
+                         return run_mode_fault(c, seed);
+                       });
+}
+
+}  // namespace
+}  // namespace easis::bench

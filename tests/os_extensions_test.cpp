@@ -26,7 +26,7 @@ class IsrTest : public ::testing::Test {
     config.name = name;
     config.priority = priority;
     const TaskId id = kernel.create_task(config);
-    kernel.set_job_factory(id, [this, cost, completions] {
+    kernel.set_job_factory(id, [this, cost, completions](Job& job) {
       Segment s;
       s.cost = cost;
       if (completions != nullptr) {
@@ -34,7 +34,7 @@ class IsrTest : public ::testing::Test {
           completions->push_back(engine.now());
         };
       }
-      return Job{s};
+      job.push_back(std::move(s));
     });
     return id;
   }
@@ -176,10 +176,10 @@ TEST_F(ResponseTimeTest, QueuedActivationsAttributedFifo) {
   config.priority = 5;
   config.max_pending_activations = 2;
   const TaskId task = kernel.create_task(config);
-  kernel.set_job_factory(task, [] {
+  kernel.set_job_factory(task, [](Job& job) {
     Segment s;
     s.cost = Duration::millis(1);
-    return Job{s};
+    job.push_back(std::move(s));
   });
   ResponseTimeObserver observer(kernel);
   kernel.start();

@@ -15,12 +15,12 @@ using sim::Duration;
 using sim::Engine;
 using sim::SimTime;
 
-/// Builds a one-segment job with given cost and completion action.
-Job simple_job(Duration cost, std::function<void()> action = nullptr) {
-  Segment segment;
+/// Appends one segment with given cost and completion action.
+void add_segment(Job& job, Duration cost,
+                 std::function<void()> action = nullptr) {
+  Segment& segment = job.emplace_back();
   segment.cost = cost;
   segment.on_complete = std::move(action);
-  return Job{segment};
 }
 
 class KernelTest : public ::testing::Test {
@@ -46,8 +46,8 @@ class KernelTest : public ::testing::Test {
 
 TEST_F(KernelTest, ActivatedTaskRunsItsJob) {
   int runs = 0;
-  const TaskId t = make_task("t", 1, [&] {
-    return simple_job(Duration::micros(100), [&] { ++runs; });
+  const TaskId t = make_task("t", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(100), [&] { ++runs; });
   });
   kernel.start();
   EXPECT_EQ(kernel.activate_task(t), Status::kOk);
@@ -59,9 +59,9 @@ TEST_F(KernelTest, ActivatedTaskRunsItsJob) {
 
 TEST_F(KernelTest, BodyRunsAfterModelledCost) {
   SimTime completed;
-  const TaskId t = make_task("t", 1, [&] {
-    return simple_job(Duration::micros(250),
-                      [&] { completed = engine.now(); });
+  const TaskId t = make_task("t", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(250),
+                [&] { completed = engine.now(); });
   });
   kernel.start();
   kernel.activate_task(t);
@@ -71,15 +71,13 @@ TEST_F(KernelTest, BodyRunsAfterModelledCost) {
 
 TEST_F(KernelTest, SegmentsExecuteInOrder) {
   std::vector<int> order;
-  const TaskId t = make_task("t", 1, [&] {
-    Job job;
+  const TaskId t = make_task("t", 1, [&](Job& job) {
     for (int i = 0; i < 3; ++i) {
       Segment s;
       s.cost = Duration::micros(10);
       s.on_complete = [&order, i] { order.push_back(i); };
       job.push_back(std::move(s));
     }
-    return job;
   });
   kernel.start();
   kernel.activate_task(t);
@@ -88,7 +86,7 @@ TEST_F(KernelTest, SegmentsExecuteInOrder) {
 }
 
 TEST_F(KernelTest, EmptyJobTerminatesImmediately) {
-  const TaskId t = make_task("t", 1, [] { return Job{}; });
+  const TaskId t = make_task("t", 1, [](Job&) {});
   kernel.start();
   kernel.activate_task(t);
   engine.run_until(SimTime(10));
@@ -109,12 +107,12 @@ TEST_F(KernelTest, NullFactoryYieldsEmptyJob) {
 
 TEST_F(KernelTest, OnStartRunsWhenSegmentGetsCpu) {
   SimTime started, completed;
-  const TaskId t = make_task("t", 1, [&] {
+  const TaskId t = make_task("t", 1, [&](Job& job) {
     Segment s;
     s.cost = Duration::micros(100);
     s.on_start = [&] { started = engine.now(); };
     s.on_complete = [&] { completed = engine.now(); };
-    return Job{s};
+    job.push_back(std::move(s));
   });
   kernel.start();
   kernel.activate_task(t);
@@ -127,11 +125,11 @@ TEST_F(KernelTest, OnStartRunsWhenSegmentGetsCpu) {
 
 TEST_F(KernelTest, HigherPriorityRunsFirst) {
   std::vector<std::string> order;
-  const TaskId lo = make_task("lo", 1, [&] {
-    return simple_job(Duration::micros(10), [&] { order.push_back("lo"); });
+  const TaskId lo = make_task("lo", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(10), [&] { order.push_back("lo"); });
   });
-  const TaskId hi = make_task("hi", 9, [&] {
-    return simple_job(Duration::micros(10), [&] { order.push_back("hi"); });
+  const TaskId hi = make_task("hi", 9, [&](Job& job) {
+    add_segment(job, Duration::micros(10), [&] { order.push_back("hi"); });
   });
   kernel.start();
   kernel.activate_task(lo);
@@ -142,11 +140,11 @@ TEST_F(KernelTest, HigherPriorityRunsFirst) {
 
 TEST_F(KernelTest, PreemptionPausesAndResumes) {
   SimTime lo_done, hi_done;
-  const TaskId lo = make_task("lo", 1, [&] {
-    return simple_job(Duration::micros(1000), [&] { lo_done = engine.now(); });
+  const TaskId lo = make_task("lo", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(1000), [&] { lo_done = engine.now(); });
   });
-  const TaskId hi = make_task("hi", 9, [&] {
-    return simple_job(Duration::micros(200), [&] { hi_done = engine.now(); });
+  const TaskId hi = make_task("hi", 9, [&](Job& job) {
+    add_segment(job, Duration::micros(200), [&] { hi_done = engine.now(); });
   });
   kernel.start();
   kernel.activate_task(lo);
@@ -161,13 +159,13 @@ TEST_F(KernelTest, NonPreemptableRunsToCompletion) {
   SimTime lo_done, hi_done;
   const TaskId lo = make_task(
       "lo", 1,
-      [&] {
-        return simple_job(Duration::micros(1000),
-                          [&] { lo_done = engine.now(); });
+      [&](Job& job) {
+        add_segment(job, Duration::micros(1000),
+                    [&] { lo_done = engine.now(); });
       },
       /*preemptable=*/false);
-  const TaskId hi = make_task("hi", 9, [&] {
-    return simple_job(Duration::micros(200), [&] { hi_done = engine.now(); });
+  const TaskId hi = make_task("hi", 9, [&](Job& job) {
+    add_segment(job, Duration::micros(200), [&] { hi_done = engine.now(); });
   });
   kernel.start();
   kernel.activate_task(lo);
@@ -182,8 +180,7 @@ TEST_F(KernelTest, ScheduleCallYieldsNonPreemptable) {
   TaskId hi;
   const TaskId lo = make_task(
       "lo", 1,
-      [&] {
-        Job job;
+      [&](Job& job) {
         Segment first;
         first.cost = Duration::micros(100);
         first.on_complete = [&] {
@@ -196,11 +193,10 @@ TEST_F(KernelTest, ScheduleCallYieldsNonPreemptable) {
         second.on_complete = [&] { order.push_back("lo-2"); };
         job.push_back(first);
         job.push_back(second);
-        return job;
       },
       /*preemptable=*/false);
-  hi = make_task("hi", 9, [&] {
-    return simple_job(Duration::micros(10), [&] { order.push_back("hi"); });
+  hi = make_task("hi", 9, [&](Job& job) {
+    add_segment(job, Duration::micros(10), [&] { order.push_back("hi"); });
   });
   kernel.start();
   kernel.activate_task(lo);
@@ -210,11 +206,11 @@ TEST_F(KernelTest, ScheduleCallYieldsNonPreemptable) {
 
 TEST_F(KernelTest, FifoWithinSamePriority) {
   std::vector<std::string> order;
-  const TaskId a = make_task("a", 5, [&] {
-    return simple_job(Duration::micros(10), [&] { order.push_back("a"); });
+  const TaskId a = make_task("a", 5, [&](Job& job) {
+    add_segment(job, Duration::micros(10), [&] { order.push_back("a"); });
   });
-  const TaskId b = make_task("b", 5, [&] {
-    return simple_job(Duration::micros(10), [&] { order.push_back("b"); });
+  const TaskId b = make_task("b", 5, [&](Job& job) {
+    add_segment(job, Duration::micros(10), [&] { order.push_back("b"); });
   });
   kernel.start();
   kernel.activate_task(a);
@@ -225,14 +221,14 @@ TEST_F(KernelTest, FifoWithinSamePriority) {
 
 TEST_F(KernelTest, PreemptedTaskResumesBeforeEqualPriorityNewcomer) {
   std::vector<std::string> order;
-  const TaskId a = make_task("a", 5, [&] {
-    return simple_job(Duration::micros(500), [&] { order.push_back("a"); });
+  const TaskId a = make_task("a", 5, [&](Job& job) {
+    add_segment(job, Duration::micros(500), [&] { order.push_back("a"); });
   });
-  const TaskId b = make_task("b", 5, [&] {
-    return simple_job(Duration::micros(10), [&] { order.push_back("b"); });
+  const TaskId b = make_task("b", 5, [&](Job& job) {
+    add_segment(job, Duration::micros(10), [&] { order.push_back("b"); });
   });
-  const TaskId hi = make_task("hi", 9, [&] {
-    return simple_job(Duration::micros(100), [&] { order.push_back("hi"); });
+  const TaskId hi = make_task("hi", 9, [&](Job& job) {
+    add_segment(job, Duration::micros(100), [&] { order.push_back("hi"); });
   });
   kernel.start();
   kernel.activate_task(a);
@@ -248,8 +244,8 @@ TEST_F(KernelTest, PreemptedTaskResumesBeforeEqualPriorityNewcomer) {
 // --- activation limits ------------------------------------------------------------
 
 TEST_F(KernelTest, SecondActivationFailsWithoutQueueing) {
-  const TaskId t = make_task("t", 1, [&] {
-    return simple_job(Duration::micros(100));
+  const TaskId t = make_task("t", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(100));
   });
   kernel.start();
   EXPECT_EQ(kernel.activate_task(t), Status::kOk);
@@ -263,8 +259,8 @@ TEST_F(KernelTest, QueuedActivationsRunBackToBack) {
   config.priority = 1;
   config.max_pending_activations = 2;
   const TaskId t = kernel.create_task(config);
-  kernel.set_job_factory(t, [&] {
-    return simple_job(Duration::micros(100), [&] { ++runs; });
+  kernel.set_job_factory(t, [&](Job& job) {
+    add_segment(job, Duration::micros(100), [&] { ++runs; });
   });
   kernel.start();
   EXPECT_EQ(kernel.activate_task(t), Status::kOk);
@@ -286,8 +282,7 @@ TEST_F(KernelTest, InvalidTaskIdRejected) {
 TEST_F(KernelTest, ChainTaskActivatesSuccessor) {
   std::vector<std::string> order;
   TaskId second;
-  const TaskId first = make_task("first", 5, [&] {
-    Job job;
+  const TaskId first = make_task("first", 5, [&](Job& job) {
     Segment s;
     s.cost = Duration::micros(50);
     s.on_complete = [&] {
@@ -299,10 +294,9 @@ TEST_F(KernelTest, ChainTaskActivatesSuccessor) {
     never.on_complete = [&] { order.push_back("never"); };
     job.push_back(s);
     job.push_back(never);
-    return job;
   });
-  second = make_task("second", 5, [&] {
-    return simple_job(Duration::micros(10), [&] { order.push_back("second"); });
+  second = make_task("second", 5, [&](Job& job) {
+    add_segment(job, Duration::micros(10), [&] { order.push_back("second"); });
   });
   kernel.start();
   kernel.activate_task(first);
@@ -312,7 +306,7 @@ TEST_F(KernelTest, ChainTaskActivatesSuccessor) {
 }
 
 TEST_F(KernelTest, ChainTaskOutsideTaskFails) {
-  const TaskId t = make_task("t", 1, [] { return Job{}; });
+  const TaskId t = make_task("t", 1, [](Job&) {});
   kernel.start();
   EXPECT_EQ(kernel.chain_task(t), Status::kCallLevel);
 }
@@ -323,8 +317,7 @@ TEST_F(KernelTest, ExtendedTaskWaitsForEvent) {
   std::vector<std::string> order;
   const TaskId t = make_task(
       "ext", 5,
-      [&] {
-        Job job;
+      [&](Job& job) {
         Segment first;
         first.cost = Duration::micros(10);
         first.on_complete = [&] { order.push_back("before-wait"); };
@@ -334,7 +327,6 @@ TEST_F(KernelTest, ExtendedTaskWaitsForEvent) {
         after.on_complete = [&] { order.push_back("after-wait"); };
         job.push_back(first);
         job.push_back(after);
-        return job;
       },
       true, /*extended=*/true);
   kernel.start();
@@ -353,8 +345,7 @@ TEST_F(KernelTest, EventAlreadyPendingDoesNotBlock) {
   std::vector<std::string> order;
   const TaskId t = make_task(
       "ext", 5,
-      [&] {
-        Job job;
+      [&](Job& job) {
         Segment first;
         first.cost = Duration::micros(10);
         first.on_complete = [&] {
@@ -367,7 +358,6 @@ TEST_F(KernelTest, EventAlreadyPendingDoesNotBlock) {
         second.on_complete = [&] { order.push_back("continued"); };
         job.push_back(first);
         job.push_back(second);
-        return job;
       },
       true, /*extended=*/true);
   kernel.start();
@@ -377,14 +367,14 @@ TEST_F(KernelTest, EventAlreadyPendingDoesNotBlock) {
 }
 
 TEST_F(KernelTest, SetEventOnBasicTaskFails) {
-  const TaskId t = make_task("basic", 1, [] { return Job{}; });
+  const TaskId t = make_task("basic", 1, [](Job&) {});
   kernel.start();
   EXPECT_EQ(kernel.set_event(t, 0x1), Status::kAccess);
 }
 
 TEST_F(KernelTest, SetEventOnSuspendedExtendedTaskFails) {
   const TaskId t =
-      make_task("ext", 1, [] { return Job{}; }, true, /*extended=*/true);
+      make_task("ext", 1, [](Job&) {}, true, /*extended=*/true);
   kernel.start();
   EXPECT_EQ(kernel.set_event(t, 0x1), Status::kState);
 }
@@ -392,7 +382,7 @@ TEST_F(KernelTest, SetEventOnSuspendedExtendedTaskFails) {
 TEST_F(KernelTest, ClearEventRemovesPendingBits) {
   const TaskId t = make_task(
       "ext", 5,
-      [&] { return simple_job(Duration::micros(1000)); }, true,
+      [&](Job& job) { add_segment(job, Duration::micros(1000)); }, true,
       /*extended=*/true);
   kernel.start();
   kernel.activate_task(t);
@@ -409,8 +399,7 @@ TEST_F(KernelTest, PriorityCeilingBlocksMidPriorityTask) {
   std::vector<std::string> order;
   const ResourceId res = kernel.create_resource("shared", 8);
   TaskId mid;
-  const TaskId lo = make_task("lo", 1, [&] {
-    Job job;
+  const TaskId lo = make_task("lo", 1, [&](Job& job) {
     Segment critical;
     critical.cost = Duration::micros(500);
     critical.on_start = [&] {
@@ -426,10 +415,9 @@ TEST_F(KernelTest, PriorityCeilingBlocksMidPriorityTask) {
     tail.on_complete = [&] { order.push_back("lo-tail"); };
     job.push_back(critical);
     job.push_back(tail);
-    return job;
   });
-  mid = make_task("mid", 5, [&] {
-    return simple_job(Duration::micros(10), [&] { order.push_back("mid"); });
+  mid = make_task("mid", 5, [&](Job& job) {
+    add_segment(job, Duration::micros(10), [&] { order.push_back("mid"); });
   });
   kernel.start();
   kernel.activate_task(lo);
@@ -442,7 +430,7 @@ TEST_F(KernelTest, PriorityCeilingBlocksMidPriorityTask) {
 TEST_F(KernelTest, ResourceHeldTwiceFails) {
   const ResourceId res = kernel.create_resource("r", 9);
   Status second = Status::kOk;
-  const TaskId t = make_task("t", 1, [&] {
+  const TaskId t = make_task("t", 1, [&](Job& job) {
     Segment s;
     s.cost = Duration::micros(10);
     s.on_start = [&] {
@@ -450,7 +438,7 @@ TEST_F(KernelTest, ResourceHeldTwiceFails) {
       second = kernel.get_resource(res);
     };
     s.on_complete = [&] { kernel.release_resource(res); };
-    return Job{s};
+    job.push_back(std::move(s));
   });
   kernel.start();
   kernel.activate_task(t);
@@ -461,11 +449,11 @@ TEST_F(KernelTest, ResourceHeldTwiceFails) {
 TEST_F(KernelTest, CeilingBelowTaskPriorityRejected) {
   const ResourceId res = kernel.create_resource("r", 2);
   Status got = Status::kOk;
-  const TaskId t = make_task("t", 5, [&] {
+  const TaskId t = make_task("t", 5, [&](Job& job) {
     Segment s;
     s.cost = Duration::micros(10);
     s.on_start = [&] { got = kernel.get_resource(res); };
-    return Job{s};
+    job.push_back(std::move(s));
   });
   kernel.start();
   kernel.activate_task(t);
@@ -477,11 +465,11 @@ TEST_F(KernelTest, TerminatingWhileHoldingResourceReportsError) {
   const ResourceId res = kernel.create_resource("r", 9);
   std::vector<Status> errors;
   kernel.set_error_hook([&](Status s, std::string_view) { errors.push_back(s); });
-  const TaskId t = make_task("t", 1, [&] {
+  const TaskId t = make_task("t", 1, [&](Job& job) {
     Segment s;
     s.cost = Duration::micros(10);
     s.on_start = [&] { kernel.get_resource(res); };
-    return Job{s};  // terminates without releasing
+    job.push_back(std::move(s));  // terminates without releasing
   });
   kernel.start();
   kernel.activate_task(t);
@@ -494,11 +482,11 @@ TEST_F(KernelTest, TerminatingWhileHoldingResourceReportsError) {
 TEST_F(KernelTest, ReleaseNotHeldResourceFails) {
   const ResourceId res = kernel.create_resource("r", 9);
   Status got = Status::kOk;
-  const TaskId t = make_task("t", 1, [&] {
+  const TaskId t = make_task("t", 1, [&](Job& job) {
     Segment s;
     s.cost = Duration::micros(10);
     s.on_start = [&] { got = kernel.release_resource(res); };
-    return Job{s};
+    job.push_back(std::move(s));
   });
   kernel.start();
   kernel.activate_task(t);
@@ -510,8 +498,8 @@ TEST_F(KernelTest, ReleaseNotHeldResourceFails) {
 
 TEST_F(KernelTest, CyclicAlarmActivatesTaskPeriodically) {
   int runs = 0;
-  const TaskId t = make_task("t", 1, [&] {
-    return simple_job(Duration::micros(100), [&] { ++runs; });
+  const TaskId t = make_task("t", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(100), [&] { ++runs; });
   });
   const CounterId counter = kernel.create_counter(
       {.name = "sys", .tick = Duration::millis(1)});
@@ -556,14 +544,12 @@ TEST_F(KernelTest, AlarmSetEventAction) {
   std::vector<std::string> order;
   const TaskId t = make_task(
       "ext", 5,
-      [&] {
-        Job job;
+      [&](Job& job) {
         Segment wait;
         wait.wait_mask = 0x1;
         wait.cost = Duration::micros(10);
         wait.on_complete = [&] { order.push_back("woken"); };
         job.push_back(wait);
-        return job;
       },
       true, /*extended=*/true);
   const CounterId counter = kernel.create_counter(
@@ -624,8 +610,8 @@ TEST_F(KernelTest, SetRelAlarmTwiceRejected) {
 
 TEST_F(KernelTest, PrePostTaskHooksFire) {
   std::vector<std::string> order;
-  const TaskId t = make_task("t", 1, [&] {
-    return simple_job(Duration::micros(10), [&] { order.push_back("body"); });
+  const TaskId t = make_task("t", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(10), [&] { order.push_back("body"); });
   });
   kernel.set_pre_task_hook([&](TaskId id) {
     order.push_back("pre:" + kernel.task_name(id));
@@ -652,8 +638,8 @@ TEST_F(KernelTest, ObserverSeesLifecycle) {
       events.push_back("terminated");
     }
   } recorder;
-  const TaskId t = make_task("t", 1, [&] {
-    return simple_job(Duration::micros(10));
+  const TaskId t = make_task("t", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(10));
   });
   kernel.add_observer(&recorder);
   kernel.start();
@@ -672,11 +658,11 @@ TEST_F(KernelTest, ObserverSeesSegmentsWithRunnableIds) {
       started.push_back(r);
     }
   } recorder;
-  const TaskId t = make_task("t", 1, [&] {
+  const TaskId t = make_task("t", 1, [&](Job& job) {
     Segment s;
     s.cost = Duration::micros(10);
     s.runnable = RunnableId(77);
-    return Job{s};
+    job.push_back(std::move(s));
   });
   kernel.add_observer(&recorder);
   kernel.start();
@@ -686,14 +672,74 @@ TEST_F(KernelTest, ObserverSeesSegmentsWithRunnableIds) {
   EXPECT_EQ(recorder.started[0], RunnableId(77));
 }
 
+TEST_F(KernelTest, ObserverChangesTakeEffectAfterTheNotification) {
+  // An observer added from a callback is first called by the next
+  // notification; one removed from a callback is not called again, not
+  // even later in the notification that removed it.
+  struct Recorder : KernelObserver {
+    std::vector<std::string>* log = nullptr;
+    std::string name;
+    std::function<void()> on_activated;
+    void on_task_activated(TaskId, sim::SimTime) override {
+      log->push_back(name);
+      if (on_activated) on_activated();
+    }
+  };
+  std::vector<std::string> log;
+  Recorder remover, removed, added;
+  remover.log = removed.log = added.log = &log;
+  remover.name = "remover";
+  removed.name = "removed";
+  added.name = "added";
+  bool swapped = false;
+  remover.on_activated = [&] {
+    if (swapped) return;
+    swapped = true;
+    kernel.remove_observer(&removed);
+    kernel.add_observer(&added);
+  };
+  const TaskId t = make_task("t", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(10));
+  });
+  kernel.add_observer(&remover);
+  kernel.add_observer(&removed);
+  kernel.start();
+  kernel.activate_task(t);
+  engine.run_until(SimTime(1000));
+  EXPECT_EQ(log, (std::vector<std::string>{"remover"}));
+  kernel.activate_task(t);
+  engine.run_until(SimTime(2000));
+  EXPECT_EQ(log,
+            (std::vector<std::string>{"remover", "remover", "added"}));
+  kernel.remove_observer(&remover);
+  kernel.remove_observer(&added);
+}
+
+TEST_F(KernelTest, RecycledJobStorageStartsEmpty) {
+  // Every activation gets an empty job, whatever its storage held before.
+  std::vector<std::size_t> sizes;
+  const TaskId t = make_task("t", 1, [&](Job& job) {
+    sizes.push_back(job.size());
+    add_segment(job, Duration::micros(10));
+    add_segment(job, Duration::micros(10));
+  });
+  kernel.start();
+  for (int i = 0; i < 3; ++i) {
+    kernel.activate_task(t);
+    engine.run_until(SimTime(1000 * (i + 1)));
+  }
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{0, 0, 0}));
+  EXPECT_EQ(kernel.jobs_completed(t), 3u);
+}
+
 // --- accounting -----------------------------------------------------------------------
 
 TEST_F(KernelTest, ConsumedTimeAccountsPreemption) {
-  const TaskId lo = make_task("lo", 1, [&] {
-    return simple_job(Duration::micros(1000));
+  const TaskId lo = make_task("lo", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(1000));
   });
-  const TaskId hi = make_task("hi", 9, [&] {
-    return simple_job(Duration::micros(200));
+  const TaskId hi = make_task("hi", 9, [&](Job& job) {
+    add_segment(job, Duration::micros(200));
   });
   kernel.start();
   kernel.activate_task(lo);
@@ -704,8 +750,8 @@ TEST_F(KernelTest, ConsumedTimeAccountsPreemption) {
 }
 
 TEST_F(KernelTest, JobConsumedVisibleMidExecution) {
-  const TaskId t = make_task("t", 1, [&] {
-    return simple_job(Duration::micros(1000));
+  const TaskId t = make_task("t", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(1000));
   });
   kernel.start();
   kernel.activate_task(t);
@@ -717,8 +763,8 @@ TEST_F(KernelTest, JobConsumedVisibleMidExecution) {
 
 TEST_F(KernelTest, KillRunningTaskStopsIt) {
   int runs = 0;
-  const TaskId t = make_task("t", 1, [&] {
-    return simple_job(Duration::micros(1000), [&] { ++runs; });
+  const TaskId t = make_task("t", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(1000), [&] { ++runs; });
   });
   kernel.start();
   kernel.activate_task(t);
@@ -731,11 +777,11 @@ TEST_F(KernelTest, KillRunningTaskStopsIt) {
 
 TEST_F(KernelTest, KillReadyTaskRemovesFromQueue) {
   int lo_runs = 0;
-  const TaskId hi = make_task("hi", 9, [&] {
-    return simple_job(Duration::micros(500));
+  const TaskId hi = make_task("hi", 9, [&](Job& job) {
+    add_segment(job, Duration::micros(500));
   });
-  const TaskId lo = make_task("lo", 1, [&] {
-    return simple_job(Duration::micros(10), [&] { ++lo_runs; });
+  const TaskId lo = make_task("lo", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(10), [&] { ++lo_runs; });
   });
   kernel.start();
   kernel.activate_task(hi);
@@ -747,8 +793,8 @@ TEST_F(KernelTest, KillReadyTaskRemovesFromQueue) {
 
 TEST_F(KernelTest, SoftwareResetStopsEverythingAndRestarts) {
   int runs = 0;
-  const TaskId t = make_task("t", 1, [&] {
-    return simple_job(Duration::micros(100), [&] { ++runs; });
+  const TaskId t = make_task("t", 1, [&](Job& job) {
+    add_segment(job, Duration::micros(100), [&] { ++runs; });
   });
   const CounterId counter = kernel.create_counter(
       {.name = "sys", .tick = Duration::millis(1)});
@@ -777,8 +823,8 @@ TEST_F(KernelTest, AutoStartTaskRunsAtStart) {
   config.priority = 1;
   config.auto_start = true;
   const TaskId t = kernel.create_task(config);
-  kernel.set_job_factory(t, [&] {
-    return simple_job(Duration::micros(10), [&] { ++runs; });
+  kernel.set_job_factory(t, [&](Job& job) {
+    add_segment(job, Duration::micros(10), [&] { ++runs; });
   });
   kernel.start();
   engine.run_until(SimTime(1000));

@@ -101,6 +101,25 @@ TEST_F(RteTest, TasksOfApplicationDeduplicates) {
   EXPECT_EQ(tasks[0], task);
 }
 
+TEST_F(RteTest, TasksOfApplicationFollowRegistrationOrder) {
+  // First appearance over components and their runnables, not the order
+  // of the map_runnable calls.
+  const ApplicationId app = rte.register_application("App");
+  const ComponentId first = rte.register_component(app, "First");
+  const ComponentId second = rte.register_component(app, "Second");
+  const RunnableId a = add_runnable(first, "A");
+  const RunnableId b = add_runnable(first, "B");
+  const RunnableId c = add_runnable(second, "C");
+  const TaskId t1 = make_task("T1");
+  const TaskId t2 = make_task("T2");
+  const TaskId t3 = make_task("T3");
+  rte.map_runnable(c, t1);
+  rte.map_runnable(b, t2);
+  rte.map_runnable(a, t3);
+  EXPECT_EQ(rte.tasks_of_application(app),
+            (std::vector<TaskId>{t3, t2, t1}));
+}
+
 // --- execution and glue ----------------------------------------------------------
 
 TEST_F(RteTest, BodiesRunInMappedOrder) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -364,6 +365,20 @@ TEST(EventLog, KeepsEmptyAndLongDetailsApart) {
   log.push_back(make_event(EventKind::kErrorDetected, 9, Component::kTsi,
                            "after clear"));
   EXPECT_EQ(log[0].detail, "after clear");
+}
+
+TEST(EventLog, RejectsADetailPast64KiB) {
+  // A record stores the detail length in 16 bits: the longest detail
+  // round-trips, one byte more is refused rather than truncated.
+  const std::string longest(65'535, 'x');
+  EventLog log;
+  log.push_back(make_event(EventKind::kFaultApplied, 0, Component::kInjector,
+                           longest));
+  EXPECT_EQ(log[0].detail, longest);
+  EXPECT_THROW(log.push_back(make_event(EventKind::kFaultApplied, 1,
+                                        Component::kInjector, longest + "x")),
+               std::length_error);
+  EXPECT_EQ(log.size(), 1u);
 }
 
 TEST(EventLog, KeepsInvalidIdsInvalid) {

@@ -441,10 +441,10 @@ TEST_F(ServiceTest, DetectsStarvedTaskEndToEnd) {
   hog_cfg.name = "hog";
   hog_cfg.priority = 50;  // above victim, below watchdog (100)
   const TaskId hog = kernel.create_task(hog_cfg);
-  kernel.set_job_factory(hog, [] {
+  kernel.set_job_factory(hog, [](os::Job& job) {
     os::Segment s;
     s.cost = Duration::seconds(10);  // effectively forever
-    return os::Job{s};
+    job.push_back(std::move(s));
   });
 
   RunnableMonitor m;
