@@ -109,7 +109,7 @@ void BM_KernelActivateComplete(benchmark::State& state) {
 BENCHMARK(BM_KernelActivateComplete);
 
 /// Telemetry event-bus publication with one attached sink (the campaign
-/// capture configuration: flight recorder + event log behind one lambda).
+/// capture configuration: the event log behind one lambda).
 void BM_EventBusPublish(benchmark::State& state) {
   telemetry::EventBus bus;
   std::uint64_t seen = 0;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -120,6 +121,12 @@ inline const std::vector<std::string> kModeDetectors = {
 /// check rule, on top of the baseline. Exposed so the tests can compile
 /// and round-trip the exact policy the campaign runs.
 [[nodiscard]] policy::PolicySet railmon_duty_policy();
+
+/// railmon_duty_policy() after the full distribution path: serialised to
+/// its canonical text and compiled back. Throws std::logic_error when the
+/// compiler rejects it. The policy is a constant, so the process compiles
+/// it on the first call and every mode run shares the immutable result.
+[[nodiscard]] std::shared_ptr<const policy::PolicySet> railmon_duty_artifact();
 
 /// Executes one mode-coverage run: builds a fresh RailMon sensor node
 /// under the railmon_duty policy (round-tripped through the policy

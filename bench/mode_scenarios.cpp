@@ -26,6 +26,7 @@
 // legitimate contractual silence never alarms.
 #include "campaign_scenarios.hpp"
 
+#include <memory>
 #include <optional>
 #include <stdexcept>
 
@@ -39,6 +40,7 @@
 #include "scenario_kit.hpp"
 #include "sim/engine.hpp"
 #include "util/random.hpp"
+#include "util/text.hpp"
 #include "validator/railmon_node.hpp"
 
 namespace easis::bench {
@@ -157,26 +159,30 @@ policy::PolicySet railmon_duty_policy() {
   return policy;
 }
 
+std::shared_ptr<const policy::PolicySet> railmon_duty_artifact() {
+  // A run only proceeds on the policy the compiler accepted — the same
+  // artifact a real node would flash.
+  static const std::shared_ptr<const policy::PolicySet> kArtifact = [] {
+    const policy::CompileResult compiled =
+        policy::compile_policy(policy::to_text(railmon_duty_policy()));
+    if (!compiled.ok()) {
+      throw std::logic_error("railmon_duty policy failed to compile:\n" +
+                             compiled.format());
+    }
+    return std::make_shared<const policy::PolicySet>(*compiled.policy);
+  }();
+  return kArtifact;
+}
+
 harness::RunResult run_mode_fault(const std::string& fault_class,
                                   std::uint64_t seed,
                                   const harness::RunContext* ctx) {
   const ModeFaultClass& row = find_class(kModeClasses, fault_class, "mode");
   util::Rng rng(seed);
 
-  // The policy takes the full distribution path: built, serialised to its
-  // canonical text, compiled back. A run only proceeds on the policy the
-  // compiler accepted — the same artifact a real node would flash.
-  const policy::CompileResult compiled =
-      policy::compile_policy(policy::to_text(railmon_duty_policy()));
-  if (!compiled.ok()) {
-    throw std::logic_error("railmon_duty policy failed to compile:\n" +
-                           compiled.format());
-  }
-
   sim::Engine engine;
   validator::RailMonNodeConfig config;
-  config.policy =
-      std::make_shared<const policy::PolicySet>(*compiled.policy);
+  config.policy = railmon_duty_artifact();
   config.watchdog = config.policy->detection.watchdog;
   validator::RailMonNode node(engine, config);
 
@@ -213,17 +219,13 @@ harness::RunResult run_mode_fault(const std::string& fault_class,
 
   // The run's post-mortem note: mode, dwell, overlay and journal state.
   publish_flight_note(engine, ctx, [&engine, &node] {
-    return "mode=" +
-           std::string(mode::to_string(node.mode_manager().current())) +
-           " dwell_us=" +
-           std::to_string(
-               node.mode_manager().dwell(engine.now()).as_micros()) +
-           " overlay=" +
-           std::to_string(node.mode_unit().active_overlay_hash24()) +
-           " mode_errors=" +
-           std::to_string(node.mode_unit().errors_reported()) +
-           " journal=" + std::to_string(node.railmon().journal_depth()) +
-           " uplinked=" + std::to_string(node.railmon().uplinked());
+    return util::concat(
+        "mode=", mode::to_string(node.mode_manager().current()),
+        " dwell_us=", node.mode_manager().dwell(engine.now()).as_micros(),
+        " overlay=", node.mode_unit().active_overlay_hash24(),
+        " mode_errors=", node.mode_unit().errors_reported(),
+        " journal=", node.railmon().journal_depth(),
+        " uplinked=", node.railmon().uplinked());
   });
 
   // --- injection --------------------------------------------------------------

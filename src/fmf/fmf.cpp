@@ -26,6 +26,28 @@ void emit_fmf_event(telemetry::EventKind kind, sim::SimTime now,
   telemetry::emit(std::move(event));
 }
 
+/// Moves an engaged freeze frame into `spare` (keeping its storage for
+/// reuse) and disengages it.
+void park_frame(std::optional<FreezeFrame>& frame,
+                std::vector<FreezeFrame>& spare) {
+  if (!frame) return;
+  spare.push_back(std::move(*frame));
+  frame.reset();
+}
+
+/// Copies `entry` into the image slot `slot`, reusing the slot's freeze
+/// frame storage, or a parked one, instead of allocating a new frame.
+void refill(DtcEntry& slot, const DtcEntry& entry,
+            std::vector<FreezeFrame>& spare) {
+  if (!entry.freeze_frame) {
+    park_frame(slot.freeze_frame, spare);
+  } else if (!slot.freeze_frame && !spare.empty()) {
+    slot.freeze_frame.emplace(std::move(spare.back()));
+    spare.pop_back();
+  }
+  slot = entry;
+}
+
 /// Eviction ladder (lowest priority first): the freeze frames of passive
 /// DTCs, then passive DTCs, then the freeze frames of active DTCs, then
 /// active DTCs — each oldest `last_seen` first, lowest index on ties —
@@ -33,17 +55,26 @@ void emit_fmf_event(telemetry::EventKind kind, sim::SimTime now,
 /// cause and the transgression records are never dropped: they explain
 /// why the ECU is in the state it is in. Walks the ladder on exact byte
 /// sizes until the image fits `nvm` (or the ladder runs out), applies the
-/// victims in one pass and returns the number of evictions.
-std::uint32_t evict_to_fit(NvmImage& image, const NvmStore& nvm) {
+/// victims in one pass and returns the number of evictions. `order` and
+/// `dropped` are the caller's scratch, reused across calls; evicted freeze
+/// frames are parked in `spare_frames` for the next refill.
+std::uint32_t evict_to_fit(NvmImage& image, const NvmStore& nvm,
+                           std::vector<std::size_t>& order,
+                           std::vector<bool>& dropped,
+                           std::vector<FreezeFrame>& spare_frames) {
   std::size_t size = serialized_size(image);
   if (nvm.fits(size)) return 0;
-  std::vector<std::size_t> order(image.dtcs.size());
+  order.resize(image.dtcs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&image](std::size_t a, std::size_t b) {
-                     return image.dtcs[a].last_seen < image.dtcs[b].last_seen;
-                   });
-  std::vector<bool> dropped(image.dtcs.size(), false);
+  // Index as the tie-break: the order of a stable sort by last_seen,
+  // without its temporary buffer.
+  std::sort(order.begin(), order.end(),
+            [&image](std::size_t a, std::size_t b) {
+              const sim::SimTime ta = image.dtcs[a].last_seen;
+              const sim::SimTime tb = image.dtcs[b].last_seen;
+              return ta < tb || (ta == tb && a < b);
+            });
+  dropped.assign(image.dtcs.size(), false);
   std::size_t trimmed = 0;  // reset causes dropped from the front
   std::uint32_t evictions = 0;
   const auto evict = [&](std::size_t bytes) {
@@ -57,7 +88,7 @@ std::uint32_t evict_to_fit(NvmImage& image, const NvmStore& nvm) {
         std::optional<FreezeFrame>& frame = image.dtcs[i].freeze_frame;
         if (image.dtcs[i].active != active || !frame) continue;
         const std::size_t bytes = serialized_size(*frame);
-        frame.reset();
+        park_frame(frame, spare_frames);
         if (evict(bytes)) return;
       }
       for (const std::size_t i : order) {
@@ -440,22 +471,38 @@ void FaultManagementFramework::terminate_application(ApplicationId app,
 
 bool FaultManagementFramework::persist() {
   if (nvm_ == nullptr) return false;
-  NvmImage image;
+  // Refilled in place: copy assignment reuses the previous commit's
+  // element storage and evicted freeze frames wait in spare_frames_, so a
+  // steady image allocates nothing.
+  NvmImage& image = image_;
   image.reset_count = ecu_resets_;
   image.storm_latched = storm_latched_;
-  image.reset_history = reset_history_;
+  image.reset_history.assign(reset_history_.begin(), reset_history_.end());
+  std::size_t dtcs = 0;
   if (dtc_store_ != nullptr) {
-    image.dtcs.reserve(dtc_store_->count());
-    dtc_store_->for_each(
-        [&image](const DtcEntry& entry) { image.dtcs.push_back(entry); });
+    dtc_store_->for_each([this, &image, &dtcs](const DtcEntry& entry) {
+      if (dtcs == image.dtcs.size()) image.dtcs.emplace_back();
+      refill(image.dtcs[dtcs++], entry, spare_frames_);
+    });
   }
+  for (std::size_t i = dtcs; i < image.dtcs.size(); ++i) {
+    park_frame(image.dtcs[i].freeze_frame, spare_frames_);
+  }
+  image.dtcs.resize(dtcs);
   if (transgression_snapshot_) {
-    image.transgressions = transgression_snapshot_();
+    transgression_snapshot_(image.transgressions);
+  } else {
+    image.transgressions.clear();
   }
-  if (power_mode_snapshot_) image.power_mode = power_mode_snapshot_();
+  if (power_mode_snapshot_) {
+    image.power_mode = power_mode_snapshot_();
+  } else {
+    image.power_mode.clear();
+  }
   // Flash full: degrade gracefully, lowest-priority entry first. Each
   // eviction stands for one commit the store would have refused.
-  const std::uint32_t evicted = evict_to_fit(image, *nvm_);
+  const std::uint32_t evicted =
+      evict_to_fit(image, *nvm_, evict_order_, evict_dropped_, spare_frames_);
   nvm_evictions_ += evicted;
   nvm_->count_overflows(evicted);
   const std::uint32_t overflows_seen = nvm_->overflows();

@@ -151,11 +151,12 @@ class FaultManagementFramework {
   bool persist();
 
   /// Connects the supervised-process transgression records to fault
-  /// memory: `snapshot` feeds persist(), `restore` is replayed by
+  /// memory: persist() has `snapshot` overwrite the vector it passes
+  /// (the image's own, reused across commits), `restore` is replayed by
   /// boot_from_nvm(). std::function keeps the FMF decoupled from the
   /// process-supervision unit.
   void attach_transgression_store(
-      std::function<std::vector<wdg::TransgressionRecord>()> snapshot,
+      std::function<void(std::vector<wdg::TransgressionRecord>&)> snapshot,
       std::function<void(const std::vector<wdg::TransgressionRecord>&)>
           restore) {
     transgression_snapshot_ = std::move(snapshot);
@@ -265,7 +266,7 @@ class FaultManagementFramework {
   NvmStore* nvm_ = nullptr;
   std::uint32_t nvm_evictions_ = 0;
   std::uint32_t nvm_write_failures_ = 0;
-  std::function<std::vector<wdg::TransgressionRecord>()>
+  std::function<void(std::vector<wdg::TransgressionRecord>&)>
       transgression_snapshot_;
   std::function<void(const std::vector<wdg::TransgressionRecord>&)>
       transgression_restore_;
@@ -273,6 +274,12 @@ class FaultManagementFramework {
   std::function<void(const std::string&)> power_mode_restore_;
   std::function<void(const ResetCause&)> safe_state_hook_;
   std::vector<ResetCause> reset_history_;
+  /// persist()'s working storage: the image, the eviction ladder's scratch
+  /// and the evicted freeze frames, reused on every commit.
+  NvmImage image_;
+  std::vector<std::size_t> evict_order_;
+  std::vector<bool> evict_dropped_;
+  std::vector<FreezeFrame> spare_frames_;
   std::optional<ResetCause> last_reset_cause_;
   std::optional<FaultRecord> last_fault_;
   bool storm_latched_ = false;

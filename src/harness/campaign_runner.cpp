@@ -11,7 +11,6 @@
 
 #include "profile/profiler.hpp"
 #include "telemetry/event_bus.hpp"
-#include "telemetry/flight_recorder.hpp"
 #include "util/random.hpp"
 
 namespace easis::harness {
@@ -27,6 +26,9 @@ Clock::rep now_ns() {
 }
 
 constexpr std::size_t kIdle = static_cast<std::size_t>(-1);
+
+/// Events a quarantined run keeps: the tail of its log, its flight record.
+constexpr std::size_t kFlightEvents = 256;
 
 }  // namespace
 
@@ -48,16 +50,15 @@ struct CampaignState {
     bool abandoned = false;
 
     /// Per-run telemetry capture. The bus sink and the supervisor's
-    /// quarantine snapshot both take `telemetry_mutex`, so the ring of a
-    /// hung run can be copied out while the run is still emitting. Only
+    /// quarantine snapshot both take `telemetry_mutex`, so the log tail of
+    /// a hung run can be copied out while the run is still emitting. Only
     /// the worker itself resets/harvests between runs.
     std::mutex telemetry_mutex;
     telemetry::EventBus bus;
-    telemetry::FlightRecorder flight;
     telemetry::EventLog event_log;
     /// Latest post-mortem note of the current run (see
     /// RunResult::flight_note); shares telemetry_mutex so the supervisor
-    /// can snapshot it together with the flight ring.
+    /// can snapshot it together with the log tail.
     std::string flight_note;
     bool bus_wired = false;
 
@@ -148,14 +149,12 @@ void worker_main(const std::shared_ptr<CampaignState>& state,
       // (the determinism contract across --jobs values).
       std::lock_guard<std::mutex> lock(self->telemetry_mutex);
       self->bus.reset();
-      self->flight.clear();
       self->event_log.clear();
       self->flight_note.clear();
       if (!self->bus_wired) {
         self->bus_wired = true;
         self->bus.add_sink([self](const telemetry::Event& event) {
           std::lock_guard<std::mutex> sink_lock(self->telemetry_mutex);
-          self->flight.on_event(event);
           self->event_log.push_back(event);
         });
       }
@@ -250,14 +249,14 @@ void supervisor_main(const std::shared_ptr<CampaignState>& state) {
       timed_out.error =
           "exceeded run deadline on '" + state->specs[run].label + "'";
       {
-        // The hung run never returns its log; its flight-recorder ring is
-        // the only record of what it was doing. Snapshot it before the
-        // settle so the dump lands in the quarantined result.
+        // The hung run never returns its log; the tail of what it emitted
+        // so far is the only record of what it was doing. Copy it before
+        // the settle so the dump lands in the quarantined result.
         std::lock_guard<std::mutex> tlock(worker->telemetry_mutex);
-        timed_out.events = worker->flight.snapshot();
-        timed_out.events_truncated = worker->flight.dropped() > 0;
+        timed_out.events = worker->event_log.tail(kFlightEvents);
+        timed_out.events_truncated = worker->event_log.size() > kFlightEvents;
         // Last note the hung run published (e.g. its resource snapshot):
-        // the only post-mortem state beyond the flight ring.
+        // the only post-mortem state beyond the log tail.
         timed_out.flight_note = worker->flight_note;
       }
       worker->cancel.store(true, std::memory_order_release);

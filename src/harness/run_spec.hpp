@@ -68,10 +68,10 @@ struct RunResult {
   /// Telemetry events the run emitted (harvested by the harness from the
   /// per-worker bus), in the compact per-run log form: the campaign keeps
   /// this one copy until its exports, and CampaignReport only borrows it.
-  /// Completed runs carry the full log; quarantined runs only the
-  /// flight-recorder ring the supervisor could snapshot.
+  /// Completed runs carry the full log; quarantined runs only its last
+  /// 256 events, which the supervisor copies out (the flight record).
   telemetry::EventLog events;
-  /// True when `events` is a bounded ring snapshot that lost older events.
+  /// True when `events` is a quarantined run's tail that lost older events.
   bool events_truncated = false;
   /// Set by the run function when its own result looks wrong (e.g. an
   /// injection no detector saw); flagged runs get a flight-recorder dump.

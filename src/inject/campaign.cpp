@@ -18,7 +18,7 @@ void DetectionRecorder::add_detector(const std::string& name) {
 
 void DetectionRecorder::mark_injection(sim::SimTime at) { injected_at_ = at; }
 
-void DetectionRecorder::record(const std::string& detector, sim::SimTime at) {
+void DetectionRecorder::record(std::string_view detector, sim::SimTime at) {
   auto it = first_.find(detector);
   if (it == first_.end()) {
     first_.emplace(detector, at);
@@ -34,13 +34,13 @@ std::vector<std::string> DetectionRecorder::detectors() const {
   return out;
 }
 
-bool DetectionRecorder::detected(const std::string& detector) const {
+bool DetectionRecorder::detected(std::string_view detector) const {
   auto it = first_.find(detector);
   return it != first_.end() && it->second.has_value();
 }
 
 std::optional<sim::Duration> DetectionRecorder::latency(
-    const std::string& detector) const {
+    std::string_view detector) const {
   auto it = first_.find(detector);
   if (it == first_.end() || !it->second.has_value()) return std::nullopt;
   return *it->second - injected_at_;

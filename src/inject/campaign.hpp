@@ -4,10 +4,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -31,18 +33,20 @@ class DetectionRecorder {
 
   /// Called from the detector's callback; only the first call after the
   /// last mark_injection() is kept.
-  void record(const std::string& detector, sim::SimTime at);
+  void record(std::string_view detector, sim::SimTime at);
 
   [[nodiscard]] std::vector<std::string> detectors() const;
-  [[nodiscard]] bool detected(const std::string& detector) const;
+  [[nodiscard]] bool detected(std::string_view detector) const;
   [[nodiscard]] std::optional<sim::Duration> latency(
-      const std::string& detector) const;
+      std::string_view detector) const;
 
   /// Clears detections (keeps the detector set) for the next experiment.
   void reset();
 
  private:
-  std::map<std::string, std::optional<sim::SimTime>> first_;
+  /// Transparent comparator: detectors are looked up by string_view, so
+  /// a per-report record() builds no temporary key.
+  std::map<std::string, std::optional<sim::SimTime>, std::less<>> first_;
   sim::SimTime injected_at_;
 };
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "telemetry/event_bus.hpp"
+#include "util/text.hpp"
 
 namespace easis::mode {
 
@@ -42,6 +42,12 @@ ModeSupervisionUnit::ModeSupervisionUnit(PowerModeManager& manager,
 void ModeSupervisionUnit::set_policy(
     std::shared_ptr<const policy::PolicySet> policy, sim::SimTime now) {
   policy_ = std::move(policy);
+  overlay_hashes_.clear();
+  if (policy_) {
+    for (const policy::ModeOverlay& overlay : policy_->modes) {
+      overlay_hashes_.push_back(policy::overlay_hash24(overlay));
+    }
+  }
   apply(manager_.current(), now);
 }
 
@@ -89,7 +95,11 @@ void ModeSupervisionUnit::apply(PowerMode target, sim::SimTime now) {
   }
   ++rebinds_;
   silence_contracted_ = overlay != nullptr && !overlay->aliveness_armed;
-  overlay_hash24_ = overlay != nullptr ? policy::overlay_hash24(*overlay) : 0;
+  overlay_hash24_ =
+      overlay != nullptr
+          ? overlay_hashes_[static_cast<std::size_t>(overlay -
+                                                     policy_->modes.data())]
+          : 0;
   refusals_reported_ = 0;
   if (check_unit_ != nullptr) {
     check_unit_->set_enabled(overlay == nullptr || overlay->checks_enabled);
@@ -102,9 +112,6 @@ void ModeSupervisionUnit::apply(PowerMode target, sim::SimTime now) {
     applied_deadline_scale_ = deadline_scale;
   }
   if (telemetry::enabled()) {
-    std::ostringstream detail;
-    detail << to_string(target) << " overlay=" << overlay_hash24_
-           << (silence_contracted_ ? " silence" : " armed");
     const wdg::RunnableMonitor& self =
         watchdog_.heartbeat_unit().config(runnable_);
     telemetry::Event event;
@@ -114,7 +121,9 @@ void ModeSupervisionUnit::apply(PowerMode target, sim::SimTime now) {
     event.runnable = runnable_;
     event.task = self.task;
     event.application = self.application;
-    event.detail = detail.str();
+    event.detail = util::concat(to_string(target), " overlay=",
+                                overlay_hash24_,
+                                silence_contracted_ ? " silence" : " armed");
     telemetry::emit(std::move(event));
   }
 }
@@ -142,11 +151,10 @@ void ModeSupervisionUnit::on_watchdog_error(const wdg::ErrorReport& error) {
                     return base.runnable == error.runnable;
                   });
   if (!bound) return;
-  std::ostringstream detail;
-  detail << "heartbeat during contracted silence (mode "
-         << to_string(manager_.current()) << ", runnable "
-         << error.runnable.value() << ")";
-  report(error.time, detail.str());
+  report(error.time,
+         util::concat("heartbeat during contracted silence (mode ",
+                      to_string(manager_.current()), ", runnable ",
+                      error.runnable.value(), ")"));
 }
 
 void ModeSupervisionUnit::cycle(sim::SimTime now) {
@@ -156,11 +164,11 @@ void ModeSupervisionUnit::cycle(sim::SimTime now) {
   if (overlay != nullptr && overlay->max_dwell > sim::Duration::zero() &&
       !manager_.transition_pending() &&
       manager_.dwell(now) > overlay->max_dwell) {
-    std::ostringstream detail;
-    detail << "mode " << to_string(manager_.current()) << " overstayed: dwell "
-           << manager_.dwell(now).as_micros() / 1000 << "ms > max "
-           << overlay->max_dwell.as_micros() / 1000 << "ms";
-    report(now, detail.str());
+    report(now, util::concat("mode ", to_string(manager_.current()),
+                             " overstayed: dwell ",
+                             manager_.dwell(now).as_micros() / 1000,
+                             "ms > max ", overlay->max_dwell.as_micros() / 1000,
+                             "ms"));
   }
   // Hung transition: granted but never committed inside the deadline of
   // the mode being *left*.
@@ -170,12 +178,11 @@ void ModeSupervisionUnit::cycle(sim::SimTime now) {
                            : sim::Duration::millis(50);
     const sim::Duration pending_for = now - manager_.pending_since();
     if (pending_for > deadline) {
-      std::ostringstream detail;
-      detail << "transition " << to_string(manager_.current()) << "->"
-             << to_string(manager_.pending_target()) << " hung for "
-             << pending_for.as_micros() / 1000 << "ms (deadline "
-             << deadline.as_micros() / 1000 << "ms)";
-      report(now, detail.str());
+      report(now, util::concat("transition ", to_string(manager_.current()),
+                               "->", to_string(manager_.pending_target()),
+                               " hung for ", pending_for.as_micros() / 1000,
+                               "ms (deadline ", deadline.as_micros() / 1000,
+                               "ms)"));
     }
   }
   // Sleep refusal: the machine keeps vetoing commanded transitions.
@@ -183,12 +190,10 @@ void ModeSupervisionUnit::cycle(sim::SimTime now) {
       manager_.consecutive_refusals() >=
           config_.refusal_limit + refusals_reported_) {
     ++refusals_reported_;
-    std::ostringstream detail;
-    detail << manager_.consecutive_refusals()
-           << " consecutive refused transitions in mode "
-           << to_string(manager_.current()) << " (limit "
-           << config_.refusal_limit << ")";
-    report(now, detail.str());
+    report(now, util::concat(manager_.consecutive_refusals(),
+                             " consecutive refused transitions in mode ",
+                             to_string(manager_.current()), " (limit ",
+                             config_.refusal_limit, ")"));
   }
 }
 

@@ -97,6 +97,9 @@ class ModeSupervisionUnit {
   Config config_;
   RunnableId runnable_;
   std::shared_ptr<const policy::PolicySet> policy_;
+  /// overlay_hash24 of each of policy_->modes, in order: derived once per
+  /// policy instead of re-serialising an overlay on every rebind.
+  std::vector<std::uint32_t> overlay_hashes_;
   std::vector<wdg::RunnableMonitor> bindings_;
   policy::CheckSupervisionUnit* check_unit_ = nullptr;
   std::uint32_t overlay_hash24_ = 0;

@@ -1,8 +1,10 @@
 #include "policy/check_engine.hpp"
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "util/text.hpp"
 
 namespace easis::policy {
 
@@ -65,13 +67,13 @@ void CheckSupervisionUnit::evaluate(RuleState& state, sim::SimTime now) {
 
   const double value = bus_.read_or(state.rule.signal, state.rule.fallback);
   ++evaluations_;
-  std::ostringstream detail;
+  std::string detail;
   bool failed = false;
   if (value < state.rule.min || value > state.rule.max) {
     failed = true;
-    detail << "check '" << state.rule.name << "': " << state.rule.signal
-           << "=" << value << " outside [" << state.rule.min << ", "
-           << state.rule.max << "]";
+    detail = util::concat("check '", state.rule.name, "': ", state.rule.signal,
+                          "=", value, " outside [", state.rule.min, ", ",
+                          state.rule.max, "]");
   } else if (state.rule.rate_bounded && state.has_prev &&
              now > state.prev_time) {
     const double dt_s =
@@ -80,10 +82,10 @@ void CheckSupervisionUnit::evaluate(RuleState& state, sim::SimTime now) {
     if (rate < state.rule.rate_min_per_s ||
         rate > state.rule.rate_max_per_s) {
       failed = true;
-      detail << "check '" << state.rule.name << "': " << state.rule.signal
-             << " rate " << rate << "/s outside ["
-             << state.rule.rate_min_per_s << ", "
-             << state.rule.rate_max_per_s << "]";
+      detail = util::concat("check '", state.rule.name, "': ",
+                            state.rule.signal, " rate ", rate, "/s outside [",
+                            state.rule.rate_min_per_s, ", ",
+                            state.rule.rate_max_per_s, "]");
     }
   }
   state.has_prev = true;
@@ -95,7 +97,7 @@ void CheckSupervisionUnit::evaluate(RuleState& state, sim::SimTime now) {
     watchdog_.report_external_error({.runnable = state.id,
                                      .type = wdg::ErrorType::kCheckRule,
                                      .time = now,
-                                     .detail = detail.str()});
+                                     .detail = std::move(detail)});
   }
   psu_.close(state.section, now);
   state.section_open = false;

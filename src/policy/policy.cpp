@@ -1,59 +1,52 @@
 #include "policy/policy.hpp"
 
-#include <cstdlib>
-#include <sstream>
+#include <string>
 #include <type_traits>
+#include <utility>
+
+#include "util/text.hpp"
 
 namespace easis::policy {
 
 namespace {
 
-/// Shortest decimal representation that parses back to exactly `v`
-/// (canonical-text requirement: 0.9 prints as "0.9", not
-/// "0.90000000000000002", yet still round-trips bit-exactly).
-std::string format_double(double v) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream os;
-    os.precision(precision);
-    os << v;
-    if (std::strtod(os.str().c_str(), nullptr) == v) return os.str();
-  }
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
+/// Builds canonical text. Doubles print as their shortest decimal form
+/// that parses back to exactly the same value (canonical-text requirement:
+/// 0.9 prints as "0.9", not "0.90000000000000002", yet still round-trips
+/// bit-exactly).
 class Writer {
  public:
   void section(std::string_view name) {
-    if (!first_) out_ << '\n';
+    if (!first_) out_ += '\n';
     first_ = false;
-    out_ << '[' << name << "]\n";
+    util::append(out_, '[', name, "]\n");
   }
   void check_section(std::string_view name) {
-    out_ << "\n[check \"" << name << "\"]\n";
+    util::append(out_, "\n[check \"", name, "\"]\n");
   }
   void mode_section(std::string_view name) {
-    if (!first_) out_ << '\n';
+    if (!first_) out_ += '\n';
     first_ = false;
-    out_ << "[mode." << name << "]\n";
+    util::append(out_, "[mode.", name, "]\n");
   }
   template <typename T,
             typename = std::enable_if_t<std::is_integral_v<T>>>
   void key(std::string_view k, T v) {
-    out_ << k << " = " << static_cast<std::uint64_t>(v) << '\n';
+    util::append(out_, k, " = ", static_cast<std::uint64_t>(v), '\n');
   }
   void key(std::string_view k, double v) {
-    out_ << k << " = " << format_double(v) << '\n';
+    util::append(out_, k, " = ");
+    util::append_shortest(out_, v);
+    out_ += '\n';
   }
   void key(std::string_view k, std::string_view v) {
-    out_ << k << " = " << v << '\n';
+    util::append(out_, k, " = ", v, '\n');
   }
-  [[nodiscard]] std::string str() const { return out_.str(); }
+  /// The text written so far; leaves the writer empty.
+  [[nodiscard]] std::string release() { return std::move(out_); }
 
  private:
-  std::ostringstream out_;
+  std::string out_;
   bool first_ = true;
 };
 
@@ -182,7 +175,7 @@ std::string to_text(const PolicySet& policy) {
       w.key("rate_max_per_s", check.rate_max_per_s);
     }
   }
-  return w.str();
+  return w.release();
 }
 
 std::uint64_t version_hash(const PolicySet& policy) {
@@ -198,7 +191,7 @@ std::uint32_t version_hash24(const PolicySet& policy) {
 std::uint64_t overlay_hash(const ModeOverlay& overlay) {
   Writer w;
   append_mode(w, overlay);
-  return fnv1a(w.str());
+  return fnv1a(w.release());
 }
 
 std::uint32_t overlay_hash24(const ModeOverlay& overlay) {

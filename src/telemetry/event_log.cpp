@@ -1,7 +1,9 @@
 #include "telemetry/event_log.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
 namespace easis::telemetry {
 
@@ -13,17 +15,35 @@ void EventLog::push_back(const Event& event) {
   if (event.detail.size() > std::numeric_limits<std::uint16_t>::max()) {
     throw std::length_error("EventLog: event detail exceeds 64 KiB");
   }
+  const std::string_view detail = event.detail;
+  // A detail often repeats one a few events back (the threshold trip, the
+  // state change and the treatment of every error cycle): share its bytes
+  // instead of appending them again.
+  const Record* same = nullptr;
+  const std::size_t window = std::min(records_.size(), kShareWindow);
+  for (std::size_t i = records_.size(); i > records_.size() - window; --i) {
+    const Record& r = records_[i - 1];
+    if (r.detail_length == detail.size() &&
+        std::string_view(arena_).substr(r.detail_offset, r.detail_length) ==
+            detail) {
+      same = &r;
+      break;
+    }
+  }
+  const auto offset = same != nullptr
+                          ? same->detail_offset
+                          : static_cast<std::uint32_t>(arena_.size());
   records_.push_back(Record{event.seq,
                             event.time.as_micros(),
                             event.injection.value(),
                             event.runnable.value(),
                             event.task.value(),
                             event.application.value(),
-                            static_cast<std::uint32_t>(arena_.size()),
-                            static_cast<std::uint16_t>(event.detail.size()),
+                            offset,
+                            static_cast<std::uint16_t>(detail.size()),
                             event.component,
                             event.kind});
-  arena_ += event.detail;
+  if (same == nullptr) arena_ += detail;
 }
 
 Event EventLog::operator[](std::size_t index) const {
@@ -39,6 +59,15 @@ Event EventLog::operator[](std::size_t index) const {
   event.application = ApplicationId(r.application);
   event.detail.assign(arena_, r.detail_offset, r.detail_length);
   return event;
+}
+
+EventLog EventLog::tail(std::size_t n) const {
+  EventLog out;
+  const std::size_t first = records_.size() > n ? records_.size() - n : 0;
+  for (std::size_t i = first; i < records_.size(); ++i) {
+    out.push_back((*this)[i]);
+  }
+  return out;
 }
 
 }  // namespace easis::telemetry

@@ -2,9 +2,11 @@
 //
 // A campaign keeps every run's telemetry until its end-of-campaign exports,
 // so the stored form of an event is what sets campaign memory. EventLog
-// stores each Event as one fixed 48-byte Record (the scalar fields plus the
+// stores each Event as one fixed 40-byte Record (the scalar fields plus the
 // offset and length of its detail) and appends every detail's text to one
 // per-log string arena: no per-event heap block, no interning, no hashing.
+// A detail equal to one of the last kShareWindow events' shares its bytes
+// instead of being appended again.
 //
 // Reads stay vector-like: size(), empty(), operator[], front(), back() and
 // range-for all yield a telemetry::Event rebuilt from the record, so
@@ -65,6 +67,10 @@ class EventLog {
   [[nodiscard]] Event front() const { return (*this)[0]; }
   [[nodiscard]] Event back() const { return (*this)[size() - 1]; }
 
+  /// The last `n` events (all of them when the log is shorter), oldest
+  /// first, as a log of their own: the flight record of a run.
+  [[nodiscard]] EventLog tail(std::size_t n) const;
+
   [[nodiscard]] const_iterator begin() const { return {this, 0}; }
   [[nodiscard]] const_iterator end() const { return {this, size()}; }
 
@@ -88,8 +94,13 @@ class EventLog {
   // run).
   static_assert(sizeof(Record) <= 40, "an event record must stay compact");
 
+  /// Records push_back() searches for a detail to share. Error cycles
+  /// repeat a handful of details (threshold trip, state change,
+  /// treatment); 16 catches most repeats at a few length compares each.
+  static constexpr std::size_t kShareWindow = 16;
+
   std::vector<Record> records_;
-  /// Every event's detail, back to back in append order.
+  /// Every distinct detail in append order; records may share a slice.
   std::string arena_;
 };
 

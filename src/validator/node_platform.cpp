@@ -56,9 +56,12 @@ void NodePlatform::build_fault_memory(std::vector<std::string> frame_signals,
   // Transgression records ride in the NVM image once process supervision
   // is attached, whether before or after this point.
   fmf_->attach_transgression_store(
-      [this] {
-        return psu_ ? psu_->persisted_records()
-                    : std::vector<wdg::TransgressionRecord>{};
+      [this](std::vector<wdg::TransgressionRecord>& records) {
+        if (psu_) {
+          psu_->persisted_records(records);
+        } else {
+          records.clear();
+        }
       },
       [this](const std::vector<wdg::TransgressionRecord>& records) {
         if (psu_) psu_->restore_records(records);

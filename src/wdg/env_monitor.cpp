@@ -1,11 +1,11 @@
 #include "wdg/env_monitor.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "telemetry/event_bus.hpp"
+#include "util/text.hpp"
 
 namespace easis::wdg {
 
@@ -316,23 +316,25 @@ std::uint64_t EnvironmentSupervisionUnit::reports_for(RunnableId id) const {
 }
 
 std::string EnvironmentSupervisionUnit::format_snapshot() const {
-  std::ostringstream out;
-  out << "environment snapshot (trace=" << trace_ << ")\n";
+  std::string out;
+  out.reserve(64 * (1 + thermal_order_.size() + fs_order_.size()));
+  util::append(out, "environment snapshot (trace=", trace_, ")\n");
   for (RunnableId id : thermal_order_) {
     const ThermalState& state = thermal_.at(id);
-    out << "  thermal " << state.config.name << " stage="
-        << to_string(state.stage) << " temp_c=" << state.last_c
-        << " invalid=" << (state.invalid ? 1 : 0)
-        << " reports=" << state.reports << '\n';
+    util::append(out, "  thermal ", state.config.name,
+                 " stage=", to_string(state.stage), " temp_c=", state.last_c,
+                 " invalid=", state.invalid ? 1 : 0,
+                 " reports=", state.reports, '\n');
   }
   for (RunnableId id : fs_order_) {
     const FilesystemState& state = filesystem_.at(id);
-    out << "  filesystem " << state.config.name << " fill_pct="
-        << state.last_fill_pct << " wear_pct=" << state.last_wear_pct
-        << " write_errors=" << state.last_write_errors
-        << " reports=" << state.reports << '\n';
+    util::append(out, "  filesystem ", state.config.name,
+                 " fill_pct=", state.last_fill_pct,
+                 " wear_pct=", state.last_wear_pct,
+                 " write_errors=", state.last_write_errors,
+                 " reports=", state.reports, '\n');
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace easis::wdg

@@ -116,14 +116,12 @@ void ProcessSupervisionUnit::KernelHook::on_segment_complete(
   }
 }
 
-std::vector<TransgressionRecord> ProcessSupervisionUnit::persisted_records()
-    const {
-  std::vector<TransgressionRecord> records;
-  records.reserve(sections_.size());
-  for (const Section& section : sections_) {
-    records.push_back(section.record);
+void ProcessSupervisionUnit::persisted_records(
+    std::vector<TransgressionRecord>& out) const {
+  out.resize(sections_.size());
+  for (std::size_t i = 0; i < sections_.size(); ++i) {
+    out[i] = sections_[i].record;
   }
-  return records;
 }
 
 void ProcessSupervisionUnit::restore_records(

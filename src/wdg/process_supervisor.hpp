@@ -77,9 +77,10 @@ class ProcessSupervisionUnit {
   void bind_kernel(os::Kernel& kernel);
 
   // --- persistence --------------------------------------------------------
-  /// Snapshot of every section's transgression record (fault-memory feed;
-  /// sections without transgressions are included with count 0).
-  [[nodiscard]] std::vector<TransgressionRecord> persisted_records() const;
+  /// Overwrites `out` with every section's transgression record
+  /// (fault-memory feed; sections without transgressions are included with
+  /// count 0). Reusing `out` across calls reuses its storage.
+  void persisted_records(std::vector<TransgressionRecord>& out) const;
   /// Restores counts from fault memory at boot, matched by section name;
   /// unknown names are ignored (the section set may have changed).
   void restore_records(const std::vector<TransgressionRecord>& records);

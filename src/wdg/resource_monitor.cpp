@@ -1,11 +1,11 @@
 #include "wdg/resource_monitor.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "telemetry/event_bus.hpp"
+#include "util/text.hpp"
 
 namespace easis::wdg {
 
@@ -228,21 +228,22 @@ std::uint64_t ResourceSupervisionUnit::reports_for(RunnableId id) const {
 }
 
 std::string ResourceSupervisionUnit::format_snapshot() const {
-  std::ostringstream out;
-  out << "resource snapshot (load_avg_pct="
-      << static_cast<std::uint64_t>(std::llround(load_average_ * 100.0))
-      << ")\n";
+  std::string out;
+  out.reserve(96 * (1 + order_.size()));
+  util::append(out, "resource snapshot (load_avg_pct=",
+               static_cast<std::uint64_t>(std::llround(load_average_ * 100.0)),
+               ")\n");
   for (RunnableId id : order_) {
     const State& state = resources_.at(id);
     const SupervisedResource& cfg = state.config;
-    out << "  res " << cfg.name << " class="
-        << to_string(cfg.resource_class)
-        << " level_pct=" << state.last_level_pct
-        << " usage=" << state.last_usage << " budget=" << state.last_budget
-        << " denied=" << state.last_denied << " reports=" << state.reports
-        << '\n';
+    util::append(out, "  res ", cfg.name,
+                 " class=", to_string(cfg.resource_class),
+                 " level_pct=", state.last_level_pct,
+                 " usage=", state.last_usage, " budget=", state.last_budget,
+                 " denied=", state.last_denied, " reports=", state.reports,
+                 '\n');
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace easis::wdg

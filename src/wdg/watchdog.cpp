@@ -4,6 +4,7 @@
 
 #include "profile/profiler.hpp"
 #include "telemetry/event_bus.hpp"
+#include "util/text.hpp"
 
 namespace easis::wdg {
 
@@ -196,9 +197,9 @@ void SoftwareWatchdog::handle_deadline_error(std::size_t pair_index,
         .type = ErrorType::kDeadline,
         .time = now,
         .related = pair.start,
-        .detail = pair.name + ": " + std::to_string(measured.as_micros()) +
-                  "us outside [" + std::to_string(pair.min.as_micros()) +
-                  ", " + std::to_string(pair.max.as_micros()) + "]us"});
+        .detail = util::concat(pair.name, ": ", measured.as_micros(),
+                               "us outside [", pair.min.as_micros(), ", ",
+                               pair.max.as_micros(), "]us")});
 }
 
 void SoftwareWatchdog::emit(ErrorReport report) {
@@ -220,8 +221,13 @@ void SoftwareWatchdog::emit(ErrorReport report) {
     event.runnable = report.runnable;
     event.task = report.task;
     event.application = report.application;
-    event.detail = std::string(to_string(report.type));
-    if (!report.detail.empty()) event.detail += ": " + report.detail;
+    const std::string_view type = to_string(report.type);
+    if (report.detail.empty()) {
+      event.detail = type;
+    } else {
+      event.detail.reserve(type.size() + 2 + report.detail.size());
+      util::append(event.detail, type, ": ", report.detail);
+    }
     telemetry::emit(std::move(event));
   }
   // Report the error to the FMF before the TSI derives new states: state

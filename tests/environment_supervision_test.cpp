@@ -188,6 +188,27 @@ TEST_F(EsuTest, LadderStepsOneStagePerCycleAndShutdownLatches) {
   EXPECT_EQ(derate_exited, 0);
 }
 
+TEST_F(EsuTest, SnapshotTextIsExact) {
+  add_channel(limits());
+  wdg::FilesystemChannel channel;
+  channel.id = RunnableId(2101);
+  channel.task = TaskId(1);
+  channel.application = ApplicationId(0);
+  channel.name = "faultmem";
+  channel.fill_probe = [] { return 0.4275; };
+  channel.wear_probe = [] { return 0.125; };
+  channel.write_error_probe = [] { return std::uint64_t{3}; };
+  channel.overflow_probe = [] { return std::uint64_t{0}; };
+  esu.add_filesystem(channel);
+  temp_c = 61.23456789;
+  cycles(2);
+  EXPECT_EQ(esu.format_snapshot(),
+            "environment snapshot (trace=normal>warn)\n"
+            "  thermal ecu stage=warn temp_c=61.2346 invalid=0 reports=1\n"
+            "  filesystem faultmem fill_pct=43 wear_pct=13 write_errors=3 "
+            "reports=1\n");
+}
+
 TEST_F(EsuTest, HysteresisGatesDownwardAndRecoveryIsSilent) {
   add_channel(limits());
   temp_c = 85.0;
@@ -536,7 +557,9 @@ TEST_F(FmfNvmPressureTest, PersistEvictsByPriorityAndKeepsTheResetChain) {
   fmf::NvmStore nvm(512);
   fmf.attach_nvm(&nvm);
   fmf.attach_transgression_store(
-      [this] { return transgressions(); },
+      [this](std::vector<wdg::TransgressionRecord>& out) {
+        out = transgressions();
+      },
       [](const std::vector<wdg::TransgressionRecord>&) {});
   record_dtcs(12);  // 12 DTCs with freeze frames: far beyond 512 bytes
 
@@ -713,7 +736,7 @@ class FmfEvictionLadderTest : public ::testing::Test {
     fmf.attach();
     fmf.attach_dtc_store(&dtcs);
     fmf.attach_transgression_store(
-        [this] { return records; },
+        [this](std::vector<wdg::TransgressionRecord>& out) { out = records; },
         [](const std::vector<wdg::TransgressionRecord>&) {});
     signals.publish("env.ecu.temp_c", 96.5, SimTime(500));
   }
@@ -1053,7 +1076,8 @@ TEST_F(PsuTest, RestoreRecordsMergesByNameAndNeverShrinks) {
   EXPECT_EQ(record.worst.as_micros(), 5'000);
 
   // The snapshot side feeds persist() with the merged state.
-  const auto snapshot = psu.persisted_records();
+  std::vector<wdg::TransgressionRecord> snapshot;
+  psu.persisted_records(snapshot);
   ASSERT_EQ(snapshot.size(), 1u);
   EXPECT_EQ(snapshot[0].section, "safespeed.cc");
   EXPECT_EQ(snapshot[0].count, 4u);

@@ -466,6 +466,44 @@ TEST(CampaignTelemetry, HungRunLeavesFlightRecorderSnapshot) {
   EXPECT_NE(dump.str().find("status=timeout"), std::string::npos);
 }
 
+TEST(CampaignTelemetry, HungRunFlightDumpNotesDroppedEvents) {
+  // A hung run that emitted more than its flight record holds keeps the
+  // newest 256 events, and its dump says older ones were dropped.
+  CampaignConfig config;
+  config.jobs = 1;
+  config.run_deadline = std::chrono::milliseconds(100);
+  config.supervisor_poll = std::chrono::milliseconds(5);
+  CampaignRunner runner(config, [&](const RunContext& ctx) {
+    for (int i = 0; i < 300; ++i) {
+      telemetry::Event event;
+      event.kind = telemetry::EventKind::kErrorDetected;
+      event.component = telemetry::Component::kDeadlineUnit;
+      event.time = sim::SimTime(i);
+      event.detail = "event " + std::to_string(i);
+      telemetry::emit(event);
+    }
+    while (!ctx.cancelled()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return RunResult{};
+  });
+
+  const auto specs = CampaignRunner::make_specs(1, 5);
+  const CampaignOutcome outcome = runner.run(specs);
+  const RunResult& hung = outcome.results[0];
+  ASSERT_EQ(hung.status, RunStatus::kRunTimeout);
+  ASSERT_EQ(hung.events.size(), 256u);
+  EXPECT_TRUE(hung.events_truncated);
+  EXPECT_EQ(hung.events.front().detail, "event 44");
+  EXPECT_EQ(hung.events.back().detail, "event 299");
+
+  const CampaignReport report(specs, outcome);
+  std::ostringstream dump;
+  report.write_flight_dump(dump, 0);
+  EXPECT_NE(dump.str().find("256 event(s) (older events dropped by the ring)"),
+            std::string::npos);
+}
+
 TEST(CampaignTelemetry, MisdetectingRunBecomesDumpCandidate) {
   CampaignConfig config;
   config.jobs = 1;

@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "bus/can.hpp"
 #include "diag/protocol.hpp"
@@ -20,6 +21,7 @@
 #include "policy/policy.hpp"
 #include "rte/signal_bus.hpp"
 #include "sim/engine.hpp"
+#include "telemetry/event_bus.hpp"
 #include "util/trace.hpp"
 #include "validator/controldesk.hpp"
 #include "validator/railmon_node.hpp"
@@ -361,6 +363,96 @@ TEST(RailMonNode, PowerModeDidsReportTheLiveMode) {
             f.node->mode_unit().active_overlay_hash24());
   EXPECT_NE(static_cast<std::uint32_t>(*overlay_did), 0u);
   EXPECT_EQ(f.errors, 0u);
+}
+
+// --- report detail text -----------------------------------------------------
+//
+// Each kind of ModeSupervisionUnit report, exactly as the fault memory and
+// the exported event logs carry it.
+
+/// The first kPowerMode report a scenario raises, and every mode-unit
+/// event it emits.
+struct DetailFixture : NodeFixture {
+  telemetry::EventBus bus;
+  std::optional<telemetry::EventScope> scope;
+  std::vector<telemetry::Event> events;
+  std::string first_detail;
+
+  DetailFixture() {
+    bus.add_sink([this](const telemetry::Event& event) {
+      if (event.component == telemetry::Component::kModeUnit) {
+        events.push_back(event);
+      }
+    });
+    scope.emplace(bus);
+    node->watchdog().add_error_listener([this](const wdg::ErrorReport& e) {
+      if (e.type == wdg::ErrorType::kPowerMode && first_detail.empty()) {
+        first_detail = e.detail;
+      }
+    });
+  }
+};
+
+TEST(ModeReportDetail, Overstay) {
+  DetailFixture f;
+  f.node->railmon().set_wake_suppressed(true);
+  f.node->start();
+  f.engine.run_until(SimTime(3'000'000));
+  EXPECT_EQ(f.first_detail, "mode sleep overstayed: dwell 807ms > max 800ms");
+}
+
+TEST(ModeReportDetail, HungTransition) {
+  DetailFixture f;
+  f.engine.schedule_at(SimTime(400'000), [&] {
+    f.node->mode_manager().set_transition_hang(true);
+  });
+  f.node->start();
+  f.engine.run_until(SimTime(1'500'000));
+  EXPECT_EQ(f.first_detail,
+            "transition run->flashwrite hung for 29ms (deadline 20ms)");
+}
+
+TEST(ModeReportDetail, Refusals) {
+  DetailFixture f;
+  f.engine.schedule_at(SimTime(400'000), [&] {
+    f.node->mode_manager().set_refuse_all(true);
+  });
+  f.node->start();
+  f.engine.run_until(SimTime(2'000'000));
+  EXPECT_EQ(f.first_detail,
+            "3 consecutive refused transitions in mode run (limit 3)");
+}
+
+TEST(ModeReportDetail, HeartbeatDuringSilence) {
+  DetailFixture f;
+  std::function<void()> rogue = [&] {
+    if (f.node->mode_manager().current() == PowerMode::kSleep) {
+      (void)f.node->kernel().activate_task(f.node->sensor_task());
+    }
+    f.engine.schedule_in(Duration::millis(5), rogue);
+  };
+  f.engine.schedule_in(Duration::millis(5), rogue);
+  f.node->start();
+  f.engine.run_until(SimTime(3'000'000));
+  EXPECT_EQ(f.first_detail,
+            "heartbeat during contracted silence (mode sleep, runnable 1)");
+}
+
+TEST(ModeReportDetail, OverlayApplied) {
+  DetailFixture f;
+  f.node->start();
+  f.engine.run_until(SimTime(1'500'000));
+  std::vector<std::string> applied;
+  for (const telemetry::Event& event : f.events) {
+    if (event.kind == telemetry::EventKind::kModeOverlayApplied) {
+      applied.push_back(event.detail);
+    }
+  }
+  // The run overlay was applied at construction, before the scope.
+  const std::vector<std::string> expected = {
+      "flashwrite overlay=5988333 armed", "sleep overlay=14090755 silence",
+      "wakeburst overlay=16489000 armed", "run overlay=5622510 armed"};
+  EXPECT_EQ(applied, expected);
 }
 
 TEST(ControlDesk, WatchPowerModeSamplesTheModeProbes) {

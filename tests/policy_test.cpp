@@ -279,8 +279,10 @@ TEST(CheckSupervision, OutOfBandSignalReportsCheckRuleError) {
   ASSERT_NE(node.attach_check_supervision(), nullptr);
 
   std::uint64_t check_errors = 0;
+  std::string first_detail;
   node.watchdog().add_error_listener([&](const wdg::ErrorReport& report) {
-    if (report.type == wdg::ErrorType::kCheckRule) ++check_errors;
+    if (report.type != wdg::ErrorType::kCheckRule) return;
+    if (check_errors++ == 0) first_detail = report.detail;
   });
 
   node.start();
@@ -296,6 +298,7 @@ TEST(CheckSupervision, OutOfBandSignalReportsCheckRuleError) {
   EXPECT_GT(node.check_supervision()->failures(), 0u);
   EXPECT_GT(check_errors, 0u);
   EXPECT_GT(node.check_supervision()->evaluations(), 0u);
+  EXPECT_EQ(first_detail, "check 'band': test.signal=50 outside [0, 10]");
 
   // The failure lands in fault memory like any other watchdog error.
   ASSERT_NE(node.dtc_store(), nullptr);
@@ -449,8 +452,10 @@ TEST(CheckSupervision, RunawaySlopeFailsTheRatePredicate) {
   ASSERT_NE(node.attach_check_supervision(), nullptr);
 
   std::uint64_t check_errors = 0;
+  std::string first_detail;
   node.watchdog().add_error_listener([&](const wdg::ErrorReport& report) {
-    if (report.type == wdg::ErrorType::kCheckRule) ++check_errors;
+    if (report.type != wdg::ErrorType::kCheckRule) return;
+    if (check_errors++ == 0) first_detail = report.detail;
   });
 
   // Ramp at 500 units/s from t=1s: every absolute sample stays inside
@@ -469,6 +474,8 @@ TEST(CheckSupervision, RunawaySlopeFailsTheRatePredicate) {
   engine.run_until(SimTime(3'000'000));
   EXPECT_GT(node.check_supervision()->failures(), 0u);
   EXPECT_GT(check_errors, 0u);
+  EXPECT_EQ(first_detail,
+            "check 'slope': test.signal rate 500/s outside [-100, 100]");
 }
 
 // --- malformed-bounds diagnostics --------------------------------------------

@@ -190,6 +190,20 @@ TEST_F(RsuTest, WatermarkReportsAfterTransgressionWindow) {
   EXPECT_EQ(errors.size(), 3u);
 }
 
+TEST_F(RsuTest, SnapshotTextIsExact) {
+  kernel.set_task_resource_budget(task, {/*memory_bytes=*/1'000, 0});
+  ASSERT_TRUE(kernel.task_alloc(task, 600));
+  EXPECT_FALSE(kernel.task_alloc(task, 500));
+  rsu.add_resource(resource(ResourceClass::kMemory,
+                            {/*watermark=*/0.5, /*window_cycles=*/1,
+                             /*leak_rate_per_s=*/0.0}));
+  cycles(2);
+  EXPECT_EQ(rsu.format_snapshot(),
+            "resource snapshot (load_avg_pct=0)\n"
+            "  res worker.res class=memory level_pct=60 usage=600 "
+            "budget=1000 denied=1 reports=2\n");
+}
+
 TEST_F(RsuTest, ExhaustionReportsImmediatelyOncePerCycle) {
   kernel.set_task_resource_budget(task, {/*memory_bytes=*/100, 0});
   ASSERT_TRUE(kernel.task_alloc(task, 100));

@@ -1,5 +1,5 @@
 // Tests for the telemetry subsystem: event formatting, bus correlation,
-// metrics export, flight recorder bounding, latency attribution, and the
+// metrics export, event-log tails, latency attribution, and the
 // end-to-end chain from an injected fault to its exported events.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "telemetry/event.hpp"
 #include "telemetry/event_bus.hpp"
 #include "telemetry/event_log.hpp"
-#include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "validator/central_node.hpp"
 
@@ -28,7 +27,6 @@ using telemetry::EventBus;
 using telemetry::EventKind;
 using telemetry::EventLog;
 using telemetry::EventScope;
-using telemetry::FlightRecorder;
 using telemetry::MetricsRegistry;
 
 Event make_event(EventKind kind, std::int64_t t_micros,
@@ -267,40 +265,6 @@ TEST(Metrics, CsvSummaryLineCoversTheDistribution) {
   EXPECT_EQ(prom.str().find("summary"), std::string::npos);
 }
 
-// --- FlightRecorder ----------------------------------------------------------
-
-TEST(FlightRecorder, KeepsOnlyTheMostRecentEvents) {
-  FlightRecorder recorder(3);
-  for (int i = 0; i < 5; ++i) {
-    recorder.on_event(make_event(EventKind::kErrorDetected, i));
-  }
-  EXPECT_EQ(recorder.size(), 3u);
-  EXPECT_EQ(recorder.dropped(), 2u);
-  const auto events = recorder.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events.front().time.as_micros(), 2);
-  EXPECT_EQ(events.back().time.as_micros(), 4);
-}
-
-TEST(FlightRecorder, DumpNotesDroppedEvents) {
-  FlightRecorder recorder(2);
-  for (int i = 0; i < 3; ++i) {
-    recorder.on_event(make_event(EventKind::kErrorDetected, i));
-  }
-  std::ostringstream out;
-  recorder.dump(out);
-  EXPECT_NE(out.str().find("2 event(s) retained, 1 older dropped"),
-            std::string::npos);
-}
-
-TEST(FlightRecorder, ClearResetsRing) {
-  FlightRecorder recorder(2);
-  recorder.on_event(make_event(EventKind::kErrorDetected, 0));
-  recorder.clear();
-  EXPECT_EQ(recorder.size(), 0u);
-  EXPECT_EQ(recorder.dropped(), 0u);
-}
-
 // --- EventLog ----------------------------------------------------------------
 
 std::string line_of(const Event& event) {
@@ -394,16 +358,68 @@ TEST(EventLog, KeepsInvalidIdsInvalid) {
             "task=#invalid app=#invalid | ");
 }
 
+EventLog log_of_errors(int count) {
+  EventLog log;
+  for (int i = 0; i < count; ++i) {
+    log.push_back(make_event(EventKind::kErrorDetected, i));
+  }
+  return log;
+}
+
+TEST(EventLog, RepeatedDetailsReadBackAtEveryDistance) {
+  // Details repeat at distances inside and past the sharing window, mixed
+  // with equal-length different ones; each event keeps its own text, also
+  // in a copy and in a tail.
+  const std::vector<std::string> details = {"faulty", "ok", "faultz",
+                                            "terminate RailMon", ""};
+  std::vector<std::string> expected;
+  EventLog log;
+  for (int i = 0; i < 200; ++i) {
+    const std::string& detail =
+        details[static_cast<std::size_t>(i * i + i / 7) % details.size()];
+    const std::string text = i % 40 == 39 ? "unique " + std::to_string(i)
+                                          : detail;
+    log.push_back(
+        make_event(EventKind::kErrorDetected, i, Component::kFmf, text));
+    expected.push_back(text);
+  }
+  const EventLog copy = log;
+  const EventLog tail = log.tail(50);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(log[i].detail, expected[i]) << i;
+    ASSERT_EQ(copy[i].detail, expected[i]) << i;
+  }
+  ASSERT_EQ(tail.size(), 50u);
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    ASSERT_EQ(tail[i].detail, expected[150 + i]) << i;
+  }
+}
+
+TEST(EventLog, TailKeepsOnlyTheMostRecentEvents) {
+  const EventLog events = log_of_errors(5).tail(3);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events.front().time.as_micros(), 2);
+  EXPECT_EQ(events.back().time.as_micros(), 4);
+}
+
+TEST(EventLog, TailOfAShortOrClearedLogIsAllOfIt) {
+  EXPECT_EQ(log_of_errors(2).tail(3).size(), 2u);
+  EXPECT_TRUE(log_of_errors(2).tail(0).empty());
+  EventLog log = log_of_errors(2);
+  log.clear();
+  EXPECT_TRUE(log.tail(3).empty());
+}
+
 TEST(EventLog, FlightSnapshotKeepsSeqAndDetail) {
-  FlightRecorder recorder(3);
+  EventLog log;
   for (int i = 0; i < 5; ++i) {
     Event event = make_event(EventKind::kErrorDetected, i * 10,
                              Component::kDeadlineUnit,
                              "deadline miss number " + std::to_string(i));
     event.seq = static_cast<std::uint64_t>(100 + i);
-    recorder.on_event(event);
+    log.push_back(event);
   }
-  const EventLog snapshot = recorder.snapshot();
+  const EventLog snapshot = log.tail(3);
   ASSERT_EQ(snapshot.size(), 3u);
   for (std::size_t i = 0; i < snapshot.size(); ++i) {
     EXPECT_EQ(snapshot[i].seq, 102 + i);
@@ -411,6 +427,12 @@ TEST(EventLog, FlightSnapshotKeepsSeqAndDetail) {
               "deadline miss number " + std::to_string(i + 2));
     EXPECT_EQ(snapshot[i].component, Component::kDeadlineUnit);
   }
+  // The tail is a log of its own: appending to it keeps every detail.
+  EventLog grown = snapshot;
+  grown.push_back(make_event(EventKind::kErrorDetected, 50,
+                             Component::kDeadlineUnit, "appended"));
+  EXPECT_EQ(grown[2].detail, "deadline miss number 4");
+  EXPECT_EQ(grown[3].detail, "appended");
 }
 
 // --- Attribution -------------------------------------------------------------

@@ -2,6 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+#include <string_view>
 #include <sstream>
 #include <thread>
 #include <unordered_set>
@@ -17,6 +25,7 @@
 #include "util/ring_buffer.hpp"
 #include "util/stats.hpp"
 #include "util/strong_id.hpp"
+#include "util/text.hpp"
 #include "util/trace.hpp"
 
 namespace easis {
@@ -700,6 +709,104 @@ TEST(Crc8, DetectsSingleBitFlips) {
       data[byte] ^= static_cast<std::uint8_t>(1u << bit);
     }
   }
+}
+
+// --- text formatting --------------------------------------------------------
+//
+// util::append and friends replace std::ostringstream on the run path, so
+// every exported byte depends on them printing exactly what the stream
+// printed. The references below are the stream code they replaced.
+
+/// What `os << v` prints on a stream with precision `precision`.
+std::string stream_double(double v, int precision) {
+  std::ostringstream os;
+  os.precision(precision);
+  os << v;
+  return os.str();
+}
+
+/// The canonical policy text's former double formatter: the shortest
+/// stream output, precision 1..17, that strtod parses back to `v`.
+std::string stream_shortest(double v) {
+  for (int precision = 1; precision <= 17; ++precision) {
+    const std::string text = stream_double(v, precision);
+    if (std::strtod(text.c_str(), nullptr) == v) return text;
+  }
+  return stream_double(v, 17);
+}
+
+std::string appended_double(double v, int precision) {
+  std::string out;
+  util::append_double(out, v, precision);
+  return out;
+}
+
+std::string appended_shortest(double v) {
+  std::string out;
+  util::append_shortest(out, v);
+  return out;
+}
+
+/// Special values, then 10^5 seeded random bit patterns (every fourth one
+/// with a zero exponent, i.e. a subnormal or zero).
+std::vector<double> parity_doubles() {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0,           -0.0,
+      limits::denorm_min(), -limits::denorm_min(),
+      limits::min(), std::nextafter(limits::min(), 0.0),
+      limits::max(), -limits::max(),
+      limits::infinity(), -limits::infinity(),
+      limits::quiet_NaN(), -limits::quiet_NaN(),
+      0.1,           0.9,
+      1.0 / 3.0,     2.5e-7,
+      123456.5,      1234567.0,
+      1e15,          1e16,
+      1e17,          -61.23456789,
+      5e-324,        9.999995,
+      0.0001,        0.00001};
+  std::mt19937_64 rng(0x7E47);
+  for (int i = 0; i < 100'000; ++i) {
+    std::uint64_t bits = rng();
+    if (i % 4 == 0) bits &= 0x800F'FFFF'FFFF'FFFFull;
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    values.push_back(v);
+  }
+  return values;
+}
+
+TEST(TextFormat, DoublesMatchTheStreamAtEveryPrecision) {
+  for (const double v : parity_doubles()) {
+    for (const int precision : {1, 3, 6, 17}) {
+      ASSERT_EQ(appended_double(v, precision), stream_double(v, precision))
+          << "precision " << precision;
+    }
+  }
+}
+
+TEST(TextFormat, ShortestMatchesTheStreamLoop) {
+  for (const double v : parity_doubles()) {
+    ASSERT_EQ(appended_shortest(v), stream_shortest(v));
+  }
+  EXPECT_EQ(appended_shortest(0.9), "0.9");
+  EXPECT_EQ(appended_shortest(1.0 / 3.0), "0.3333333333333333");
+}
+
+TEST(TextFormat, AppendPrintsWhatTheStreamPrints) {
+  const std::int64_t negative = std::numeric_limits<std::int64_t>::min();
+  const std::uint64_t big = std::numeric_limits<std::uint64_t>::max();
+  const std::uint32_t small = 42;
+  const std::string_view view = "view";
+  const std::string text = "text";
+  std::ostringstream os;
+  os << "a" << negative << ' ' << big << ':' << small << view << text << 2.5
+     << -0.0 << 1e-5 << ' ' << 1.0 / 3.0;
+  std::string out = "prefix ";
+  util::append(out, "a", negative, ' ', big, ':', small, view, text, 2.5,
+               -0.0, 1e-5, ' ', 1.0 / 3.0);
+  EXPECT_EQ(out, "prefix " + os.str());
+  EXPECT_EQ(util::concat("n=", 7, " x=", 0.125f), "n=7 x=0.125");
 }
 
 }  // namespace
