@@ -56,9 +56,9 @@ int main() {
 
   std::printf("\ncrashes detected: %u, notifications sent: %u\n",
               crash->crashes_detected(), crash->notifications_sent());
-  const auto report = node.watchdog().report(crash->notify_telematics());
   std::printf("NotifyTelematics supervision: arrival-rate errors = %u\n",
-              report.arrival_rate_errors);
+              node.watchdog().tsi_unit().error_count(
+                  crash->notify_telematics(), wdg::ErrorType::kArrivalRate));
   if (node.dtc_store() != nullptr) {
     std::puts("");
     node.dtc_store()->write(std::cout);

@@ -98,14 +98,16 @@ int main() {
   std::puts("running 1 s of simulated time; hang injected at 300 ms...");
   engine.run_until(sim::SimTime(1'000'000));
 
-  const auto report = watchdog.report(compute);
+  const wdg::TaskStateIndicationUnit& tsi = watchdog.tsi_unit();
+  const std::uint32_t aliveness =
+      tsi.error_count(compute, wdg::ErrorType::kAliveness);
   std::printf(
       "\nsupervision report for 'Compute': aliveness=%u arrival=%u flow=%u\n",
-      report.aliveness_errors, report.arrival_rate_errors,
-      report.program_flow_errors);
+      aliveness, tsi.error_count(compute, wdg::ErrorType::kArrivalRate),
+      tsi.error_count(compute, wdg::ErrorType::kProgramFlow));
   std::printf("executions: Read=%llu Compute=%llu Act=%llu\n",
               static_cast<unsigned long long>(rte.executions(read)),
               static_cast<unsigned long long>(rte.executions(compute)),
               static_cast<unsigned long long>(rte.executions(act)));
-  return report.aliveness_errors > 0 ? 0 : 1;
+  return aliveness > 0 ? 0 : 1;
 }

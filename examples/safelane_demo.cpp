@@ -65,13 +65,13 @@ int main() {
   std::puts("simulating 15 s: drift at 1 s, flow fault 10..11 s\n");
   engine.run_until(sim::SimTime(15'000'000));
 
-  const auto detect_report = node.watchdog().report(
-      lane_app->detect_departure());
+  const wdg::TaskStateIndicationUnit& tsi = node.watchdog().tsi_unit();
+  const RunnableId detect = lane_app->detect_departure();
   std::printf("\nDetectDeparture supervision report: flow=%u aliveness=%u "
               "accumulated=%u\n",
-              detect_report.program_flow_errors,
-              detect_report.aliveness_errors,
-              detect_report.accumulated_aliveness_errors);
+              tsi.error_count(detect, wdg::ErrorType::kProgramFlow),
+              tsi.error_count(detect, wdg::ErrorType::kAliveness),
+              tsi.error_count(detect, wdg::ErrorType::kAccumulatedAliveness));
   if (node.fault_management() != nullptr) {
     std::printf("FMF restarts of SafeLane: %u\n",
                 node.fault_management()->restarts_performed(

@@ -38,7 +38,7 @@ void append_one(std::string& out, const T& v) {
                   "ambiguous on a stream: cast bools and bytes explicitly");
     char buf[24];
     const auto result = std::to_chars(buf, buf + sizeof buf, v);
-    out.append(buf, result.ptr);
+    out.append(buf, static_cast<std::size_t>(result.ptr - buf));
   } else if constexpr (std::is_floating_point_v<T>) {
     append_double(out, static_cast<double>(v));
   } else {

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -38,7 +39,7 @@ class TaskStateIndicationUnit {
 
   explicit TaskStateIndicationUnit(Thresholds thresholds,
                                    std::uint32_t ecu_faulty_task_limit);
-  // Each task record points at its elements inside elements_.
+  // Elements and task records point at each other's nodes.
   TaskStateIndicationUnit(const TaskStateIndicationUnit&) = delete;
   TaskStateIndicationUnit& operator=(const TaskStateIndicationUnit&) = delete;
 
@@ -55,10 +56,15 @@ class TaskStateIndicationUnit {
   [[nodiscard]] Health ecu_health() const { return ecu_health_; }
   [[nodiscard]] std::uint32_t error_count(RunnableId runnable,
                                           ErrorType type) const;
-  [[nodiscard]] SupervisionReport report(RunnableId runnable) const;
+  /// In id order.
   [[nodiscard]] std::vector<TaskId> faulty_tasks() const;
 
   // --- state transitions out --------------------------------------------------
+  // Each state change is announced once, in the order it was assigned:
+  // tasks in id order, then applications in id order, then the ECU. A
+  // callback reads states already final for the derive that announced it;
+  // what its treatment changes is announced after the transitions queued
+  // before it, not from inside the callback.
   void set_task_state_callback(TaskStateCallback cb);
   void set_application_state_callback(ApplicationStateCallback cb);
   void set_ecu_state_callback(EcuStateCallback cb);
@@ -70,51 +76,48 @@ class TaskStateIndicationUnit {
   void reset(sim::SimTime now);
 
  private:
-  struct Element {
-    std::uint32_t task;         // index into tasks_
-    std::uint32_t application;  // index into apps_
-    std::array<std::uint32_t, kErrorTypeCount> counts{};
-    /// One error class at or over its non-zero threshold.
-    bool tripped = false;
-  };
   /// A task's or an application's state, with the number of its tripped
   /// elements.
-  template <typename Id>
   struct Group {
-    Id id;
     Health health = Health::kOk;
     std::uint32_t tripped = 0;
     [[nodiscard]] Health derived() const {
       return tripped > 0 ? Health::kFaulty : Health::kOk;
     }
   };
-  struct TaskGroup : Group<TaskId> {
+  struct Element {
+    TaskId task;
+    ApplicationId application;
+    Group* task_state;  // nodes of tasks_ and apps_, which never move
+    Group* app_state;
+    std::array<std::uint32_t, kErrorTypeCount> counts{};
+    /// One error class at or over its non-zero threshold.
+    bool tripped = false;
+  };
+  struct TaskGroup : Group {
     std::vector<Element*> elements;  // nodes of elements_, which never move
   };
-  /// The state a derive is to give tasks_[index] or apps_[index].
-  struct Target {
-    std::uint32_t index;
+  /// One state assignment awaiting its announcement.
+  struct Transition {
+    enum class Level : std::uint8_t { kTask, kApplication, kEcu } level;
+    TaskId task;
+    ApplicationId application;
     Health health;
+    sim::SimTime time;
   };
 
   Thresholds thresholds_;
   std::uint32_t ecu_faulty_task_limit_;
   std::unordered_map<RunnableId, Element> elements_;
-  /// Dense records in registration order, and the index of each id.
-  std::vector<TaskGroup> tasks_;
-  std::vector<Group<ApplicationId>> apps_;
-  std::unordered_map<TaskId, std::uint32_t> task_index_;
-  std::unordered_map<ApplicationId, std::uint32_t> app_index_;
-  /// The indices in the iteration order of the two index maps, the order
-  /// in which state-change callbacks fire.
-  std::vector<std::uint32_t> task_order_;
-  std::vector<std::uint32_t> app_order_;
+  /// Keyed by id, so derives assign and announce in id order.
+  std::map<TaskId, TaskGroup> tasks_;
+  std::map<ApplicationId, Group> apps_;
   Health ecu_health_ = Health::kOk;
-  /// The snapshots of the derives in progress, innermost last: a derive
-  /// nested in a callback pushes above its caller's entries and pops them
-  /// before it returns, so the buffers are reused without allocating.
-  std::vector<Target> task_targets_;
-  std::vector<Target> app_targets_;
+  /// Assignments not yet announced, in the order they were made. Only the
+  /// outermost derive dispatches them; a derive run by a callback's
+  /// treatment appends its own behind them.
+  std::vector<Transition> pending_;
+  bool dispatching_ = false;
 
   TaskStateCallback task_cb_;
   ApplicationStateCallback app_cb_;
@@ -122,8 +125,9 @@ class TaskStateIndicationUnit {
 
   /// Zeroes one element's vector and untrips it.
   void clear_element(Element& e);
-  /// Rolls the tripped counts up to task, application and ECU states and
-  /// announces each change.
+  /// Assigns task, application and ECU states from the tripped counts,
+  /// queues one transition per change and, unless a dispatch is already
+  /// running further up the stack, announces the queue.
   void derive_states(sim::SimTime now);
 };
 

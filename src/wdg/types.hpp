@@ -125,29 +125,6 @@ struct ErrorReport {
   std::string detail{};
 };
 
-/// Per-runnable supervision report (TSI output, paper §3.2.3).
-struct SupervisionReport {
-  RunnableId runnable;
-  TaskId task;
-  ApplicationId application;
-  std::uint32_t aliveness_errors = 0;
-  std::uint32_t arrival_rate_errors = 0;
-  std::uint32_t program_flow_errors = 0;
-  std::uint32_t accumulated_aliveness_errors = 0;
-  std::uint32_t deadline_errors = 0;
-  std::uint32_t communication_errors = 0;
-  std::uint32_t nvm_corruption_errors = 0;
-  std::uint32_t memory_budget_errors = 0;
-  std::uint32_t handle_exhaustion_errors = 0;
-  std::uint32_t queue_overflow_errors = 0;
-  std::uint32_t cpu_overload_errors = 0;
-  std::uint32_t thermal_errors = 0;
-  std::uint32_t filesystem_errors = 0;
-  std::uint32_t check_rule_errors = 0;
-  std::uint32_t power_mode_errors = 0;
-  bool activation_status = true;
-};
-
 /// Persistent record of one instrumented section's deadline
 /// transgressions (supervised-process client API): serialised into fault
 /// memory by the FMF and read back over UDS-lite ReadDataByIdentifier.

@@ -320,16 +320,18 @@ void SoftwareWatchdog::write_supervision_reports(std::ostream& out) const {
   }
   for (RunnableId id : runnables) {
     const RunnableMonitor& m = hbm_.config(id);
-    const SupervisionReport r = tsi_.report(id);
+    const auto count = [&](ErrorType type) {
+      return tsi_.error_count(id, type);
+    };
     out << "  " << m.name;
     for (std::size_t pad = m.name.size(); pad < name_width + 2; ++pad) {
       out << ' ';
     }
     out << "task " << m.task << "  AS=" << (hbm_.activation_status(id) ? 1 : 0)
-        << "  aliveness=" << r.aliveness_errors
-        << " arrival=" << r.arrival_rate_errors
-        << " flow=" << r.program_flow_errors
-        << " accumulated=" << r.accumulated_aliveness_errors
+        << "  aliveness=" << count(ErrorType::kAliveness)
+        << " arrival=" << count(ErrorType::kArrivalRate)
+        << " flow=" << count(ErrorType::kProgramFlow)
+        << " accumulated=" << count(ErrorType::kAccumulatedAliveness)
         << "  task_state=" << to_string(tsi_.task_health(m.task)) << '\n';
   }
   out << "  global ECU state: " << to_string(tsi_.ecu_health()) << '\n';

@@ -138,9 +138,6 @@ class SoftwareWatchdog {
     return tsi_.application_health(app);
   }
   [[nodiscard]] Health ecu_health() const { return tsi_.ecu_health(); }
-  [[nodiscard]] SupervisionReport report(RunnableId runnable) const {
-    return tsi_.report(runnable);
-  }
   [[nodiscard]] std::uint64_t cycles_run() const { return cycles_; }
   [[nodiscard]] std::uint64_t errors_reported() const { return errors_; }
   /// Default (baseline-policy) escalation mapping.

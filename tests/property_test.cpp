@@ -651,12 +651,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineOrder,
 // --- TSI state roll-up against the full re-derive ------------------------------------
 
 // The TSI's semantics as a full re-derive: on every report, clear and
-// reset it copies both state maps, rescans every runnable's vector and
-// announces each changed state, tasks first, then applications, then the
-// ECU, in map order. A callback may clear a task, which derives again from
-// inside the outer call; the outer call then compares its stale snapshot
-// with what the nested call left. A change to these semantics edits this
-// reference on purpose.
+// reset it rescans every runnable's vector, assigns every task, then
+// every application, then the ECU state, in id order, and queues each
+// change. Only the outermost call announces the queue, in order. A
+// callback may clear a task; that derive assigns the states at once and
+// queues its changes behind the ones still to be announced. A change to
+// these semantics edits this reference on purpose.
 class ReferenceTsi {
  public:
   using Thresholds = wdg::TaskStateIndicationUnit::Thresholds;
@@ -724,11 +724,19 @@ class ReferenceTsi {
     std::array<std::uint32_t, wdg::kErrorTypeCount> counts{};
   };
 
+  /// One queued announcement: 't'ask, 'a'pplication or 'e'cu.
+  struct Change {
+    char kind;
+    std::uint32_t id;
+    Health health;
+    SimTime time;
+  };
+
   void derive_states(SimTime now) {
-    std::unordered_map<TaskId, Health> new_task = task_health_;
-    for (auto& [task, health] : new_task) health = Health::kOk;
-    std::unordered_map<ApplicationId, Health> new_app = app_health_;
-    for (auto& [app, health] : new_app) health = Health::kOk;
+    std::map<TaskId, Health> new_task;
+    for (const auto& [task, health] : task_health_) new_task[task] = Health::kOk;
+    std::map<ApplicationId, Health> new_app;
+    for (const auto& [app, health] : app_health_) new_app[app] = Health::kOk;
     for (RunnableId id : order_) {
       const Element& e = elements_.at(id);
       for (std::size_t t = 0; t < wdg::kErrorTypeCount; ++t) {
@@ -742,35 +750,45 @@ class ReferenceTsi {
     std::uint32_t faulty_count = 0;
     for (const auto& [task, health] : new_task) {
       if (health == Health::kFaulty) ++faulty_count;
+      if (task_health_.at(task) == health) continue;
+      task_health_[task] = health;
+      queue_.push_back({'t', task.value(), health, now});
+    }
+    for (const auto& [app, health] : new_app) {
+      if (app_health_.at(app) == health) continue;
+      app_health_[app] = health;
+      queue_.push_back({'a', app.value(), health, now});
     }
     const Health new_ecu = faulty_count >= ecu_faulty_task_limit_
                                ? Health::kFaulty
                                : Health::kOk;
-    for (const auto& [task, health] : new_task) {
-      if (task_health_.at(task) != health) {
-        task_health_[task] = health;
-        if (task_cb_) task_cb_(task, health, now);
-      }
-    }
-    for (const auto& [app, health] : new_app) {
-      if (app_health_.at(app) != health) {
-        app_health_[app] = health;
-        if (app_cb_) app_cb_(app, health, now);
-      }
-    }
     if (new_ecu != ecu_health_) {
       ecu_health_ = new_ecu;
-      if (ecu_cb_) ecu_cb_(new_ecu, now);
+      queue_.push_back({'e', 0, new_ecu, now});
     }
+    if (dispatching_) return;
+    dispatching_ = true;
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      const Change c = queue_[i];
+      if (c.kind == 't' && task_cb_) task_cb_(TaskId(c.id), c.health, c.time);
+      if (c.kind == 'a' && app_cb_) {
+        app_cb_(ApplicationId(c.id), c.health, c.time);
+      }
+      if (c.kind == 'e' && ecu_cb_) ecu_cb_(c.health, c.time);
+    }
+    queue_.clear();
+    dispatching_ = false;
   }
 
   Thresholds thresholds_;
   std::uint32_t ecu_faulty_task_limit_;
   std::unordered_map<RunnableId, Element> elements_;
   std::vector<RunnableId> order_;
-  std::unordered_map<TaskId, Health> task_health_;
-  std::unordered_map<ApplicationId, Health> app_health_;
+  std::map<TaskId, Health> task_health_;
+  std::map<ApplicationId, Health> app_health_;
   Health ecu_health_ = Health::kOk;
+  std::vector<Change> queue_;
+  bool dispatching_ = false;
   wdg::TaskStateIndicationUnit::TaskStateCallback task_cb_;
   wdg::TaskStateIndicationUnit::ApplicationStateCallback app_cb_;
   wdg::TaskStateIndicationUnit::EcuStateCallback ecu_cb_;
@@ -876,9 +894,11 @@ TEST_P(TsiDerive, MatchesTheFullRederive) {
   const auto ecu_limit =
       static_cast<std::uint32_t>(rng.uniform_int(1, task_count));
 
-  // Sparse ids, so the maps hash them into a non-trivial order.
-  auto task_id = [](std::uint32_t t) { return TaskId(7 + 13 * t); };
-  auto app_id = [](std::uint32_t a) { return ApplicationId(100 + 29 * a); };
+  // Sparse ids, registered out of id order (t and a are at most 6 and 4).
+  auto task_id = [](std::uint32_t t) { return TaskId(7 + 13 * (5 * t % 7)); };
+  auto app_id = [](std::uint32_t a) {
+    return ApplicationId(100 + 29 * (3 * a % 5));
+  };
   std::vector<ApplicationId> app_of_task;
   std::map<ApplicationId, std::vector<TaskId>> tasks_of;
   for (std::uint32_t a = 0; a < app_count; ++a) tasks_of[app_id(a)];

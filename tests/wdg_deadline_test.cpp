@@ -179,7 +179,8 @@ TEST_F(DeadlineFacadeTest, ViolationReportedWithContext) {
   EXPECT_EQ(errors[0].runnable, RunnableId(2));  // end checkpoint
   EXPECT_EQ(errors[0].related, RunnableId(1));   // start checkpoint
   EXPECT_NE(errors[0].detail.find("outside"), std::string::npos);
-  EXPECT_EQ(wd.report(RunnableId(2)).deadline_errors, 1u);
+  EXPECT_EQ(wd.tsi_unit().error_count(RunnableId(2), ErrorType::kDeadline),
+            1u);
 }
 
 TEST_F(DeadlineFacadeTest, ThresholdDrivesTaskFaulty) {

@@ -2,6 +2,7 @@
 // thresholds, task/application/ECU state derivation (paper §3.2.3).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "wdg/tsi.hpp"
@@ -139,19 +140,15 @@ TEST_F(TsiTest, ResetClearsEverything) {
   EXPECT_EQ(tsi.ecu_health(), Health::kOk);
 }
 
-TEST_F(TsiTest, SupervisionReportAggregatesCounts) {
+TEST_F(TsiTest, ErrorCountsAggregatePerType) {
   report_n(r1, ErrorType::kAliveness, 1);
   report_n(r1, ErrorType::kArrivalRate, 2);
   report_n(r1, ErrorType::kProgramFlow, 3);
   report_n(r1, ErrorType::kAccumulatedAliveness, 1);
-  const SupervisionReport rep = tsi.report(r1);
-  EXPECT_EQ(rep.runnable, r1);
-  EXPECT_EQ(rep.task, t1);
-  EXPECT_EQ(rep.application, app1);
-  EXPECT_EQ(rep.aliveness_errors, 1u);
-  EXPECT_EQ(rep.arrival_rate_errors, 2u);
-  EXPECT_EQ(rep.program_flow_errors, 3u);
-  EXPECT_EQ(rep.accumulated_aliveness_errors, 1u);
+  EXPECT_EQ(tsi.error_count(r1, ErrorType::kAliveness), 1u);
+  EXPECT_EQ(tsi.error_count(r1, ErrorType::kArrivalRate), 2u);
+  EXPECT_EQ(tsi.error_count(r1, ErrorType::kProgramFlow), 3u);
+  EXPECT_EQ(tsi.error_count(r1, ErrorType::kAccumulatedAliveness), 1u);
 }
 
 TEST_F(TsiTest, UnknownRunnableErrorsIgnored) {
@@ -159,12 +156,71 @@ TEST_F(TsiTest, UnknownRunnableErrorsIgnored) {
   EXPECT_EQ(tsi.error_count(RunnableId(99), ErrorType::kAliveness), 0u);
 }
 
-TEST_F(TsiTest, UnknownRunnableReportThrows) {
-  EXPECT_THROW((void)tsi.report(RunnableId(99)), std::out_of_range);
-}
-
 TEST_F(TsiTest, DuplicateRunnableRejected) {
   EXPECT_THROW(tsi.add_runnable(r1, t1, app1), std::logic_error);
+}
+
+// One task of one application and an ECU limit of 1: tripping the task
+// makes task, application and ECU faulty in one derive. The application
+// callback treats by clearing the task, as FMF restarts an application.
+struct TreatedSingleTask {
+  TaskStateIndicationUnit tsi{thresholds(), /*ecu_faulty_task_limit=*/1};
+  std::vector<Health> ecu_seen_by_app;
+
+  TreatedSingleTask() {
+    tsi.add_runnable(RunnableId(1), TaskId(0), ApplicationId(0));
+    tsi.set_application_state_callback(
+        [this](ApplicationId, Health h, SimTime now) {
+          if (h != Health::kFaulty) return;
+          ecu_seen_by_app.push_back(tsi.ecu_health());
+          tsi.clear_task(TaskId(0), now);
+        });
+    for (int i = 0; i < 3; ++i) {
+      tsi.report_error(RunnableId(1), ErrorType::kAliveness, SimTime(i));
+    }
+  }
+};
+
+TEST(TsiDispatch, CallbackReadsTheStatesItsDeriveAssigned) {
+  TreatedSingleTask unit;
+  ASSERT_EQ(unit.ecu_seen_by_app.size(), 1u);
+  EXPECT_EQ(unit.ecu_seen_by_app[0], Health::kFaulty);
+}
+
+TEST(TsiDispatch, StatesAgreeWithCountsAfterANestedClear) {
+  TreatedSingleTask unit;
+  EXPECT_EQ(unit.tsi.task_health(TaskId(0)), Health::kOk);
+  EXPECT_EQ(unit.tsi.application_health(ApplicationId(0)), Health::kOk);
+  EXPECT_EQ(unit.tsi.ecu_health(), Health::kOk);
+}
+
+TEST(TsiDispatch, TransitionsFireInIdOrder) {
+  TaskStateIndicationUnit tsi(thresholds(1), /*ecu_faulty_task_limit=*/10);
+  const std::vector<std::uint32_t> registered{9, 3, 7, 12, 5};
+  for (const std::uint32_t t : registered) {
+    tsi.add_runnable(RunnableId(t), TaskId(t), ApplicationId(0));
+    tsi.report_error(RunnableId(t), ErrorType::kAliveness, SimTime(0));
+  }
+  std::vector<std::uint32_t> fired;
+  tsi.set_task_state_callback(
+      [&](TaskId t, Health, SimTime) { fired.push_back(t.value()); });
+  tsi.reset(SimTime(1));
+  EXPECT_EQ(fired, (std::vector<std::uint32_t>{3, 5, 7, 9, 12}));
+}
+
+TEST(TsiDispatch, ThrowingCallbackEndsTheDispatch) {
+  TaskStateIndicationUnit tsi(thresholds(1), /*ecu_faulty_task_limit=*/10);
+  tsi.add_runnable(RunnableId(1), TaskId(0), ApplicationId(0));
+  std::vector<Health> seen;
+  tsi.set_task_state_callback([&](TaskId, Health h, SimTime) {
+    seen.push_back(h);
+    if (h == Health::kFaulty) throw std::runtime_error("treatment failed");
+  });
+  EXPECT_THROW(
+      tsi.report_error(RunnableId(1), ErrorType::kAliveness, SimTime(0)),
+      std::runtime_error);
+  tsi.clear_task(TaskId(0), SimTime(1));  // announced, not left queued
+  EXPECT_EQ(seen, (std::vector<Health>{Health::kFaulty, Health::kOk}));
 }
 
 TEST(TsiConfig, ZeroEcuLimitRejected) {
