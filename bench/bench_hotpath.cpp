@@ -1,7 +1,7 @@
 // Hot-path micro-benchmarks (DESIGN.md §15, ROADMAP item 2).
 //
 // One benchmark per per-run hot-path primitive the campaign profiler
-// attributes cost to: the sim::Engine step loop, one kernel task
+// attributes cost to: the sim::Engine step loop and re-arm, one kernel task
 // activation through segment completion, telemetry event-bus publication,
 // the HBM window check, the PFC pair lookup, SignalBus publication and
 // enqueue/drain, and DTC store insertion — plus the profiler's own span
@@ -70,6 +70,31 @@ void BM_EngineStepLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EngineStepLoop)->Arg(0)->Arg(64)->Arg(1024);
+
+/// sim::Engine re-arm: per iteration one pending expiry is cancelled and
+/// scheduled again 10 us ahead, and time advances 1 us, which drops the
+/// cancelled key due then (the OSEK counter's re-arm on every alarm
+/// change). Over range(0) background events, as BM_EngineStepLoop.
+void BM_EngineRearm(benchmark::State& state) {
+  sim::Engine engine;
+  const auto background = state.range(0);
+  for (std::int64_t i = 0; i < background; ++i) {
+    engine.schedule_at(sim::SimTime(std::int64_t{1} << 60) +
+                           sim::Duration::micros(i),
+                       [] {});
+  }
+  sim::EventId expiry = 0;
+  std::uint64_t expiries = 0;
+  for (auto _ : state) {
+    engine.cancel(expiry);
+    expiry = engine.schedule_in(sim::Duration::micros(10),
+                                [&expiries] { ++expiries; });
+    engine.run_for(sim::Duration::micros(1));
+  }
+  if (expiries != 0) state.SkipWithError("an expiry fired before re-arm");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineRearm)->Arg(0)->Arg(64)->Arg(1024);
 
 /// One kernel task activation through its segment's completion, with one
 /// KernelObserver attached: job build, dispatch, the completion event and

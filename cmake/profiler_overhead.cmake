@@ -4,12 +4,16 @@
 # flag (runtime-off: every instrumented site pays one thread-local load
 # and branch) and REPS times with --profile-shape (profiler fully
 # engaged), alternating off and on so that a slow phase of the host hits
-# both sides. It takes the minimum wall clock of each configuration from
-# the --timing-csv export, and fails if the profiled minimum exceeds the
-# unprofiled minimum by more than 5% plus a small absolute allowance
-# (ABS_SLACK_US, default 30 ms) that absorbs scheduler noise on very
-# short campaigns.  Min-of-reps is the standard guard against one-off
-# machine hiccups inflating either side.
+# both sides. It takes the minimum process CPU time (user + system, the
+# cpu_s column of the --timing-csv export) of each configuration, and
+# fails if the profiled minimum exceeds the unprofiled minimum by more
+# than 5% plus a small absolute allowance (ABS_SLACK_US, default 30 ms)
+# that absorbs noise on very short campaigns. CPU time, unlike the wall
+# clock, leaves out the time the process waits for a CPU; a core shared
+# with another busy thread (SMT) or a lowered clock still slows it, and
+# min-of-reps guards against those phases. The campaign runs on one
+# worker: two workers' CPU time grows by a third or more whenever the host
+# lets them run at once on sibling cores.
 #
 # Usage: cmake -DEXE=<binary> -DARGS=<common flags> -DOUT=<prefix>
 #              [-DREPS=3] [-DABS_SLACK_US=30000] -P profiler_overhead.cmake
@@ -24,21 +28,21 @@ if(NOT DEFINED ABS_SLACK_US)
 endif()
 separate_arguments(common_args UNIX_COMMAND "${ARGS}")
 
-# Parses the wall_s column (8th field, second line) of a --timing-csv
+# Parses the cpu_s column (10th field, second line) of a --timing-csv
 # export into integer microseconds; cmake math() is integer-only.
-function(wall_micros timing_file out_var)
+function(cpu_micros timing_file out_var)
   file(STRINGS ${timing_file} lines)
   list(GET lines 1 data)
   string(REPLACE "," ";" fields "${data}")
-  list(GET fields 7 wall_s)
-  if(wall_s MATCHES "^([0-9]+)\\.([0-9]+)$")
+  list(GET fields 9 cpu_s)
+  if(cpu_s MATCHES "^([0-9]+)\\.([0-9]+)$")
     set(int_part ${CMAKE_MATCH_1})
     set(frac_part ${CMAKE_MATCH_2})
-  elseif(wall_s MATCHES "^([0-9]+)$")
+  elseif(cpu_s MATCHES "^([0-9]+)$")
     set(int_part ${CMAKE_MATCH_1})
     set(frac_part "")
   else()
-    message(FATAL_ERROR "unparseable wall_s '${wall_s}' in ${timing_file}")
+    message(FATAL_ERROR "unparseable cpu_s '${cpu_s}' in ${timing_file}")
   endif()
   string(SUBSTRING "${frac_part}000000" 0 6 frac_part)
   math(EXPR micros "${int_part} * 1000000 + ${frac_part}")
@@ -46,11 +50,11 @@ function(wall_micros timing_file out_var)
 endfunction()
 
 # One run of the binary with `extra` flags; lowers `best_var` (in the
-# caller's scope) to its wall clock if that is smaller.
+# caller's scope) to its CPU time if that is smaller.
 function(run_and_keep_min tag rep extra best_var)
   separate_arguments(extra_args UNIX_COMMAND "${extra}")
   execute_process(
-    COMMAND ${EXE} ${common_args} --jobs 2
+    COMMAND ${EXE} ${common_args} --jobs 1
       --csv ${OUT}_${tag}.csv
       --timing-csv ${OUT}_${tag}.timing.csv
       ${extra_args}
@@ -59,10 +63,10 @@ function(run_and_keep_min tag rep extra best_var)
   if(NOT rc MATCHES "^[01]$")
     message(FATAL_ERROR "${EXE} (${tag}, rep ${rep}) exited abnormally: ${rc}")
   endif()
-  wall_micros(${OUT}_${tag}.timing.csv wall)
+  cpu_micros(${OUT}_${tag}.timing.csv cpu)
   set(best "${${best_var}}")
-  if(best STREQUAL "" OR wall LESS best)
-    set(${best_var} ${wall} PARENT_SCOPE)
+  if(best STREQUAL "" OR cpu LESS best)
+    set(${best_var} ${cpu} PARENT_SCOPE)
   endif()
 endfunction()
 
@@ -75,7 +79,7 @@ endforeach()
 
 math(EXPR limit_us "${off_us} * 105 / 100 + ${ABS_SLACK_US}")
 message(STATUS
-    "profiler overhead: off ${off_us} us, on ${on_us} us "
+    "profiler overhead: off ${off_us} us, on ${on_us} us CPU "
     "(limit ${limit_us} us = +5% + ${ABS_SLACK_US} us slack, min of "
     "${REPS} reps)")
 if(on_us GREATER limit_us)

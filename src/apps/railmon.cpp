@@ -31,11 +31,7 @@ RailMon::RailMon(rte::Rte& rte, rte::SignalBus& signals,
   sensor_spec.body = [this, &kernel] {
     (void)signals_.read_or("env.vibration", 0.0);
     ++samples_;
-    if (journal_depth_ < config_.journal_capacity) {
-      ++journal_depth_;
-    } else {
-      ++dropped_;
-    }
+    if (journal_depth_ < config_.journal_capacity) ++journal_depth_;
     signals_.publish("railmon.journal_depth",
                      static_cast<double>(journal_depth_), kernel.now());
   };

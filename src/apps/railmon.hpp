@@ -94,7 +94,6 @@ class RailMon {
 
   // --- telemetry counters ----------------------------------------------------
   [[nodiscard]] std::uint32_t journal_depth() const { return journal_depth_; }
-  [[nodiscard]] std::uint64_t journal_dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t committed_backlog() const { return committed_; }
   [[nodiscard]] std::uint64_t uplinked() const { return uplinked_; }
   [[nodiscard]] std::uint64_t samples_taken() const { return samples_; }
@@ -122,7 +121,6 @@ class RailMon {
   RunnableId sensor_;
   RunnableId uplink_;
   std::uint32_t journal_depth_ = 0;
-  std::uint64_t dropped_ = 0;
   std::uint64_t committed_ = 0;
   std::uint64_t uplinked_ = 0;
   std::uint64_t samples_ = 0;

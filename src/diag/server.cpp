@@ -338,11 +338,7 @@ void DiagServer::expire_session() {
 }
 
 void DiagServer::send(const Response& response) {
-  if (!response.positive) ++negative_;
-  if (response_drop_) {
-    ++suppressed_;
-    return;
-  }
+  if (response_drop_) return;
   bus::Frame frame;
   frame.id = config_.response_can_id;
   frame.payload = encode_response(response);

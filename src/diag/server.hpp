@@ -103,11 +103,6 @@ class DiagServer {
     return dropped_offline_;
   }
   [[nodiscard]] std::uint64_t responses_sent() const { return responses_; }
-  [[nodiscard]] std::uint64_t negative_responses_sent() const {
-    return negative_; }
-  [[nodiscard]] std::uint64_t responses_suppressed() const {
-    return suppressed_;
-  }
   [[nodiscard]] std::uint64_t sessions_expired() const { return expired_; }
   [[nodiscard]] const bus::E2EReceiver& receiver() const { return rx_; }
   [[nodiscard]] const DiagServerConfig& config() const { return config_; }
@@ -134,8 +129,6 @@ class DiagServer {
   std::uint64_t accepted_ = 0;
   std::uint64_t dropped_offline_ = 0;
   std::uint64_t responses_ = 0;
-  std::uint64_t negative_ = 0;
-  std::uint64_t suppressed_ = 0;
   std::uint64_t expired_ = 0;
 
   void register_standard_dids();

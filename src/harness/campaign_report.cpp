@@ -1,5 +1,7 @@
 #include "harness/campaign_report.hpp"
 
+#include <sys/resource.h>
+
 #include <fstream>
 #include <sstream>
 
@@ -59,11 +61,18 @@ void CampaignReport::write_rows_csv(std::ostream& out,
 void CampaignReport::write_timing_csv(std::ostream& out,
                                       const CampaignConfig& config,
                                       const CampaignOutcome& outcome) const {
-  out << "jobs,seed,runs,completed,timeouts,errors,skipped,wall_s,runs_per_s\n"
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto cpu_us =
+      (usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) * 1'000'000 +
+      usage.ru_utime.tv_usec + usage.ru_stime.tv_usec;
+  out << "jobs,seed,runs,completed,timeouts,errors,skipped,wall_s,runs_per_s,"
+         "cpu_s\n"
       << config.jobs << ',' << config.seed << ',' << outcome.results.size()
       << ',' << completed_ << ',' << outcome.timeouts << ',' << outcome.errors
       << ',' << outcome.skipped << ',' << outcome.wall_seconds << ','
-      << outcome.runs_per_second() << '\n';
+      << outcome.runs_per_second() << ','
+      << static_cast<double>(cpu_us) / 1e6 << '\n';
 }
 
 std::string CampaignReport::quarantine_summary() const {

@@ -67,7 +67,8 @@ class CampaignReport {
   void write_rows_csv(std::ostream& out, const std::string& header) const;
 
   /// Writes the nondeterministic side channel: one row of wall-clock,
-  /// throughput and quarantine counters for this execution.
+  /// throughput and quarantine counters for this execution, and the
+  /// process's CPU time (user + system, all threads) so far.
   void write_timing_csv(std::ostream& out, const CampaignConfig& config,
                         const CampaignOutcome& outcome) const;
 

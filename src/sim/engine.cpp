@@ -8,25 +8,54 @@
 
 namespace easis::sim {
 
+namespace {
+
+EventId make_id(std::uint32_t slot, std::uint32_t gen) {
+  return EventId{gen} << 32 | slot;
+}
+
+}  // namespace
+
+std::uint32_t Engine::add(SimTime at, Action&& action, Duration period,
+                          EventPriority priority) {
+  auto index = static_cast<std::uint32_t>(slots_.size());
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& slot = slots_[index];
+  slot.action = std::move(action);
+  slot.period = period;
+  slot.serial = period > Duration::zero() ? slot.gen : 0;
+  slot.priority = priority;
+  enqueue(index, at);
+  return index;
+}
+
+void Engine::enqueue(std::uint32_t index, SimTime at) {
+  Slot& slot = slots_[index];
+  slot.state = SlotState::kQueued;
+  heap_.push_back(Key{
+      at, static_cast<std::uint64_t>(slot.priority) << kSeqBits | ++scheduled_,
+      index, slot.gen});
+  std::push_heap(heap_.begin(), heap_.end(), fires_later);
+}
+
+void Engine::release(std::uint32_t index) {
+  slots_[index].action = nullptr;
+  slots_[index].state = SlotState::kFree;
+  free_slots_.push_back(index);
+}
+
 EventId Engine::schedule_at(SimTime at, Action action, EventPriority priority) {
   if (at < now_) {
     throw std::invalid_argument("Engine::schedule_at: time in the past");
   }
-  const EventId id = next_id_++;
-  settled_.push_back(false);
-  std::uint32_t slot = 0;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(actions_.size());
-    actions_.push_back(std::move(action));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    actions_[slot] = std::move(action);
-  }
-  heap_.push_back(
-      Key{at, static_cast<std::uint64_t>(priority) << kIdBits | id, slot});
-  std::push_heap(heap_.begin(), heap_.end(), fires_later);
-  return id;
+  const std::uint32_t index =
+      add(at, std::move(action), Duration::zero(), priority);
+  return make_id(index, slots_[index].gen);
 }
 
 EventId Engine::schedule_in(Duration delay, Action action,
@@ -46,118 +75,107 @@ Timer Engine::every_from(SimTime first, Duration period, Action action,
   if (period <= Duration::zero() || first < now_) {
     throw std::invalid_argument("Engine::every: bad period or first firing");
   }
-  const std::uint64_t key = next_series_++;
-  Series& series = series_.emplace(key, Series{key, period, priority,
-                                               std::move(action)})
-                       .first->second;
-  schedule_series(series, first);
-  return Timer(this, key);
-}
-
-void Engine::schedule_series(Series& series, SimTime at) {
-  series.next = schedule_at(
-      at, [this, &series] { fire_series(series); }, series.priority);
-}
-
-void Engine::fire_series(Series& series) {
-  series.next = 0;
-  series.action();
-  if (series.stopped) {
-    series_.erase(series.key);
-  } else {
-    schedule_series(series, now_ + series.period);
-  }
-}
-
-bool Engine::cancel_series(std::uint64_t key) {
-  const auto it = series_.find(key);
-  if (it == series_.end() || it->second.stopped) return false;
-  if (it->second.next == 0) {
-    // Cancelled from its own action: fire_series erases it on return.
-    it->second.stopped = true;
-  } else {
-    cancel(it->second.next);
-    series_.erase(it);
-  }
-  return true;
+  const std::uint32_t index = add(first, std::move(action), period, priority);
+  return Timer(this, index, slots_[index].serial);
 }
 
 bool Timer::cancel() {
-  return engine_ != nullptr && engine_->cancel_series(series_);
+  if (engine_ == nullptr) return false;
+  Engine::Slot& slot = engine_->slots_[slot_];
+  if (slot.serial != serial_) return false;  // stopped, or a later event's
+  if (slot.state == Engine::SlotState::kQueued) {
+    engine_->cancel(make_id(slot_, slot.gen));  // leaves it dormant
+  }
+  if (slot.state == Engine::SlotState::kDormant) engine_->release(slot_);
+  slot.serial = 0;  // running: fire_top releases it when the action returns
+  return true;
+}
+
+EventId Timer::next_firing() const {
+  if (engine_ == nullptr) return 0;
+  const Engine::Slot& slot = engine_->slots_[slot_];
+  return slot.serial == serial_ && slot.state == Engine::SlotState::kQueued
+             ? make_id(slot_, slot.gen)
+             : 0;
 }
 
 bool Engine::cancel(EventId id) {
   if (!is_pending(id)) return false;
-  // Lazy cancellation: settle the id now; skip its event when popped.
-  settled_[id - 1] = true;
+  // The key stays in the heap until it surfaces; its gen no longer matches.
+  const auto index = static_cast<std::uint32_t>(id);
+  ++slots_[index].gen;
   ++cancelled_queued_;
   ++cancelled_;
+  if (slots_[index].period == Duration::zero()) {
+    release(index);
+  } else {
+    slots_[index].state = SlotState::kDormant;
+  }
   return true;
 }
 
 bool Engine::is_pending(EventId id) const {
-  return id != 0 && id < next_id_ && !settled_[id - 1];
+  const auto index = static_cast<std::uint32_t>(id);
+  return index < slots_.size() && slots_[index].state == SlotState::kQueued &&
+         slots_[index].gen == id >> 32;
 }
 
-Engine::Key Engine::pop_top() {
-  std::pop_heap(heap_.begin(), heap_.end(), fires_later);
-  const Key key = heap_.back();
-  heap_.pop_back();
-  free_slots_.push_back(key.slot);
-  return key;
-}
-
-bool Engine::drop_cancelled_top() {
-  if (!settled_[(heap_.front().order & kIdMask) - 1]) return false;
-  actions_[pop_top().slot] = nullptr;
-  --cancelled_queued_;
-  return true;
+bool Engine::live_front() {
+  while (!heap_.empty() &&
+         heap_.front().gen != slots_[heap_.front().slot].gen) {
+    std::pop_heap(heap_.begin(), heap_.end(), fires_later);
+    heap_.pop_back();
+    --cancelled_queued_;
+  }
+  return !heap_.empty();
 }
 
 void Engine::fire_top() {
-  const Key key = pop_top();
-  // Move the action out of its slot: it may schedule events that reuse the
-  // slot or grow actions_.
-  Action action = std::move(actions_[key.slot]);
-  settled_[(key.order & kIdMask) - 1] = true;
+  std::pop_heap(heap_.begin(), heap_.end(), fires_later);
+  const Key key = heap_.back();
+  heap_.pop_back();
+  Slot& slot = slots_[key.slot];
+  ++slot.gen;
   now_ = key.at;
   ++fired_;
-  action();
-}
-
-bool Engine::fire_next() {
-  while (!heap_.empty()) {
-    if (drop_cancelled_top()) continue;
-    fire_top();
-    EASIS_PROFILE_COUNT("sim.events_fired", 1);
-    return true;
+  // Move the action out of its slot: it may schedule events that reuse the
+  // slot or grow slots_.
+  Action action = std::move(slot.action);
+  if (slot.period == Duration::zero()) {
+    release(key.slot);
+    action();
+    return;
   }
-  return false;
+  slot.state = SlotState::kRunning;
+  action();
+  Slot& series = slots_[key.slot];
+  if (series.serial == 0) {
+    release(key.slot);  // stopped from its own action
+  } else {
+    series.action = std::move(action);
+    enqueue(key.slot, now_ + series.period);
+  }
 }
 
-bool Engine::step() { return fire_next(); }
+bool Engine::step() {
+  if (!live_front()) return false;
+  fire_top();
+  EASIS_PROFILE_COUNT("sim.events_fired", 1);
+  return true;
+}
 
 void Engine::run_until(SimTime until) {
   EASIS_PROFILE_SPAN("sim.run_until");
   const std::uint64_t fired_before = fired_;
-  while (!heap_.empty()) {
-    // Peek past cancelled events without firing.
-    if (drop_cancelled_top()) continue;
-    if (heap_.front().at > until) break;
-    fire_top();
-  }
+  while (live_front() && heap_.front().at <= until) fire_top();
   if (now_ < until) now_ = until;
   // One counter add per call, not one per event.
   EASIS_PROFILE_COUNT("sim.events_fired", fired_ - fired_before);
 }
 
 void Engine::run_all() {
-  while (fire_next()) {
+  while (step()) {
   }
-}
-
-std::size_t Engine::pending_events() const {
-  return heap_.size() - cancelled_queued_;
 }
 
 void TimerGroup::add(EventId id) {
@@ -169,13 +187,13 @@ void TimerGroup::add(EventId id) {
   events_.push_back(id);
 }
 
-void TimerGroup::add(Timer timer) { series_.push_back(timer); }
+void TimerGroup::add(Timer timer) { timers_.push_back(timer); }
 
 void TimerGroup::cancel_all() {
   for (const EventId id : events_) engine_.cancel(id);
-  for (Timer& timer : series_) timer.cancel();
+  for (Timer& timer : timers_) timer.cancel();
   events_.clear();
-  series_.clear();
+  timers_.clear();
   prune_at_ = kMinPrune;
 }
 

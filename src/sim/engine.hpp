@@ -8,13 +8,17 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace easis::sim {
 
+/// Names one scheduled event. Opaque: it packs the event's slot and that
+/// slot's 32-bit generation, which advances whenever the slot's event
+/// fires or is cancelled. So a fired or cancelled id never names the new
+/// event its slot holds, and no id is 0 ("none"), until that one slot has
+/// been reused 2^32 times: generations start at 1.
 using EventId = std::uint64_t;
 
 /// Scheduling priority of a simultaneous event; lower value fires first.
@@ -39,13 +43,19 @@ class Timer {
   /// completes, no further one is scheduled). Returns false if the series
   /// was already stopped or the handle names none.
   bool cancel();
+  /// The id of the series' queued firing; 0 while none is queued (its
+  /// action runs, or it was stopped). Cancelling that id skips the firing
+  /// and leaves the series dormant: it fires no more, and the next
+  /// cancel() still returns true.
+  [[nodiscard]] EventId next_firing() const;
 
  private:
   friend class Engine;
-  Timer(Engine* engine, std::uint64_t series)
-      : engine_(engine), series_(series) {}
+  Timer(Engine* engine, std::uint32_t slot, std::uint32_t serial)
+      : engine_(engine), slot_(slot), serial_(serial) {}
   Engine* engine_ = nullptr;
-  std::uint64_t series_ = 0;
+  std::uint32_t slot_ = 0;
+  std::uint32_t serial_ = 0;  // the slot's gen at the series' first firing
 };
 
 class Engine {
@@ -95,75 +105,71 @@ class Engine {
   /// Drains the whole queue (use only in tests with finite event sets).
   void run_all();
 
-  [[nodiscard]] std::size_t pending_events() const;
+  [[nodiscard]] std::size_t pending_events() const {
+    return heap_.size() - cancelled_queued_;
+  }
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
   /// Events ever scheduled and ever cancelled: every scheduled event has
   /// fired, is pending or was cancelled.
-  [[nodiscard]] std::uint64_t events_scheduled() const { return next_id_ - 1; }
+  [[nodiscard]] std::uint64_t events_scheduled() const { return scheduled_; }
   [[nodiscard]] std::uint64_t events_cancelled() const { return cancelled_; }
 
  private:
   friend class Timer;
 
   /// A queued event, ordered by (at, order): `order` packs the priority
-  /// above the id, so one integer compare settles both tie-breaks. The
-  /// action lives apart in actions_[slot], so a heap sift moves only
-  /// these trivially copyable keys.
+  /// above the insertion sequence, so one integer compare settles both
+  /// tie-breaks, and a heap sift moves only these trivially copyable keys.
+  /// A key whose `gen` is no longer its slot's was cancelled.
   struct Key {
     SimTime at;
-    std::uint64_t order;  // priority << kIdBits | id
+    std::uint64_t order;  // priority << kSeqBits | sequence
     std::uint32_t slot;
+    std::uint32_t gen;
   };
-  static constexpr unsigned kIdBits = 60;
-  static constexpr std::uint64_t kIdMask = (std::uint64_t{1} << kIdBits) - 1;
+  static constexpr unsigned kSeqBits = 60;
   /// Heap order: the key that fires later sorts lower, so the heap's front
-  /// is the next event.
-  static bool fires_later(const Key& a, const Key& b) {
+  /// is the next event. A closure, not a function, so that every heap sift
+  /// inlines the compare instead of calling through a function pointer.
+  static constexpr auto fires_later = [](const Key& a, const Key& b) {
     return a.at != b.at ? a.at > b.at : a.order > b.order;
-  }
+  };
 
-  /// Binary min-heap on (at, order); ids are unique, so the pop sequence is
-  /// fully determined.
-  std::vector<Key> heap_;
-  /// The action of each queued key; a slot is reused (free_slots_) once its
-  /// key is popped, whether it fires or was cancelled.
-  std::vector<Action> actions_;
+  /// kRunning: a series running its action. kDormant: a series whose
+  /// queued firing was cancelled by id.
+  enum class SlotState : std::uint8_t { kFree, kQueued, kRunning, kDormant };
+  /// One live event: a one-shot (period zero) until it fires or is
+  /// cancelled, or a series until it is stopped. Settled slots are reused,
+  /// so slots_ is bounded by the peak number of live events, and heap_ by
+  /// that plus the cancelled keys not yet due.
+  struct Slot {
+    Action action;
+    Duration period;
+    std::uint32_t gen = 1;
+    std::uint32_t serial = 0;  // series: first firing's gen; 0 once stopped
+    EventPriority priority = EventPriority::kDefault;
+    SlotState state = SlotState::kFree;
+  };
+
+  std::vector<Key> heap_;  // binary min-heap on (at, order)
+  std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  /// Per id (index id - 1): fired or cancelled. Ids are sequential, so a
-  /// dense bit per scheduled event holds the state without hashing.
-  std::vector<bool> settled_;
-  /// Cancelled events still sitting in the heap (skipped when popped).
+  /// Cancelled keys still sitting in the heap (skipped when popped).
   std::size_t cancelled_queued_ = 0;
   SimTime now_;
-  EventId next_id_ = 1;
+  std::uint64_t scheduled_ = 0;
   std::uint64_t fired_ = 0;
   std::uint64_t cancelled_ = 0;
 
-  struct Series {
-    std::uint64_t key;
-    Duration period;
-    EventPriority priority;
-    Action action;
-    EventId next = 0;  // the queued firing; 0 while `action` runs
-    bool stopped = false;
-  };
-  /// Live series by key. Keys are never reused, so a handle to a stopped
-  /// series stays harmless; node-based storage keeps each Series in place
-  /// while its queued firing points at it.
-  std::unordered_map<std::uint64_t, Series> series_;
-  std::uint64_t next_series_ = 1;
-
-  void schedule_series(Series& series, SimTime at);
-  void fire_series(Series& series);
-  bool cancel_series(std::uint64_t key);
-
-  bool fire_next();
-  /// Removes the heap head and frees its slot; returns its key.
-  Key pop_top();
-  /// Pops and runs the heap head, which must not be cancelled.
+  /// Puts `action` in a free slot and queues it at `at`; returns the slot.
+  std::uint32_t add(SimTime at, Action&& action, Duration period,
+                    EventPriority priority);
+  void enqueue(std::uint32_t slot, SimTime at);  // with the next sequence
+  void release(std::uint32_t slot);
+  /// Pops cancelled keys off the heap's front; true if a live one is left.
+  bool live_front();
+  /// Pops and runs the heap's front, which must be live.
   void fire_top();
-  /// Pops the heap head if it was cancelled; true if it did.
-  bool drop_cancelled_top();
 };
 
 /// Everything one owner scheduled, cancelled in one call: a node adds the
@@ -179,14 +185,14 @@ class TimerGroup {
   /// Cancels every pending one-shot and stops every series of the group.
   void cancel_all();
   [[nodiscard]] std::size_t size() const {
-    return events_.size() + series_.size();
+    return events_.size() + timers_.size();
   }
 
  private:
   static constexpr std::size_t kMinPrune = 64;
   Engine& engine_;
   std::vector<EventId> events_;
-  std::vector<Timer> series_;
+  std::vector<Timer> timers_;
   std::size_t prune_at_ = kMinPrune;
 };
 

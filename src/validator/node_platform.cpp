@@ -1,5 +1,6 @@
 #include "validator/node_platform.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -123,11 +124,14 @@ diag::DiagServer& NodePlatform::open_diag(
   };
   backend.offline = [this] { return rebooting_; };
   if (platform_.policy) {
-    // The hash is content-derived and immutable for the node's lifetime,
-    // so it is computed once, not per request.
-    const std::uint32_t hash24 = policy::version_hash24(*platform_.policy);
+    // The policy is immutable for the node's lifetime, so its hash is
+    // computed on the first read only: most runs never read it.
+    backend.policy_hash = [this, hash = std::optional<std::uint32_t>()]()
+        mutable {
+      if (!hash) hash = policy::version_hash24(*platform_.policy);
+      return *hash;
+    };
     const std::uint32_t version = platform_.policy->version;
-    backend.policy_hash = [hash24] { return hash24; };
     backend.policy_version = [version] { return version; };
   }
   backend.environment = environment;

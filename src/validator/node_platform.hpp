@@ -103,10 +103,6 @@ class NodePlatform {
   [[nodiscard]] policy::CheckSupervisionUnit* check_supervision() {
     return csu_.get();
   }
-  /// The attached dependability policy (null when none).
-  [[nodiscard]] const policy::PolicySet* active_policy() const {
-    return platform_.policy.get();
-  }
   [[nodiscard]] std::uint32_t resets_performed() const { return resets_; }
   /// True while the node sits in the latched limp-home/safe state.
   [[nodiscard]] bool in_safe_state() const { return safe_state_; }

@@ -68,7 +68,6 @@ void RemoteNode::resume() {
 }
 
 void RemoteNode::reboot() {
-  ++reboots_;
   kernel_.software_reset();
   halted_ = false;
   start();

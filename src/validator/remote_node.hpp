@@ -55,7 +55,6 @@ class RemoteNode {
   [[nodiscard]] os::Kernel& kernel() { return kernel_; }
   /// Non-null when config().with_diag is set.
   [[nodiscard]] diag::DiagServer* diag_server() { return diag_.get(); }
-  [[nodiscard]] std::uint32_t reboots_performed() const { return reboots_; }
 
  private:
   sim::Engine& engine_;
@@ -68,7 +67,6 @@ class RemoteNode {
   CounterId counter_;
   std::uint64_t period_ticks_ = 1;
   std::uint32_t sequence_ = 0;
-  std::uint32_t reboots_ = 0;
   bool halted_ = false;
   std::unique_ptr<diag::DiagServer> diag_;
 

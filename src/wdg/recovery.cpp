@@ -12,7 +12,6 @@ void RecoverySupervisionUnit::begin(std::vector<RunnableId> required,
   required_ = std::move(required);
   announced_.clear();
   cycles_left_ = cycles;
-  ++started_;
   if (telemetry::enabled()) {
     telemetry::Event event;
     event.time = now;
@@ -60,11 +59,6 @@ void RecoverySupervisionUnit::on_cycle(sim::SimTime now) {
 void RecoverySupervisionUnit::finish(bool ok, const ErrorReport& cause,
                                      sim::SimTime now) {
   active_ = false;
-  if (ok) {
-    ++passed_;
-  } else {
-    ++failed_;
-  }
   if (telemetry::enabled()) {
     telemetry::Event event;
     event.time = now;

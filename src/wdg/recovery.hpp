@@ -42,9 +42,6 @@ class RecoverySupervisionUnit {
   void cancel() { active_ = false; }
 
   [[nodiscard]] bool active() const { return active_; }
-  [[nodiscard]] std::uint32_t windows_started() const { return started_; }
-  [[nodiscard]] std::uint32_t windows_passed() const { return passed_; }
-  [[nodiscard]] std::uint32_t windows_failed() const { return failed_; }
 
   /// Heartbeat indication forwarded by the watchdog while a window is open.
   void on_heartbeat(RunnableId runnable);
@@ -60,9 +57,6 @@ class RecoverySupervisionUnit {
   std::vector<RunnableId> required_;
   std::unordered_set<RunnableId> announced_;
   std::uint32_t cycles_left_ = 0;
-  std::uint32_t started_ = 0;
-  std::uint32_t passed_ = 0;
-  std::uint32_t failed_ = 0;
 
   void finish(bool ok, const ErrorReport& cause, sim::SimTime now);
 };

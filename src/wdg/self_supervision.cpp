@@ -51,7 +51,6 @@ void WatchdogSelfSupervision::service(std::uint64_t cycle, std::uint8_t token,
   }
   any_accepted_ = true;
   last_cycle_ = cycle;
-  ++accepted_;
   hw_.kick();
 }
 

@@ -54,14 +54,12 @@ class WatchdogSelfSupervision {
   [[nodiscard]] std::uint32_t token_violations() const {
     return token_violations_;
   }
-  [[nodiscard]] std::uint32_t accepted_services() const { return accepted_; }
 
  private:
   baseline::HardwareWatchdog hw_;
   bool any_accepted_ = false;
   std::uint64_t last_cycle_ = 0;
   std::uint32_t token_violations_ = 0;
-  std::uint32_t accepted_ = 0;
 };
 
 }  // namespace easis::wdg

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "campaign_scenarios.hpp"
+#include "sim/engine.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -137,6 +138,41 @@ TEST(AllocationBudget, ModeRunsStayWithinBudget) {
                        [](const std::string& c, std::uint64_t seed) {
                          return run_mode_fault(c, seed);
                        });
+}
+
+// The engine's own bookkeeping allocates nothing once its storage has
+// grown to the peak number of live events: a self-rescheduling one-shot,
+// a schedule + cancel pair each tick (the kernel's counter re-arm) and a
+// running every() series. Every lambda captures one pointer, so each
+// action fits std::function's small buffer.
+TEST(EngineSteadyState, AllocatesNothing) {
+  struct Loop {
+    sim::Engine engine;
+    sim::EventId expiry = 0;
+    std::uint64_t ticks = 0;
+    std::uint64_t expiries = 0;
+    std::uint64_t periods = 0;
+    void tick() {
+      ++ticks;
+      engine.schedule_in(sim::Duration::micros(1), [this] { tick(); });
+      engine.cancel(expiry);
+      expiry = engine.schedule_in(sim::Duration::micros(3),
+                                  [this] { ++expiries; });
+    }
+  } loop;
+  loop.engine.schedule_in(sim::Duration::micros(1), [&loop] { loop.tick(); });
+  loop.engine.every(sim::Duration::micros(2), [&loop] { ++loop.periods; });
+  loop.engine.run_for(sim::Duration::micros(1'000));  // warm-up
+
+  constexpr std::int64_t kIterations = 200'000;
+  const std::uint64_t ticks_before = loop.ticks;
+  const std::uint64_t count = allocations_of(
+      [&] { loop.engine.run_for(sim::Duration::micros(kIterations)); });
+  EXPECT_EQ(count, 0u);
+  EXPECT_EQ(loop.ticks - ticks_before, std::uint64_t{kIterations});
+  EXPECT_EQ(loop.expiries, 0u);  // every expiry was re-armed before due
+  EXPECT_EQ(loop.periods, std::uint64_t{(kIterations + 1'000) / 2});
+  EXPECT_EQ(loop.engine.events_cancelled(), loop.ticks - 1);
 }
 
 }  // namespace

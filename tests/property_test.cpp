@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -376,16 +377,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TicklessCounter,
 // --- engine firing order against a sorted reference queue ------------------------
 
 // Random schedule_at/schedule_in/cancel/every/every_from/TimerGroup/run/step
-// sequences must fire the same events in the same (time, priority, id)
-// order as a reference queue kept sorted in the test, and agree on every
-// id's is_pending and on the pending, scheduled, cancelled and fired counts
-// after each operation. When they fire, some one-shots cancel an id (their
-// own, a series' queued firing or one not issued yet), cancel the whole
-// group or schedule a child; some series stop themselves.
+// sequences must fire the same events in the same (time, priority,
+// sequence) order as a reference queue kept sorted in the test, and agree
+// on every id's is_pending and on the pending, scheduled, cancelled and
+// fired counts after each operation. The reference numbers events by
+// scheduling sequence; the test maps each sequence number to the id the
+// engine issued for it (a series' queued firing through
+// Timer::next_firing), and a number not issued yet to a forged id that
+// must read not pending and fail to cancel. A fired or cancelled id keeps
+// naming its settled event after the engine reuses its slot. When they
+// fire, some one-shots cancel an event (their own, a series' queued firing
+// or one not issued yet), cancel the whole group or schedule a child; some
+// series stop themselves.
 class EngineOrder : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EngineOrder, FiresLikeASortedQueue) {
   using sim::EventId;
+  using Seq = std::uint64_t;  // the reference's name of an event; 0 = none
   util::Rng rng(GetParam());
   Engine engine;
   sim::TimerGroup group(engine);
@@ -395,35 +403,36 @@ TEST_P(EngineOrder, FiresLikeASortedQueue) {
     bool series = false;
     std::int64_t period = 0;
     int priority = 0;
-    EventId cancel = 0;             // one-shot: cancel this id when fired
+    Seq cancel = 0;                 // one-shot: cancel this event when fired
     bool cancel_group = false;      // one-shot: cancel_all when fired
     std::size_t child = 0;          // one-shot: schedule this tag when fired
     std::int64_t child_delay = 0;
     std::uint32_t stop_after = 0;   // series: stop itself at this firing
     std::uint32_t engine_firings = 0;
     sim::Timer timer;
+    Seq requeued = 0;  // series: its firing queued after the last action
     // Reference side of a series.
     std::uint32_t model_firings = 0;
     bool live = false;
     bool stopped = false;
-    EventId next = 0;  // queued firing; 0 while the action runs
+    Seq next = 0;  // queued firing; 0 while the action runs
   };
   std::vector<Item> items;
 
   struct Entry {
     std::int64_t at;
     int priority;
-    EventId id;
+    Seq seq;
     std::size_t tag;
     auto operator<=>(const Entry&) const = default;
   };
   struct Model {
     std::int64_t now = 0;
-    EventId next_id = 1;
+    Seq next_seq = 1;
     std::uint64_t fired = 0;
     std::uint64_t cancelled = 0;
-    std::vector<Entry> queue;  // sorted by (at, priority, id)
-    std::vector<EventId> group_events;
+    std::vector<Entry> queue;  // sorted by (at, priority, seq)
+    std::vector<Seq> group_events;
     std::vector<std::size_t> group_series;
   } model;
 
@@ -433,17 +442,49 @@ TEST_P(EngineOrder, FiresLikeASortedQueue) {
   std::vector<bool> got_results;  // return values of in-action cancels
   std::vector<bool> want_results;
 
+  // --- engine ids by sequence number ----------------------------------------
+  std::vector<EventId> issued;   // index seq - 1; 0 while not issued
+  std::set<EventId> issued_ids;  // every id issued so far
+  auto record = [&](Seq seq, EventId id) {
+    ASSERT_NE(id, EventId{0}) << "seq " << seq;
+    ASSERT_TRUE(engine.is_pending(id)) << "seq " << seq;
+    ASSERT_TRUE(issued_ids.insert(id).second) << "id issued twice: " << id;
+    if (issued.size() < seq) issued.resize(seq, 0);
+    issued[seq - 1] = id;
+  };
+  auto resolve = [&](Seq seq) -> EventId {
+    if (seq == 0) return 0;
+    if (seq <= issued.size() && issued[seq - 1] != 0) return issued[seq - 1];
+    // Not issued yet: a value the engine has not issued.
+    EventId forged = ~EventId{0} - seq;
+    while (issued_ids.contains(forged)) --forged;
+    return forged;
+  };
+  // Records the firing each series queued after its last action (the
+  // engine queues it on the action's return, before any other event runs),
+  // at the start of the next action and after each operation.
+  std::vector<std::size_t> series_tags;
+  auto harvest = [&] {
+    for (const std::size_t tag : series_tags) {
+      Item& item = items[tag];
+      if (item.requeued == 0) continue;
+      record(item.requeued, item.timer.next_firing());
+      item.requeued = 0;
+    }
+  };
+
   // --- reference queue -------------------------------------------------------
   auto model_schedule = [&](std::size_t tag, std::int64_t at, int priority) {
-    const Entry entry{at, priority, model.next_id++, tag};
+    const Entry entry{at, priority, model.next_seq++, tag};
     model.queue.insert(
         std::upper_bound(model.queue.begin(), model.queue.end(), entry),
         entry);
-    return entry.id;
+    return entry.seq;
   };
-  auto model_cancel = [&](EventId id) {
-    const auto it = std::find_if(model.queue.begin(), model.queue.end(),
-                                 [id](const Entry& e) { return e.id == id; });
+  auto model_cancel = [&](Seq seq) {
+    const auto it =
+        std::find_if(model.queue.begin(), model.queue.end(),
+                     [seq](const Entry& e) { return e.seq == seq; });
     if (it == model.queue.end()) return false;
     model.queue.erase(it);
     ++model.cancelled;
@@ -461,7 +502,7 @@ TEST_P(EngineOrder, FiresLikeASortedQueue) {
     return true;
   };
   auto model_cancel_all = [&] {
-    for (const EventId id : model.group_events) model_cancel(id);
+    for (const Seq seq : model.group_events) model_cancel(seq);
     for (const std::size_t tag : model.group_series) model_stop(tag);
     model.group_events.clear();
     model.group_series.clear();
@@ -496,23 +537,33 @@ TEST_P(EngineOrder, FiresLikeASortedQueue) {
 
   // --- engine actions --------------------------------------------------------
   std::function<void(std::size_t)> engine_fire = [&](std::size_t tag) {
-    got.emplace_back(engine.now().as_micros(), tag);
     Item& item = items[tag];
+    // A series firing that runs before any other event could name it is
+    // settled now; its sequence number keeps resolving to a forged id.
+    item.requeued = 0;
+    harvest();
+    got.emplace_back(engine.now().as_micros(), tag);
     if (item.series) {
+      bool stopped = false;
       if (++item.engine_firings == item.stop_after) {
-        got_results.push_back(item.timer.cancel());
+        stopped = item.timer.cancel();
+        got_results.push_back(stopped);
       }
+      // The action schedules nothing, so the next firing takes the next
+      // sequence number.
+      if (!stopped) item.requeued = engine.events_scheduled() + 1;
       return;
     }
-    if (item.cancel != 0) got_results.push_back(engine.cancel(item.cancel));
+    if (item.cancel != 0) {
+      got_results.push_back(engine.cancel(resolve(item.cancel)));
+    }
     if (item.cancel_group) group.cancel_all();
     if (item.child != 0) {
-      engine.schedule_in(Duration::micros(item.child_delay),
-                         [&engine_fire, child = item.child] {
-                           engine_fire(child);
-                         },
-                         static_cast<sim::EventPriority>(
-                             items[item.child].priority));
+      const EventId id = engine.schedule_in(
+          Duration::micros(item.child_delay),
+          [&engine_fire, child = item.child] { engine_fire(child); },
+          static_cast<sim::EventPriority>(items[item.child].priority));
+      record(engine.events_scheduled(), id);
     }
   };
 
@@ -521,8 +572,8 @@ TEST_P(EngineOrder, FiresLikeASortedQueue) {
     Item item;
     item.priority = static_cast<int>(rng.uniform_int(0, 3));
     if (rng.bernoulli(0.25)) {
-      item.cancel = static_cast<EventId>(
-          rng.uniform_int(1, static_cast<std::int64_t>(model.next_id) + 3));
+      item.cancel = static_cast<Seq>(
+          rng.uniform_int(1, static_cast<std::int64_t>(model.next_seq) + 3));
     }
     item.cancel_group = rng.bernoulli(0.05);
     items.push_back(item);
@@ -553,18 +604,20 @@ TEST_P(EngineOrder, FiresLikeASortedQueue) {
                                           action, priority)
                      : engine.schedule_in(Duration::micros(delay), action,
                                           priority);
-        ASSERT_EQ(id, model_schedule(tag, model.now + delay,
-                                     items[tag].priority));
+        const Seq seq =
+            model_schedule(tag, model.now + delay, items[tag].priority);
+        ASSERT_EQ(engine.events_scheduled(), seq);
+        record(seq, id);
         if (rng.bernoulli(0.3)) {
           group.add(id);
-          model.group_events.push_back(id);
+          model.group_events.push_back(seq);
         }
         break;
       }
       case 3: {
-        const auto id = static_cast<EventId>(rng.uniform_int(
-            0, static_cast<std::int64_t>(model.next_id) + 1));
-        ASSERT_EQ(engine.cancel(id), model_cancel(id));
+        const auto seq = static_cast<Seq>(rng.uniform_int(
+            0, static_cast<std::int64_t>(model.next_seq) + 1));
+        ASSERT_EQ(engine.cancel(resolve(seq)), model_cancel(seq));
         break;
       }
       case 4: {
@@ -589,6 +642,9 @@ TEST_P(EngineOrder, FiresLikeASortedQueue) {
                                 action, priority);
         }
         items[tag].next = model_schedule(tag, first, item.priority);
+        ASSERT_EQ(engine.events_scheduled(), items[tag].next);
+        record(items[tag].next, items[tag].timer.next_firing());
+        series_tags.push_back(tag);
         if (rng.bernoulli(0.3)) {
           group.add(items[tag].timer);
           model.group_series.push_back(tag);
@@ -627,18 +683,19 @@ TEST_P(EngineOrder, FiresLikeASortedQueue) {
         break;
       }
     }
+    harvest();
     ASSERT_EQ(got, want) << "step " << step;
     ASSERT_EQ(got_results, want_results) << "step " << step;
     ASSERT_EQ(engine.now().as_micros(), model.now);
     ASSERT_EQ(engine.pending_events(), model.queue.size());
-    ASSERT_EQ(engine.events_scheduled(), model.next_id - 1);
+    ASSERT_EQ(engine.events_scheduled(), model.next_seq - 1);
     ASSERT_EQ(engine.events_cancelled(), model.cancelled);
     ASSERT_EQ(engine.events_fired(), model.fired);
-    for (EventId id = 0; id <= model.next_id + 1; ++id) {
+    for (Seq seq = 0; seq <= model.next_seq + 1; ++seq) {
       const bool queued =
           std::any_of(model.queue.begin(), model.queue.end(),
-                      [id](const Entry& e) { return e.id == id; });
-      ASSERT_EQ(engine.is_pending(id), queued) << "id " << id;
+                      [seq](const Entry& e) { return e.seq == seq; });
+      ASSERT_EQ(engine.is_pending(resolve(seq)), queued) << "seq " << seq;
     }
   }
   EXPECT_GT(want.size(), 300u);

@@ -269,6 +269,86 @@ TEST(Engine, CancellingAStoppedTimerFails) {
   EXPECT_FALSE(self.cancel());
 }
 
+TEST(Engine, StaleIdDoesNotAliasTheEventReusingItsSlot) {
+  // One live event at a time, so each new event reuses the settled slot.
+  Engine engine;
+  const EventId fired = engine.schedule_at(SimTime(1), [] {});
+  engine.run_all();
+  bool after_fired = false;
+  const EventId reused =
+      engine.schedule_at(SimTime(2), [&] { after_fired = true; });
+  EXPECT_NE(reused, fired);
+  EXPECT_FALSE(engine.is_pending(fired));
+  EXPECT_FALSE(engine.cancel(fired));
+  EXPECT_TRUE(engine.is_pending(reused));
+  EXPECT_TRUE(engine.cancel(reused));
+  // `reused` is now cancelled and its slot free again.
+  bool after_cancelled = false;
+  const EventId again =
+      engine.schedule_at(SimTime(3), [&] { after_cancelled = true; });
+  EXPECT_NE(again, reused);
+  EXPECT_NE(again, fired);
+  EXPECT_FALSE(engine.is_pending(reused));
+  EXPECT_FALSE(engine.cancel(reused));
+  EXPECT_FALSE(engine.cancel(fired));
+  EXPECT_TRUE(engine.is_pending(again));
+  engine.run_all();
+  EXPECT_FALSE(after_fired);
+  EXPECT_TRUE(after_cancelled);
+  EXPECT_EQ(engine.events_cancelled(), 1u);
+  EXPECT_EQ(engine.events_fired(), 2u);
+}
+
+TEST(Engine, StoppedTimerDoesNotStopTheSeriesReusingItsSlot) {
+  Engine engine;
+  Timer stopped = engine.every(Duration::micros(10), [] {});
+  const EventId stale_firing = stopped.next_firing();
+  EXPECT_NE(stale_firing, EventId{0});
+  EXPECT_TRUE(stopped.cancel());
+  EXPECT_EQ(stopped.next_firing(), EventId{0});
+  int ticks = 0;
+  Timer live = engine.every(Duration::micros(10), [&] { ++ticks; });
+  EXPECT_FALSE(stopped.cancel());
+  EXPECT_EQ(stopped.next_firing(), EventId{0});
+  EXPECT_FALSE(engine.cancel(stale_firing));
+  EXPECT_NE(live.next_firing(), EventId{0});
+  EXPECT_NE(live.next_firing(), stale_firing);
+  engine.run_until(SimTime(30));
+  EXPECT_EQ(ticks, 3);
+  // A one-shot in a stopped series' slot is not the series either.
+  EXPECT_TRUE(live.cancel());
+  bool fired = false;
+  engine.schedule_in(Duration::micros(5), [&] { fired = true; });
+  EXPECT_FALSE(live.cancel());
+  EXPECT_FALSE(stopped.cancel());
+  engine.run_all();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(ticks, 3);
+}
+
+TEST(Engine, CancellingASeriesFiringByIdLeavesItDormant) {
+  Engine engine;
+  int ticks = 0;
+  Timer timer = engine.every(Duration::micros(10), [&] { ++ticks; });
+  engine.run_until(SimTime(15));
+  const EventId firing = timer.next_firing();
+  EXPECT_TRUE(engine.is_pending(firing));
+  EXPECT_TRUE(engine.cancel(firing));
+  EXPECT_FALSE(engine.is_pending(firing));
+  EXPECT_EQ(timer.next_firing(), EventId{0});
+  EXPECT_EQ(engine.pending_events(), 0u);
+  // A dormant series keeps its slot: this one-shot must not take it over.
+  bool fired = false;
+  engine.schedule_in(Duration::micros(50), [&] { fired = true; });
+  engine.run_until(SimTime(100));
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(ticks, 1);
+  EXPECT_TRUE(timer.cancel());
+  EXPECT_FALSE(timer.cancel());
+  EXPECT_EQ(engine.events_cancelled(), 1u);
+  EXPECT_EQ(engine.events_scheduled(), 3u);
+}
+
 TEST(Engine, EveryFromFiresFirstAtTheGivenInstant) {
   Engine engine;
   std::vector<std::int64_t> fired_at;
